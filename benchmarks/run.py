@@ -7,14 +7,17 @@ Run from the root of a source checkout; the package is imported from its
 ``src`` directory.  The run writes the workload's instance files under
 ``.bench_work/``, times whole rounds of operations until ``--seconds`` have
 passed, checks every operation's output outside the timed phase, and prints
-one JSON object as its last line.  With ``--trace 1`` it runs untraced
-rounds for half of ``--seconds``, then as many traced rounds, and prints
-the per-layer metrics instead.  See README.md in this directory.
+one JSON object as its last line.  Times are reported in nominal seconds,
+scaled by a host-speed reference timed next to the work (``clock.py``).
+With ``--trace 1`` it runs untraced rounds for half of ``--seconds``, then
+as many traced rounds, and prints the per-layer metrics instead.  See
+README.md in this directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
 import hashlib
 import json
 import os
@@ -33,12 +36,13 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 import checks  # noqa: E402
+import clock  # noqa: E402
 import instances  # noqa: E402
 import quantiles  # noqa: E402
 import tracing  # noqa: E402
 
 SETUP_REPEATS = 9
-SETUP_MIN_S = 1.0  # setup repeats go on until this much wall time has passed
+SETUP_MIN_S = 2.0  # setup repeats go on until this much wall time has passed
 CORPUS_SIZE = 300
 CORPUS_BUDGET = 60.0
 CORPUS_ALGORITHMS = ("ps", "pp", "ilp1", "ilp1ml", "ilp2", "ilp2ml")
@@ -47,7 +51,7 @@ LADDER_ALGORITHMS = ("ps", "pp", "ilp1ml", "ilp2ml")
 # The rung whose ilp1ml/ilp2ml cells come back empty keeps the same bytes
 # under every seed, so its failures do not depend on the seed.
 LADDER_FIXED_RUNG = "r12-25-8"
-WIDE_SIZE = 8
+WIDE_SIZE = 4
 WIDE_CHARACTERS = 24
 WIDE_TIMESTAMPS = 2
 WIDE_OPS = ("stats", "ilp1ml", "ilp2ml")
@@ -111,14 +115,15 @@ def wide_docs(seed: int) -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Record:
-    """One operation's outcome, kept for the checks after the timed phase."""
+    """One operation's outcome, kept for the checks after the timed phase.
 
-    round: int
+    Equal outcomes of different rounds share one object (see ``Run.round``),
+    so the memory a run holds does not grow with its number of rounds."""
+
     instance: str
     op: str
-    seconds: float
     failed: bool = False
     error: str = ""
     crossings: int | None = None
@@ -173,18 +178,21 @@ class Run:
     workload: str
     paths: dict[str, Path]
     outdir: Path
-    records: list[Record] = field(default_factory=list)
+    records: list[Record] = field(default_factory=list)  # one per operation
+    seconds: array.array = field(default_factory=lambda: array.array("d"))
+    known: dict[Record, Record] = field(default_factory=dict)
     blobs: dict[str, bytes] = field(default_factory=dict)
+    speed: clock.Clock = field(default_factory=clock.Clock)
 
-    def cells(self) -> list[tuple[str, str]]:
+    def __post_init__(self) -> None:
         algorithms = {
             "corpus": CORPUS_ALGORITHMS,
             "ladder": LADDER_ALGORITHMS,
             "wide-export": WIDE_OPS,
         }[self.workload]
-        return [(name, alg) for name in self.paths for alg in algorithms]
+        self.cells = [(name, alg) for name in self.paths for alg in algorithms]
 
-    def one(self, rnd: int, name: str, alg: str) -> Record:
+    def one(self, name: str, alg: str) -> tuple[float, Record]:
         path = self.paths[name]
         out = self.outdir / f"{name}.{alg}"
         if self.workload == "wide-export":
@@ -192,42 +200,55 @@ class Run:
             try:
                 budgets, built = export_op(path, alg, out)
             except Exception as exc:  # an op that raises counts as failed
-                return Record(rnd, name, alg, time.perf_counter() - t0, True, repr(exc))
-            rec = Record(rnd, name, alg, time.perf_counter() - t0)
-            rec.budgets = tuple(budgets[t] for t in sorted(budgets))
+                return time.perf_counter() - t0, Record(name, alg, True, repr(exc))
+            seconds = time.perf_counter() - t0
+            found: dict = {"budgets": tuple(budgets[t] for t in sorted(budgets))}
             if built is not None:
                 program, cat = built
-                rec.slots = tuple(
+                found["slots"] = tuple(
                     sum(1 for s in cat.slots if s.time == t) for t in sorted(budgets)
                 )
-                rec.signature = (
+                found["signature"] = (
                     hashlib.sha256(" ".join(v.name for v in program.variables).encode()).hexdigest(),
                     len(program.constraints),
                     tuple((c, v.name) for c, v in program.objective),
                 )
-                rec.lp = digest(out.read_bytes(), self.blobs)
-            return rec
+                found["lp"] = digest(out.read_bytes(), self.blobs)
+            return seconds, Record(name, alg, **found)
         budget = CORPUS_BUDGET if self.workload == "corpus" else LADDER_BUDGET
         t0 = time.perf_counter()
         try:
             report, svg = solve_op(path, alg, budget, out)
         except Exception as exc:  # an op that raises counts as failed
-            return Record(rnd, name, alg, time.perf_counter() - t0, True, repr(exc))
-        rec = Record(rnd, name, alg, time.perf_counter() - t0)
-        rec.crossings, rec.status, rec.gap = report.crossings, report.status, report.gap_percent
+            return time.perf_counter() - t0, Record(name, alg, True, repr(exc))
+        seconds = time.perf_counter() - t0
+        found = {"crossings": report.crossings, "status": report.status, "gap": report.gap_percent}
         if svg is None:
-            rec.failed = True
-            rec.error = f"no layout (status {report.status})"
+            found.update(failed=True, error=f"no layout (status {report.status})")
         else:
-            rec.story = digest(out.read_bytes(), self.blobs)
-            rec.svg = digest(svg.encode(), self.blobs)
-        return rec
+            found.update(
+                story=digest(out.read_bytes(), self.blobs),
+                svg=digest(svg.encode(), self.blobs),
+            )
+        return seconds, Record(name, alg, **found)
 
-    def round(self, rnd: int) -> float:
-        t0 = time.perf_counter()
-        for name, alg in self.cells():
-            self.records.append(self.one(rnd, name, alg))
-        return time.perf_counter() - t0
+    def round(self) -> float:
+        """Run every cell once, each followed by its host-speed sample;
+        returns the round's operation seconds."""
+        total = 0.0
+        for name, alg in self.cells:
+            seconds, rec = self.one(name, alg)
+            self.speed.sample(seconds)
+            self.records.append(self.known.setdefault(rec, rec))
+            self.seconds.append(seconds)
+            total += seconds
+        return total
+
+    def entries(self):
+        """(round, wall seconds, record) of every operation, in run order."""
+        n = len(self.cells)
+        for i, (seconds, rec) in enumerate(zip(self.seconds, self.records)):
+            yield i // n, seconds, rec
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +260,8 @@ def check_layouts(run: Run, docs: dict[str, dict]) -> list[str]:
     bad: list[str] = []
     verdicts: dict[tuple[str, str, str], int] = {}
     by_cell: dict[tuple[int, str], dict[str, Record]] = {}
-    for rec in run.records:
-        where = f"{rec.instance}/{rec.op} round {rec.round}"
+    for rnd, _, rec in run.entries():
+        where = f"{rec.instance}/{rec.op} round {rnd}"
         if rec.failed:
             expected = (
                 run.workload == "ladder"
@@ -275,7 +296,7 @@ def check_layouts(run: Run, docs: dict[str, dict]) -> list[str]:
             gap_ok = False
         if not gap_ok:
             bad.append(f"{where}: status {rec.status} with gap {rec.gap}")
-        by_cell.setdefault((rec.round, rec.instance), {})[rec.op] = rec
+        by_cell.setdefault((rnd, rec.instance), {})[rec.op] = rec
     return bad + (check_corpus(by_cell, docs) if run.workload == "corpus" else check_ladder(by_cell, docs))
 
 
@@ -321,8 +342,8 @@ def check_exports(run: Run, docs: dict[str, dict]) -> list[str]:
     bad: list[str] = []
     chromatic = {name: tuple(checks.chromatic_numbers(doc)) for name, doc in docs.items()}
     parsed: dict[str, tuple] = {}
-    for rec in run.records:
-        where = f"{rec.instance}/{rec.op} round {rec.round}"
+    for rnd, _, rec in run.entries():
+        where = f"{rec.instance}/{rec.op} round {rnd}"
         if rec.failed:
             bad.append(f"{where}: unexpected failure {rec.error}")
             continue
@@ -354,7 +375,7 @@ def round_costs(run: Run, docs: dict[str, dict]) -> list[int]:
     benchmark's greedy layout), or for wide-export the layer slots granted."""
     greedy: dict[str, int] = {}
     totals: dict[int, int] = {}
-    for rec in run.records:
+    for rnd, _, rec in run.entries():
         if run.workload == "wide-export":
             cost = sum(rec.budgets)
         elif rec.failed:
@@ -366,17 +387,23 @@ def round_costs(run: Run, docs: dict[str, dict]) -> list[int]:
             cost = greedy[rec.instance]
         else:
             cost = rec.crossings
-        totals[rec.round] = totals.get(rec.round, 0) + cost
+        totals[rnd] = totals.get(rnd, 0) + cost
     return [totals[r] for r in sorted(totals)]
 
 
 def end_to_end(run: Run, docs: dict[str, dict], setup_s: float, rss_mb: float) -> dict:
-    times = [r.seconds for r in run.records]
+    """Throughput over every operation; op-time quantiles over the cells,
+    each cell timed by the median of its rounds."""
+    times = [s * f for s, f in zip(run.seconds, run.speed.scales(), strict=True)]
+    by_cell: dict[tuple[str, str], list[float]] = {}
+    for rec, t in zip(run.records, times):
+        by_cell.setdefault((rec.instance, rec.op), []).append(t)
+    cell_s = [statistics.median(ts) for ts in by_cell.values()]
     return {
         "setup_s": (setup_s, "s"),
         "ops_per_s": (len(times) / sum(times), "ops/s"),
-        "op_s_p50": (quantiles.quantile(times, 0.5), "s"),
-        "op_s_p99": (quantiles.quantile(times, 0.99), "s"),
+        "op_s_p50": (quantiles.quantile(cell_s, 0.5), "s"),
+        "op_s_p99": (quantiles.quantile(cell_s, 0.99), "s"),
         "result_cost": (statistics.median(round_costs(run, docs)), "count"),
         "peak_rss_mb": (rss_mb, "MB"),
     }
@@ -390,20 +417,22 @@ GENERATORS = {"corpus": corpus_docs, "ladder": ladder_docs, "wide-export": wide_
 
 
 def setup(workload: str, seed: int, workdir: Path) -> tuple[dict, dict, float]:
-    """Generate and write the instance files; median time of the repeats.
+    """Generate and write the instance files; median nominal time of the repeats.
 
     Every repeat writes the same directory, so all but the first rewrite
     existing files; creating thousands of fresh files would time the file
     system's journal more than the generators.
     """
     spent: list[float] = []
+    speed = clock.Clock()
     begin = time.perf_counter()
     while len(spent) < SETUP_REPEATS or time.perf_counter() - begin < SETUP_MIN_S:
         t0 = time.perf_counter()
         docs = GENERATORS[workload](seed)
         paths = instances.write_all(workdir / "inputs", docs)
         spent.append(time.perf_counter() - t0)
-    return docs, paths, statistics.median(spent)
+        speed.sample(spent[-1])
+    return docs, paths, statistics.median(s * f for s, f in zip(spent, speed.scales()))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -421,20 +450,18 @@ def main(argv: list[str] | None = None) -> int:
         (workdir / "out").mkdir()
         run = Run(args.workload, paths, workdir / "out")
         if args.trace:
-            tracer, plain, spans = traced(run, args.seconds)
+            tracer, tracer_scale, plain, spans = traced(run, args.seconds)
         else:
             start = time.perf_counter()
-            rnd = 0
-            while rnd == 0 or time.perf_counter() - start < args.seconds:
-                run.round(rnd)
-                rnd += 1
+            while not run.records or time.perf_counter() - start < args.seconds:
+                run.round()
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if args.workload == "wide-export":
             problems = check_exports(run, docs)
         else:
             problems = check_layouts(run, docs)
         if args.trace:
-            metrics = tracing.layer_metrics(tracer, len(spans))
+            metrics = tracing.layer_metrics(tracer, len(spans), tracer_scale)
             metrics["trace.overhead_s"] = ((sum(spans) - sum(plain)) / len(spans), "s")
         else:
             metrics = end_to_end(run, docs, setup_s, rss_mb)
@@ -458,32 +485,43 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def report_split(run: Run) -> None:
-    """Op seconds per solver status and, for small rounds, every op, on stderr."""
+    """Wall seconds per solver status and, for small rounds, every op with its
+    wall seconds and, in an untraced run, its host-speed factor, on stderr."""
     split: dict[str, float] = {}
-    for r in run.records:
-        split[r.status or "done"] = split.get(r.status or "done", 0.0) + r.seconds
+    for _, seconds, r in run.entries():
+        split[r.status or "done"] = split.get(r.status or "done", 0.0) + seconds
     print("op seconds by status: " + json.dumps(split), file=sys.stderr)
-    if len(run.cells()) <= 100:
-        cells = [[r.instance, r.op, r.status, round(r.seconds, 4)] for r in run.records]
+    if len(run.cells) <= 100:
+        factors = run.speed.scales()
+        if len(factors) != len(run.seconds):  # traced: the clock restarted
+            factors = [None] * len(run.seconds)
+        cells = [
+            [r.instance, r.op, r.status, round(s, 4), f and round(f, 4)]
+            for (_, s, r), f in zip(run.entries(), factors)
+        ]
         print("ops: " + json.dumps(cells), file=sys.stderr)
 
 
 def traced(run: Run, seconds: float):
     """Untraced rounds for half the time, then as many traced rounds.
 
-    Returns the tracer and the wall seconds of every untraced and traced round.
+    Returns the tracer, the nominal-seconds scale of the traced rounds, and
+    the nominal operation seconds of every untraced and traced round.
     """
     start = time.perf_counter()
     plain: list[float] = []
     while not plain or time.perf_counter() - start < seconds / 2:
-        plain.append(run.round(len(plain)))
+        plain.append(run.round())
+    plain = [s * run.speed.scale() for s in plain]
+    run.speed = clock.Clock()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        spans = [run.round(len(plain) + k) for k in range(len(plain))]
+        spans = [run.round() for _ in plain]
     finally:
         tracer.uninstall()
-    return tracer, plain, spans
+    scale = run.speed.scale()
+    return tracer, scale, plain, [s * scale for s in spans]
 
 
 if __name__ == "__main__":

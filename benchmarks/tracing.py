@@ -109,9 +109,14 @@ class Tracer:
         return own, calls
 
 
-def layer_metrics(tracer: Tracer, rounds: int) -> dict[str, tuple[float, str]]:
-    """Per-layer metrics as totals per round: name -> (value, unit)."""
+def layer_metrics(tracer: Tracer, rounds: int, scale: float) -> dict[str, tuple[float, str]]:
+    """Per-layer metrics as totals per round: name -> (value, unit).
+
+    Span seconds are multiplied by ``scale``, the run's factor from wall
+    seconds to nominal seconds (see clock.py).
+    """
     own, calls = tracer.self_times()
+    own = {name: s * scale for name, s in own.items()}
     per = 1.0 / rounds
     out: dict[str, tuple[float, str]] = {}
     solve_s = 0.0
