@@ -32,7 +32,6 @@ manifest = {
     "instances": ["../data/workshop.json", "clique4.json"],
     "algorithms": ["ps", "pp", "ilp1", "ilp1ml", "ilp2ml"],
     "timeout": 1,
-    "seed": 0,
     "jobs": 2,
 }
 (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))

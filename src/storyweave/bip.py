@@ -44,9 +44,14 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class BinaryProgram:
+    """A validated 0/1 program; construction raises ValueError if malformed."""
+
     variables: tuple[VarId, ...]
     constraints: tuple[LinearConstraint, ...]
     objective: tuple[tuple[int, VarId], ...]
+
+    def __post_init__(self) -> None:
+        validate_program(self)
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,9 @@ class ModelBuilder:
         self._objective.append((coef, var))
 
     def build(self) -> BinaryProgram:
-        program = BinaryProgram(
+        return BinaryProgram(
             tuple(self._vars), tuple(self._constraints), tuple(self._objective)
         )
-        validate_program(program)
-        return program
 
 
 def validate_program(p: BinaryProgram) -> None:
@@ -156,24 +159,18 @@ def validate_program(p: BinaryProgram) -> None:
         seen.add(v.index)
 
 
-def solve(
-    program: BinaryProgram, timeout: float = 3600.0, seed: int = 0
-) -> SolveResult:
+def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     """Depth-first branch and bound over 0/1 assignments.
 
     Branching follows a fixed static order (largest objective coefficient
     first, ties by variable index) and tries value 0 before 1; together with
-    exact integer arithmetic this makes every run reproducible, so ``seed``
-    is accepted for interface stability but has no effect on the search.
-    A single greedy dive runs first to seed the incumbent, so interrupted
-    solves still report an upper bound.  A node is pruned as soon as the
-    objective of its forced-one variables reaches the incumbent.  The wall
-    clock is checked every 1000 nodes against a monotonic timer; on timeout
-    the best incumbent is returned together with the lower bound proven so
-    far.
+    exact integer arithmetic this makes every run reproducible.  A single
+    greedy dive runs first to seed the incumbent, so interrupted solves
+    still report an upper bound.  A node is pruned as soon as the objective
+    of its forced-one variables reaches the incumbent.  The wall clock is
+    checked every 1000 nodes against a monotonic timer; on timeout the best
+    incumbent is returned together with the lower bound proven so far.
     """
-    del seed
-    validate_program(program)
     t0 = time.monotonic()
     nvars = len(program.variables)
 
@@ -442,7 +439,6 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
     Output is deterministic; :func:`parse_lp` reads it back into an
     equivalent program.
     """
-    validate_program(p)
     out: list[str] = [f"\\ {name}", "Minimize"]
     obj_terms = [(coef, v.name) for coef, v in p.objective if coef != 0]
     out.extend(_wrap(" obj: " + _format_terms(obj_terms) if obj_terms else " obj:"))

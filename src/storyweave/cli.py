@@ -13,7 +13,7 @@ Set ``STORYWEAVE_LOG`` (debug/info/warning/error) to control verbosity.
 A bench manifest is a JSON document::
 
     {"instances": ["path.json", ...], "algorithms": ["ps", "ilp1"],
-     "timeout": 3600, "seed": 0, "cap": null, "jobs": 2}
+     "timeout": 3600, "cap": null, "jobs": 2}
 
 Instance paths are resolved relative to the manifest's directory.
 """
@@ -38,22 +38,17 @@ ALGORITHMS = ("ps", "pp", "ilp1", "ilp1ml", "ilp2", "ilp2ml")
 DEFAULT_TIMEOUT = 3600.0
 
 
-def _solve_one(
-    inst, algorithm: str, timeout: float, seed: int, cap: int | None
-):
+def _solve_one(inst, algorithm: str, timeout: float, cap: int | None):
     """Run one algorithm; returns (storyline or None, LayoutReport)."""
     if algorithm in ("ps", "pp"):
         cfg = pipeline.PipelineConfig(
             heuristic="rand" if algorithm == "ps" else "pattern",
             cap=cap,
             timeout=timeout,
-            seed=seed,
         )
         return pipeline.run_pipeline(inst, cfg)
     kind = formulations.EXACT_KINDS[algorithm]
-    if cap is not None and not kind.minimize_layers:
-        raise ValueError(f"--cap does not apply to {algorithm} (budgets are not colored)")
-    return formulations.solve_exact(inst, kind, timeout=timeout, seed=seed, cap=cap)
+    return formulations.solve_exact(inst, kind, timeout=timeout, cap=cap)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -75,8 +70,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.algorithm not in formulations.EXACT_KINDS:
             raise ValueError("--export-lp requires an ilp* algorithm")
         kind = formulations.EXACT_KINDS[args.algorithm]
-        if args.cap is not None and not kind.minimize_layers:
-            raise ValueError(f"--cap does not apply to {args.algorithm}")
         budgets = coloring.layer_budget(
             inst, minimize=kind.minimize_layers, cap=args.cap
         )
@@ -90,7 +83,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     if not args.output:
         raise ValueError("-o/--output is required unless --export-lp is given")
-    story, report = _solve_one(inst, args.algorithm, args.timeout, args.seed, args.cap)
+    story, report = _solve_one(inst, args.algorithm, args.timeout, args.cap)
     if story is None:
         print(f"no feasible storyline found (status {report.status})", file=sys.stderr)
         return 1
@@ -111,46 +104,32 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _bench_cell(
-    instance_path: str, algorithm: str, timeout: float, seed: int, cap: int | None
+    instance_path: str, algorithm: str, timeout: float, cap: int | None
 ) -> files.BenchRow:
     dataset = Path(instance_path).stem
+    inst = None
     try:
         inst = files.load_instance(instance_path)
-    except (OSError, ValueError) as exc:
-        return files.BenchRow(
-            dataset=dataset,
-            algorithm=algorithm,
-            interactions=0,
-            characters=0,
-            timestamps=0,
-            layers=None,
-            crossings=None,
-            runtime_s=0.0,
-            status="error",
-            gap_pct=None,
-            error=str(exc),
-        )
-    started = time.monotonic()
-    try:
-        story, report = _solve_one(inst, algorithm, timeout, seed, cap)
+        started = time.monotonic()
+        story, report = _solve_one(inst, algorithm, timeout, cap)
         if story is None:
             raise RuntimeError(f"no feasible storyline (status {report.status})")
-        problems = []
         if (recount := count_crossings(story).total) != report.crossings:
-            problems.append(f"reported {report.crossings} crossings, recounted {recount}")
-        if problems:
-            raise RuntimeError("; ".join(problems))
+            raise RuntimeError(
+                f"reported {report.crossings} crossings, recounted {recount}"
+            )
         return files.BenchRow.from_report(dataset, inst, report)
-    except Exception as exc:  # per-cell failures land in the row
+    except Exception as exc:  # every per-cell failure lands in the row
+        loaded = inst is not None
         return files.BenchRow(
             dataset=dataset,
             algorithm=algorithm,
-            interactions=inst.num_interactions,
-            characters=inst.num_characters,
-            timestamps=inst.num_timestamps,
+            interactions=inst.num_interactions if loaded else 0,
+            characters=inst.num_characters if loaded else 0,
+            timestamps=inst.num_timestamps if loaded else 0,
             layers=None,
             crossings=None,
-            runtime_s=time.monotonic() - started,
+            runtime_s=time.monotonic() - started if loaded else 0.0,
             status="error",
             gap_pct=None,
             error=str(exc),
@@ -169,7 +148,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r} in manifest")
     timeout = float(manifest.get("timeout", DEFAULT_TIMEOUT))
-    seed = int(manifest.get("seed", 0))
     cap = manifest.get("cap")
     jobs = args.jobs or int(manifest.get("jobs", 0)) or min(4, os.cpu_count() or 1)
 
@@ -177,11 +155,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows: list[files.BenchRow] = []
     if jobs == 1:
         for path, alg in cells:
-            rows.append(_bench_cell(path, alg, timeout, seed, cap))
+            rows.append(_bench_cell(path, alg, timeout, cap))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_bench_cell, path, alg, timeout, seed, cap)
+                pool.submit(_bench_cell, path, alg, timeout, cap)
                 for path, alg in cells
             ]
             rows = [f.result() for f in futures]
@@ -208,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: every run is deterministic")
     p.add_argument("--cap", type=int, default=None,
                    help="color class size cap (ps/pp/ilp1ml/ilp2ml only)")
     p.add_argument("--export-lp", metavar="FILE", default=None,

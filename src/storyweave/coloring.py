@@ -2,9 +2,9 @@
 
 Interactions sharing a character cannot sit in the same layer, so the
 interactions of one timestamp form a conflict graph whose chromatic number
-is the fewest layers that timestamp needs.  Coloring is solved exactly with
-the in-package 0/1 solver; an optional cap bounds the size of every color
-class, trading more layers for shorter ones.
+is the fewest layers that timestamp needs.  Coloring is found exactly by a
+backtracking search over palettes of growing size; an optional cap bounds
+the size of every color class, trading more layers for shorter ones.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import bip
 from .core import InteractionId, StorylineInstance, TimeId
 
 
@@ -49,47 +48,55 @@ def build_conflict_graph(inst: StorylineInstance, time: TimeId) -> ConflictGraph
 def min_coloring(g: ConflictGraph, cap: int | None = None) -> Coloring:
     """Exact minimum proper coloring, optionally capping every class at ``cap``.
 
-    Built as a 0/1 program: one assignment variable per node and candidate
-    color, one usage variable per color, with usage forced monotone (color c
-    is available only when color c-1 is used) to break the color-permutation
-    symmetry.  ``cap`` = 1 is always feasible with one class per node, so
-    the node count bounds the palette.
+    Palettes of k = ceil(n / cap) (1 without a cap), k+1, ... colors are
+    tried in turn; for each, a depth-first search visits the nodes in
+    ``g.nodes`` order and gives each the smallest color that no earlier
+    neighbour holds and whose class is below the cap.  A node may open at
+    most one new color, which prunes color permutations without changing
+    the first coloring found.
+
+    Search color c is reported as k-1-c.  The result is thus the
+    lexicographically first coloring over the reversed palette, which is
+    what a 0/1 program over assign[v, c], branched value-0-first in node
+    order, returns; the classes, hence the pipeline's layers and their
+    order, stay those of the 0/1 formulation this search replaced.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
     nodes = g.nodes
     n = len(nodes)
-    if n == 0:
-        return Coloring({}, 0)
-
-    palette = range(n)
-    mb = bip.ModelBuilder()
-    used = [mb.new_var(f"used_k{c}") for c in palette]
-    assign = {
-        (v, c): mb.new_var(f"assign_n{v}_k{c}") for v in nodes for c in palette
-    }
-
-    for v in nodes:
-        mb.add([(1, assign[(v, c)]) for c in palette], "=", 1)
+    index = {v: i for i, v in enumerate(nodes)}
+    earlier: list[list[int]] = [[] for _ in nodes]
     for a, b in g.edges:
-        for c in palette:
-            mb.add([(1, assign[(a, c)]), (1, assign[(b, c)])], "<=", 1)
-    for v in nodes:
-        for c in palette:
-            mb.add([(1, assign[(v, c)]), (-1, used[c])], "<=", 0)
-    for c in range(1, n):
-        mb.add([(1, used[c]), (-1, used[c - 1])], "<=", 0)
-    if cap is not None:
-        for c in palette:
-            mb.add([(1, assign[(v, c)]) for v in nodes], "<=", cap)
-    mb.minimize([(1, u) for u in used])
-
-    result = bip.solve(mb.build(), timeout=float("inf"))
-    assert result.status == bip.OPTIMAL and result.assignment is not None
-    coloring = {
-        v: c for (v, c), var in assign.items() if result.value(var) == 1
-    }
-    return Coloring(coloring, result.objective_value or 0)
+        i, j = sorted((index[a], index[b]))
+        earlier[j].append(i)
+    limit = cap or n
+    k = -(-n // cap) if cap else min(n, 1)
+    while True:
+        color = [-1] * n
+        size = [0] * k
+        opened = [0] * (n + 1)  # opened[i]: colors in use among nodes < i
+        i = 0
+        while 0 <= i < n:
+            c = color[i]
+            if c >= 0:
+                size[c] -= 1
+            taken = {color[j] for j in earlier[i]}
+            top = min(k, opened[i] + 1)
+            c += 1
+            while c < top and (c in taken or size[c] == limit):
+                c += 1
+            if c < top:
+                color[i] = c
+                size[c] += 1
+                opened[i + 1] = max(opened[i], c + 1)
+                i += 1
+            else:
+                color[i] = -1
+                i -= 1
+        if i == n:
+            return Coloring({v: k - 1 - c for v, c in zip(nodes, color)}, k)
+        k += 1
 
 
 def layer_budget(
@@ -99,8 +106,10 @@ def layer_budget(
 
     With ``minimize`` the budget is the (capped) chromatic number of the
     conflict graph; otherwise it is simply the interaction count, one
-    potential layer per interaction.
+    potential layer per interaction, and a ``cap`` is rejected.
     """
+    if cap is not None and not minimize:
+        raise ValueError("cap only applies to minimized layer budgets")
     budgets: dict[TimeId, int] = {}
     for t in range(inst.num_timestamps):
         if minimize:

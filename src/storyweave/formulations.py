@@ -124,7 +124,6 @@ def build_model(
     budgets: Mapping[TimeId, int],
     fixed_assignment: Mapping[InteractionId, int] | None = None,
     symmetry_breaking: bool = True,
-    asymmetric_activity_link: bool = False,
 ) -> tuple[bip.BinaryProgram, VariableCatalog]:
     """Assemble the program for ``kind`` under the given slot budgets.
 
@@ -133,24 +132,16 @@ def build_model(
     forbids a slot from holding interactions while an earlier slot of the
     same slice is empty; any storyline reachable without the restriction is
     still reachable with it, at equal cost, by shifting its occupied slots
-    to the front of the slice.  ``asymmetric_activity_link`` switches the
-    second activity-guarded crossing constraint to a sign variant kept for
-    comparison runs; the default symmetric form is the one used everywhere.
+    to the front of the slice.
     """
     if kind.family == "fixed":
         if fixed_assignment is None:
             raise ValueError("fixed-layer models need an interaction-to-slot assignment")
     elif fixed_assignment is not None:
         raise ValueError("only fixed-layer models accept a fixed assignment")
-    if asymmetric_activity_link and kind.family != "ilp2":
-        raise ValueError("the activity link variant only applies to ilp2 models")
 
-    spans = inst.char_spans()
     slots = build_slots(inst, budgets)
-    potential = tuple(
-        frozenset(c for c, (lo, hi) in spans.items() if lo <= s.time <= hi)
-        for s in slots
-    )
+    potential = tuple(potential_characters(inst, s.time) for s in slots)
     cat = VariableCatalog(kind=kind, slots=slots, potential=potential)
     if fixed_assignment is not None:
         cat.fixed_assignment = dict(fixed_assignment)
@@ -295,21 +286,9 @@ def build_model(
                 cat.active[(cj, gi)],
                 cat.active[(cj, gi + 1)],
             ]
-            first = [(1, z), (-1, xl), (1, xr)] + [(-1, a) for a in acts]
-            mb.add(first, ">=", -4)
-            if asymmetric_activity_link:
-                second = [
-                    (1, z),
-                    (1, xl),
-                    (-1, xr),
-                    (-1, acts[0]),
-                    (1, acts[1]),
-                    (-1, acts[2]),
-                    (-1, acts[3]),
-                ]
-            else:
-                second = [(1, z), (1, xl), (-1, xr)] + [(-1, a) for a in acts]
-            mb.add(second, ">=", -4)
+            guard = [(-1, a) for a in acts]
+            mb.add([(1, z), (-1, xl), (1, xr)] + guard, ">=", -4)
+            mb.add([(1, z), (1, xl), (-1, xr)] + guard, ">=", -4)
         else:
             mb.add([(1, z), (-1, xl), (1, xr)], ">=", 0)
             mb.add([(1, z), (1, xl), (-1, xr)], ">=", 0)
@@ -383,21 +362,18 @@ def solve_exact(
     inst: StorylineInstance,
     kind: ModelKind,
     timeout: float = 3600.0,
-    seed: int = 0,
     cap: int | None = None,
     symmetry_breaking: bool = True,
 ) -> tuple[CombinatorialStoryline | None, LayoutReport]:
     """Build, solve and decode one of the exact models.
 
     ``cap`` limits color class sizes when budgets are minimized and is
-    rejected for the one-slot-per-interaction kinds, whose budgets do not
-    come from coloring.  On timeout the best incumbent (if any) is decoded
+    rejected (by :func:`coloring.layer_budget`) for the one-slot-per-interaction
+    kinds, whose budgets do not come from coloring.  On timeout the best incumbent (if any) is decoded
     and reported with the solver's optimality gap.
     """
     if kind.family == "fixed":
         raise ValueError("use the pipeline for fixed-layer solves")
-    if cap is not None and not kind.minimize_layers:
-        raise ValueError("cap only applies to minimized layer budgets")
     t0 = time.monotonic()
     budgets = coloring.layer_budget(inst, minimize=kind.minimize_layers, cap=cap)
     program, cat = build_model(inst, kind, budgets, symmetry_breaking=symmetry_breaking)
@@ -408,7 +384,7 @@ def solve_exact(
         len(program.constraints),
     )
     remaining = max(1.0, timeout - (time.monotonic() - t0))
-    result = bip.solve(program, timeout=remaining, seed=seed)
+    result = bip.solve(program, timeout=remaining)
     elapsed = time.monotonic() - t0
 
     gap = None

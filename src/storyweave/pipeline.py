@@ -10,7 +10,6 @@ partition similarity ("rand") or unavoidable-pattern counts ("pattern").
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ class PipelineConfig:
     heuristic: str = "rand"  # "rand" or "pattern"
     cap: int | None = None
     timeout: float = 3600.0
-    seed: int = 0
-    exhaustive_orientation: bool = False
 
     def __post_init__(self) -> None:
         if self.heuristic not in ordering.HEURISTICS:
@@ -50,40 +47,17 @@ class PipelineConfig:
 
 
 def orient_slice_paths(
-    slices: list[list[tuple[frozenset[CharId], ...]]],
-    heuristic: str,
-    exhaustive: bool = False,
+    slices: list[list[tuple[frozenset[CharId], ...]]], heuristic: str
 ) -> list[list[tuple[frozenset[CharId], ...]]]:
     """Pick a left-to-right direction for each slice's layer path.
 
     The path solver returns an undirected path per slice; stitching is
     greedy: keep the orientation whose first layer scores the smaller
     weight against the previous slice's last layer, ties keeping the
-    canonical direction.  With ``exhaustive`` every orientation combination
-    is tried instead and the total boundary weight minimized (canonical
-    directions win ties via enumeration order).
+    canonical direction.
     """
     if len(slices) <= 1:
         return [list(s) for s in slices]
-
-    if exhaustive:
-        if len(slices) > 20:
-            raise ValueError("exhaustive orientation is limited to 20 slices")
-        best: list[list[tuple[frozenset[CharId], ...]]] | None = None
-        best_cost = None
-        for flips in itertools.product((False, True), repeat=len(slices)):
-            arranged = [
-                list(reversed(s)) if flip else list(s)
-                for s, flip in zip(slices, flips)
-            ]
-            cost = sum(
-                ordering.layer_weight(a[-1], b[0], heuristic)
-                for a, b in itertools.pairwise(arranged)
-            )
-            if best_cost is None or cost < best_cost:
-                best, best_cost = arranged, cost
-        assert best is not None
-        return best
 
     out = [list(slices[0])]
     for s in slices[1:]:
@@ -128,7 +102,7 @@ def run_pipeline(
         path = ordering.min_path_order(graph)
         slices.append([groups_of(layers[i]) for i in path])
         slice_ids.append([layers[i] for i in path])
-    oriented = orient_slice_paths(slices, cfg.heuristic, cfg.exhaustive_orientation)
+    oriented = orient_slice_paths(slices, cfg.heuristic)
     # Layers with equal contents are interchangeable, so matching by content
     # against the canonical direction recovers each slice's flip decision.
     oriented_ids = [
@@ -150,7 +124,7 @@ def run_pipeline(
         inst, formulations.FIXED_LAYER, budgets, fixed_assignment=assignment
     )
     remaining = max(1.0, cfg.timeout - (time.monotonic() - t0))
-    result = bip.solve(program, timeout=remaining, seed=cfg.seed)
+    result = bip.solve(program, timeout=remaining)
     if result.assignment is None:
         raise RuntimeError("fixed-layer stage found no ordering within the time limit")
     story = formulations.decode(inst, formulations.FIXED_LAYER, cat, result)

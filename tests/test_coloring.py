@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -118,6 +119,37 @@ class TestMinColoring:
         col = sw.min_coloring(g, cap=2)
         assert set(col.assignment.values()) == set(range(col.num_colors))
 
+    # The classes, not just their number, fix the pipeline's layers and their
+    # order (and so tests/data/golden.svg): color numbering must not drift.
+    @pytest.mark.parametrize(
+        "n, edges, cap, classes",
+        [
+            (2, [(0, 1)], None, [[1], [0]]),
+            (3, [(0, 1), (1, 2)], None, [[1], [0, 2]]),
+            (3, [(0, 1), (1, 2), (0, 2)], None, [[2], [1], [0]]),
+            (5, [(0, 1)], 2, [[4], [1, 3], [0, 2]]),
+        ],
+    )
+    def test_exact_classes(self, n, edges, cap, classes):
+        assert sw.min_coloring(graph(n, edges), cap=cap).classes() == classes
+
+    def test_hard_graph_is_fast(self):
+        # A 13-node, 40-edge conflict graph with chromatic number 7 that once
+        # took about 50 s to color.
+        edges = [
+            (0, 1), (0, 3), (0, 4), (0, 6), (0, 8), (0, 12), (1, 4), (1, 5),
+            (1, 7), (1, 8), (1, 9), (1, 10), (1, 11), (1, 12), (2, 9), (2, 11),
+            (2, 12), (3, 6), (4, 12), (5, 7), (5, 8), (5, 9), (5, 10), (5, 12),
+            (6, 8), (6, 9), (6, 11), (6, 12), (7, 8), (7, 9), (7, 10), (7, 11),
+            (7, 12), (8, 9), (8, 10), (8, 12), (9, 10), (9, 11), (9, 12), (10, 12),
+        ]
+        started = time.monotonic()
+        col = sw.min_coloring(graph(13, edges))
+        assert time.monotonic() - started < 2.0
+        assert col.classes() == [
+            [12], [10], [9], [8, 11], [4, 6, 7], [1, 3], [0, 2, 5]
+        ]
+
 
 class TestLayerBudget:
     def test_disjoint_minimized(self):
@@ -137,6 +169,11 @@ class TestLayerBudget:
             minimized = sum(sw.layer_budget(inst, minimize=True).values())
             full = sum(sw.layer_budget(inst, minimize=False).values())
             assert minimized <= full == inst.num_interactions
+
+    def test_cap_rejected_for_uncolored_budgets(self):
+        inst = make_instance([("ab", "t0"), ("cd", "t0")])
+        with pytest.raises(ValueError, match="cap"):
+            sw.layer_budget(inst, minimize=False, cap=1)
 
     def test_empty_timestamp_gets_zero(self):
         inst = make_instance([("ab", "t1")], timestamps=["t0", "t1"])

@@ -233,24 +233,6 @@ class TestBuildOptions:
                 story = sw.decode(inst, sw.ILP1, cat, result)
                 assert sw.count_crossings(story).total == expected
 
-    def test_asymmetric_activity_link_variant_builds_and_solves(self):
-        inst = make_instance(PATTERN_PAIR)
-        budgets = sw.layer_budget(inst, minimize=False)
-        program, cat = sw.build_model(
-            inst, sw.ILP2, budgets, asymmetric_activity_link=True
-        )
-        result = bip.solve(program, timeout=60)
-        assert result.status == bip.OPTIMAL
-        story = sw.decode(inst, sw.ILP2, cat, result)
-        assert sw.validate_storyline(inst, story) == []
-
-    def test_asymmetric_variant_rejected_outside_ilp2(self):
-        inst = make_instance(PATTERN_PAIR)
-        with pytest.raises(ValueError, match="ilp2"):
-            sw.build_model(
-                inst, sw.ILP1, {0: 4}, asymmetric_activity_link=True
-            )
-
     def test_cap_rejected_for_uncolored_budgets(self):
         inst = make_instance(PATTERN_PAIR)
         with pytest.raises(ValueError, match="cap"):

@@ -28,32 +28,6 @@ class TestOrientSlicePaths:
         out = sw.orient_slice_paths([first, second], "rand")
         assert out[1] == second
 
-    def test_exhaustive_matches_or_beats_greedy(self):
-        rng = random.Random(0)
-        from storyweave.ordering import layer_weight
-
-        def boundary_cost(slices):
-            return sum(
-                layer_weight(a[-1], b[0], "pattern")
-                for a, b in zip(slices, slices[1:])
-            )
-
-        for _ in range(20):
-            slices = []
-            for _ in range(rng.randint(2, 4)):
-                layers = []
-                for _ in range(rng.randint(1, 3)):
-                    layers.append(
-                        tuple(
-                            frozenset(rng.sample(range(6), rng.randint(2, 3)))
-                            for _ in range(rng.randint(1, 2))
-                        )
-                    )
-                slices.append(layers)
-            greedy = sw.orient_slice_paths(slices, "pattern")
-            exhaustive = sw.orient_slice_paths(slices, "pattern", exhaustive=True)
-            assert boundary_cost(exhaustive) <= boundary_cost(greedy)
-
 
 class TestRunPipeline:
     def test_single_interaction(self):
@@ -115,7 +89,7 @@ class TestRunPipeline:
         rng = random.Random(5)
         for _ in range(10):
             inst = random_instance(rng)
-            cfg = sw.PipelineConfig(heuristic="pattern", timeout=60, seed=7)
+            cfg = sw.PipelineConfig(heuristic="pattern", timeout=60)
             a, _ = sw.run_pipeline(inst, cfg)
             b, _ = sw.run_pipeline(inst, cfg)
             assert a == b
