@@ -44,6 +44,7 @@ from .coloring import Coloring, ConflictGraph, build_conflict_graph, layer_budge
 from .ordering import (
     RandCounts,
     SliceGraph,
+    approx_path_order,
     build_slice_graph,
     min_path_order,
     pattern_count,
@@ -109,6 +110,7 @@ __all__ = [
     "VarId",
     "VariableCatalog",
     "__version__",
+    "approx_path_order",
     "assign_coordinates",
     "brute_force_optimum",
     "build_conflict_graph",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 Op = Literal["<=", ">=", "="]
 
@@ -26,16 +26,17 @@ OPTIMAL = "optimal"
 FEASIBLE_TIMEOUT = "feasible-timeout"
 INFEASIBLE = "infeasible"
 
-_TIMEOUT_CHECK_NODES = 1000
+_OPS = ("<=", ">=", "=")
+_LINE_WIDTH = 240  # LP lines longer than this are wrapped at term boundaries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarId:
     index: int
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearConstraint:
     terms: tuple[tuple[int, VarId], ...]
     op: Op
@@ -103,6 +104,7 @@ class ModelBuilder:
         return var
 
     def add(self, terms: Iterable[tuple[int, VarId]], op: Op, rhs: int) -> None:
+        """Append a constraint; a tuple of terms is kept as given, not copied."""
         self._constraints.append(LinearConstraint(tuple(terms), op, rhs))
 
     def minimize(self, terms: Iterable[tuple[int, VarId]]) -> None:
@@ -118,7 +120,55 @@ class ModelBuilder:
 
 
 def validate_program(p: BinaryProgram) -> None:
-    """Raise ValueError on malformed programs (bad names, dangling vars, ...)."""
+    """Raise ValueError on malformed programs (bad names, dangling vars, ...).
+
+    A fast pass accepts the programs :class:`ModelBuilder` produces: every
+    term refers to the very ``VarId`` object stored at its index, every
+    coefficient and right-hand side is exactly an ``int``, and a constraint's
+    variables are distinct.  Anything that pass does not accept goes through
+    the exact scan, which alone decides rejections and their messages, and
+    which also accepts terms that refer to an equal but distinct ``VarId``
+    or use ``int`` subclasses other than ``bool``.
+    """
+    if not _accepts_fast(p):
+        _validate_exact(p)
+
+
+def _accepts_fast(p: BinaryProgram) -> bool:
+    """True only for programs the exact scan accepts; False means "look closer".
+
+    Once every variable is known to sit at its own index, a term whose
+    ``VarId`` is the very object found at ``variables[v.index]`` has a valid
+    index (a negative one would name another variable), so no range check
+    is needed; lookups that fail raise and count as a miss.
+    """
+    variables = p.variables
+    try:
+        for i, v in enumerate(variables):
+            if type(v) is not VarId or v.index != i or not _NAME_RE.match(v.name):
+                return False
+        if len({v.name for v in variables}) != len(variables):
+            return False
+        for c in p.constraints:
+            terms = c.terms
+            if not terms or c.op not in _OPS or type(c.rhs) is not int:
+                return False
+            for coef, v in terms:
+                if type(coef) is not int or variables[v.index] is not v:
+                    return False
+            if len({v.index for _coef, v in terms}) != len(terms):
+                return False
+        for coef, v in p.objective:
+            if type(coef) is not int or coef < 0:
+                return False
+            if variables[v.index] is not v:
+                return False
+        return len({v.index for _coef, v in p.objective}) == len(p.objective)
+    except (AttributeError, IndexError, TypeError, ValueError):
+        return False
+
+
+def _validate_exact(p: BinaryProgram) -> None:
     names = set()
     for i, v in enumerate(p.variables):
         if v.index != i:
@@ -168,7 +218,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     greedy dive runs first to seed the incumbent, so interrupted solves
     still report an upper bound.  A node is pruned as soon as the objective
     of its forced-one variables reaches the incumbent.  The wall clock is
-    checked every 1000 nodes against a monotonic timer; on timeout the best
+    checked at every node against a monotonic timer; on timeout the best
     incumbent is returned together with the lower bound proven so far.
     """
     t0 = time.monotonic()
@@ -362,7 +412,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         val = f[1]
         f[1] += 1
         nodes += 1
-        if nodes % _TIMEOUT_CHECK_NODES == 0 and time.monotonic() - t0 > timeout:
+        if time.monotonic() - t0 > timeout:
             timed_out = True
         vi = order[f[0]]
         mark = len(trail)
@@ -404,19 +454,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _format_terms(terms: Sequence[tuple[int, str]]) -> str:
-    parts: list[str] = []
-    for coef, name in terms:
-        mag = abs(coef)
-        body = name if mag == 1 else f"{mag} {name}"
-        if not parts:
-            parts.append(body if coef >= 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if coef >= 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def _wrap(line: str, width: int = 240) -> list[str]:
+def _wrap(line: str, width: int = _LINE_WIDTH) -> list[str]:
     if len(line) <= width:
         return [line]
     out: list[str] = []
@@ -437,15 +475,35 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
 
     Sections emitted: ``Minimize``, ``Subject To``, ``Binary``, ``End``.
     Output is deterministic; :func:`parse_lp` reads it back into an
-    equivalent program.
+    equivalent program.  Lines longer than 240 characters are wrapped.
     """
+    # Unit terms, the common case, reuse one string per variable and sign.
+    plus = [f"+ {v.name}" for v in p.variables]
+    minus = [f"- {v.name}" for v in p.variables]
+
+    def expression(terms: Iterable[tuple[int, VarId]]) -> str:
+        parts = []
+        for coef, v in terms:
+            if coef == 1:
+                parts.append(plus[v.index])
+            elif coef == -1:
+                parts.append(minus[v.index])
+            else:
+                parts.append(f"{'+' if coef >= 0 else '-'} {abs(coef)} {v.name}")
+        text = " ".join(parts)
+        # The leading term carries no "+".
+        return text[2:] if text.startswith("+") else text
+
     out: list[str] = [f"\\ {name}", "Minimize"]
-    obj_terms = [(coef, v.name) for coef, v in p.objective if coef != 0]
-    out.extend(_wrap(" obj: " + _format_terms(obj_terms) if obj_terms else " obj:"))
+    obj_terms = [(coef, v) for coef, v in p.objective if coef != 0]
+    out.extend(_wrap(" obj: " + expression(obj_terms) if obj_terms else " obj:"))
     out.append("Subject To")
     for k, c in enumerate(p.constraints):
-        body = _format_terms([(coef, v.name) for coef, v in c.terms])
-        out.extend(_wrap(f" c{k}: {body} {c.op} {c.rhs}"))
+        line = f" c{k}: {expression(c.terms)} {c.op} {c.rhs}"
+        if len(line) > _LINE_WIDTH:
+            out.extend(_wrap(line))
+        else:
+            out.append(line)
     out.append("Binary")
     for v in p.variables:
         out.append(f" {v.name}")

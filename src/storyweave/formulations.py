@@ -33,7 +33,7 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 from . import bip, coloring
 from .core import (
@@ -49,6 +49,9 @@ from .core import (
 )
 
 log = logging.getLogger(__name__)
+
+K = TypeVar("K")
+Term = tuple[int, bip.VarId]
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,17 @@ def build_model(
     for si, s in enumerate(slots):
         slots_at.setdefault(s.time, []).append(si)
 
+    # Rows are tuples of the (1, v) and (-1, v) terms that _signed makes once
+    # per variable, so the many rows of a large model share their terms.
+
     # Placement variables and constraints (free-assignment kinds only).
     if kind.family != "fixed":
         for si, s in enumerate(slots):
             for it in inst.interactions_at(s.time):
                 cat.placement[(si, it.id)] = mb.new_var(f"y_s{si}_i{it.id}")
+        y, neg_y = _signed(cat.placement)
         for it in inst.interactions:
-            row = [(1, cat.placement[(si, it.id)]) for si in slots_at.get(it.time, [])]
+            row = tuple(y[(si, it.id)] for si in slots_at.get(it.time, []))
             if not row:
                 raise ValueError(
                     f"timestamp {it.time} has interactions but a zero slot budget"
@@ -175,40 +182,35 @@ def build_model(
             for a, b in itertools.combinations(items, 2):
                 if a.characters & b.characters:
                     for si in sis:
-                        mb.add(
-                            [(1, cat.placement[(si, a.id)]), (1, cat.placement[(si, b.id)])],
-                            "<=",
-                            1,
-                        )
+                        mb.add((y[(si, a.id)], y[(si, b.id)]), "<=", 1)
             if symmetry_breaking:
                 for earlier, later in itertools.pairwise(sis):
-                    fill = [(-1, cat.placement[(earlier, it.id)]) for it in items]
+                    fill = tuple(neg_y[(earlier, it.id)] for it in items)
                     for it in items:
-                        mb.add([(1, cat.placement[(later, it.id)])] + fill, "<=", 0)
+                        mb.add((y[(later, it.id)],) + fill, "<=", 0)
 
     # Ordering variables: one per slot and character pair, smaller index first.
     for si in range(len(slots)):
         for ci, cj in itertools.combinations(sorted(potential[si]), 2):
             cat.order[(si, ci, cj)] = mb.new_var(f"x_s{si}_c{ci}_c{cj}")
+    x, neg_x = _signed(cat.order)
 
     # Crossing indicators per gap between consecutive slots.
     for gi in range(len(slots) - 1):
         for ci, cj in itertools.combinations(sorted(potential[gi] & potential[gi + 1]), 2):
             cat.crossing[(gi, ci, cj)] = mb.new_var(f"z_g{gi}_c{ci}_c{cj}")
+    z, _ = _signed(cat.crossing)
 
     if kind.family == "ilp2":
         for si in range(len(slots)):
             for c in sorted(potential[si]):
                 cat.active[(c, si)] = mb.new_var(f"a_c{c}_s{si}")
+    act, neg_act = _signed(cat.active)
 
     # Orders must be transitive, hence total.
     for si in range(len(slots)):
         for u, v, w in itertools.combinations(sorted(potential[si]), 3):
-            row = [
-                (1, cat.order[(si, u, v)]),
-                (1, cat.order[(si, v, w)]),
-                (-1, cat.order[(si, u, w)]),
-            ]
+            row = (x[(si, u, v)], x[(si, v, w)], neg_x[(si, u, w)])
             mb.add(row, "<=", 1)
             mb.add(row, ">=", 0)
 
@@ -221,80 +223,75 @@ def build_model(
             present = list(inst.interactions_at(s.time))
         for it in present:
             if kind.family == "fixed":
-                guard: list[tuple[int, bip.VarId]] = []
+                guard: tuple[Term, ...] = ()
+                neg_guard: tuple[Term, ...] = ()
                 bound = 0
             else:
-                guard = [(1, cat.placement[(si, it.id)])]
+                guard = (y[(si, it.id)],)
+                neg_guard = (neg_y[(si, it.id)],)
                 bound = 1
             members = sorted(it.characters)
             outside = sorted(potential[si] - it.characters)
             for ci, cj in itertools.combinations(members, 2):
                 for ck in outside:
                     if cj < ck:
-                        left = cat.order[(si, ci, ck)]
-                        right = cat.order[(si, cj, ck)]
-                        mb.add([(1, left), (-1, right)] + guard, "<=", bound)
-                        mb.add([(1, right), (-1, left)] + guard, "<=", bound)
+                        left = (si, ci, ck)
+                        right = (si, cj, ck)
+                        mb.add((x[left], neg_x[right]) + guard, "<=", bound)
+                        mb.add((x[right], neg_x[left]) + guard, "<=", bound)
                     elif ck < ci:
-                        left = cat.order[(si, ck, ci)]
-                        right = cat.order[(si, ck, cj)]
-                        mb.add([(1, left), (-1, right)] + guard, "<=", bound)
-                        mb.add([(1, right), (-1, left)] + guard, "<=", bound)
+                        left = (si, ck, ci)
+                        right = (si, ck, cj)
+                        mb.add((x[left], neg_x[right]) + guard, "<=", bound)
+                        mb.add((x[right], neg_x[left]) + guard, "<=", bound)
                     else:
-                        left = cat.order[(si, ci, ck)]
-                        right = cat.order[(si, ck, cj)]
-                        mb.add([(1, left), (1, right)] + guard, "<=", 1 + bound)
-                        neg_guard = [(-coef, var) for coef, var in guard]
-                        mb.add([(1, left), (1, right)] + neg_guard, ">=", 1 - bound)
+                        pair = (x[(si, ci, ck)], x[(si, ck, cj)])
+                        mb.add(pair + guard, "<=", 1 + bound)
+                        mb.add(pair + neg_guard, ">=", 1 - bound)
 
     # Activity: forced where an interaction is placed, contiguous otherwise.
     if kind.family == "ilp2":
         for si, s in enumerate(slots):
             for it in inst.interactions_at(s.time):
                 for c in it.characters:
-                    mb.add(
-                        [(1, cat.active[(c, si)]), (-1, cat.placement[(si, it.id)])],
-                        ">=",
-                        0,
-                    )
+                    mb.add((act[(c, si)], neg_y[(si, it.id)]), ">=", 0)
         by_char: dict[CharId, list[int]] = {}
         for si in range(len(slots)):
             for c in potential[si]:
                 by_char.setdefault(c, []).append(si)
         for c, sis in sorted(by_char.items()):
             for s1, s2, s3 in itertools.combinations(sis, 3):
-                mb.add(
-                    [
-                        (1, cat.active[(c, s2)]),
-                        (-1, cat.active[(c, s1)]),
-                        (-1, cat.active[(c, s3)]),
-                    ],
-                    ">=",
-                    -1,
-                )
+                mb.add((act[(c, s2)], neg_act[(c, s1)], neg_act[(c, s3)]), ">=", -1)
 
     # Crossing linking: z is forced to 1 when the pair order flips between
     # the two slots (and, for ilp2, only while both characters are active
     # on both sides).
-    for (gi, ci, cj), z in cat.crossing.items():
-        xl = cat.order[(gi, ci, cj)]
-        xr = cat.order[(gi + 1, ci, cj)]
+    for gi, ci, cj in cat.crossing:
+        left = (gi, ci, cj)
+        right = (gi + 1, ci, cj)
         if kind.family == "ilp2":
-            acts = [
-                cat.active[(ci, gi)],
-                cat.active[(ci, gi + 1)],
-                cat.active[(cj, gi)],
-                cat.active[(cj, gi + 1)],
-            ]
-            guard = [(-1, a) for a in acts]
-            mb.add([(1, z), (-1, xl), (1, xr)] + guard, ">=", -4)
-            mb.add([(1, z), (1, xl), (-1, xr)] + guard, ">=", -4)
+            inactive = (
+                neg_act[(ci, gi)],
+                neg_act[(ci, gi + 1)],
+                neg_act[(cj, gi)],
+                neg_act[(cj, gi + 1)],
+            )
+            mb.add((z[left], neg_x[left], x[right]) + inactive, ">=", -4)
+            mb.add((z[left], x[left], neg_x[right]) + inactive, ">=", -4)
         else:
-            mb.add([(1, z), (-1, xl), (1, xr)], ">=", 0)
-            mb.add([(1, z), (1, xl), (-1, xr)], ">=", 0)
+            mb.add((z[left], neg_x[left], x[right]), ">=", 0)
+            mb.add((z[left], x[left], neg_x[right]), ">=", 0)
 
-    mb.minimize([(1, z) for z in cat.crossing.values()])
+    mb.minimize(z.values())
     return mb.build(), cat
+
+
+def _signed(variables: Mapping[K, bip.VarId]) -> tuple[dict[K, Term], dict[K, Term]]:
+    """The ``(1, v)`` and the ``(-1, v)`` term of every variable, by key."""
+    return (
+        {key: (1, v) for key, v in variables.items()},
+        {key: (-1, v) for key, v in variables.items()},
+    )
 
 
 def decode(

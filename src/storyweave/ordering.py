@@ -225,3 +225,50 @@ def min_path_order(g: SliceGraph) -> list[int]:
         else:
             raise AssertionError("path reconstruction failed")
     return path
+
+
+def approx_path_order(g: SliceGraph) -> list[int]:
+    """A cheap Hamiltonian path for slices too large for :func:`min_path_order`.
+
+    Nearest neighbour from every start node (ties to the smaller index),
+    keeping the cheapest path and the earliest start among equals, then
+    2-opt: reverse the first segment, in index order, whose reversal makes
+    the path strictly cheaper, until no reversal does.  Weights are exact, so
+    the result is deterministic; it is not optimal in general.
+    """
+    n = len(g.layers)
+    if n == 0:
+        raise ValueError("slice has no layers")
+    w = g.weights
+
+    def cost(path: list[int]) -> Fraction | int:
+        return sum((w[a][b] for a, b in itertools.pairwise(path)), 0)
+
+    def nearest_neighbour(start: int) -> list[int]:
+        path = [start]
+        left = set(range(n)) - {start}
+        while left:
+            nxt = min(left, key=lambda u: (w[path[-1]][u], u))
+            path.append(nxt)
+            left.remove(nxt)
+        return path
+
+    best = min((nearest_neighbour(s) for s in range(n)), key=cost)
+
+    # Reversing best[i..j] swaps edge (best[i-1], best[i]) for (best[i-1], best[j])
+    # and edge (best[j], best[j+1]) for (best[i], best[j+1]); path ends have no edge.
+    improved = True
+    while improved:
+        improved = False
+        for i, j in itertools.combinations(range(n), 2):
+            a, b = best[i], best[j]
+            delta = 0
+            if i > 0:
+                delta += w[best[i - 1]][b] - w[best[i - 1]][a]
+            if j < n - 1:
+                delta += w[a][best[j + 1]] - w[b][best[j + 1]]
+            if delta < 0:
+                best[i : j + 1] = best[i : j + 1][::-1]
+                improved = True
+                break
+    return best

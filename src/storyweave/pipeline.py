@@ -2,10 +2,12 @@
 
 Three stages: (i) assign each timestamp's interactions to layers through
 exact conflict-graph coloring, (ii) order the layers of every slice along a
-minimum-weight Hamiltonian path under the chosen crossing estimate, then
-(iii) optimize the character order of every layer with the fixed-layer
-model.  The two variants differ only in the stage (ii) edge weights:
-partition similarity ("rand") or unavoidable-pattern counts ("pattern").
+minimum-weight Hamiltonian path under the chosen crossing estimate (exactly
+up to ``ordering.MAX_EXACT_PATH_NODES`` layers, by nearest neighbour plus
+2-opt beyond that), then (iii) optimize the character order of every layer
+with the fixed-layer model.  The two variants differ only in the stage (ii)
+edge weights: partition similarity ("rand") or unavoidable-pattern counts
+("pattern").
 """
 
 from __future__ import annotations
@@ -99,7 +101,11 @@ def run_pipeline(
     for t in slice_times:
         layers = classes_at[t]
         graph = ordering.build_slice_graph([groups_of(ids) for ids in layers], cfg.heuristic, t)
-        path = ordering.min_path_order(graph)
+        if len(layers) <= ordering.MAX_EXACT_PATH_NODES:
+            path = ordering.min_path_order(graph)
+        else:
+            log.info("timestamp %d: %d layers, ordered heuristically", t, len(layers))
+            path = ordering.approx_path_order(graph)
         slices.append([groups_of(layers[i]) for i in path])
         slice_ids.append([layers[i] for i in path])
     oriented = orient_slice_paths(slices, cfg.heuristic)

@@ -83,6 +83,28 @@ def dense_instance(rng: random.Random) -> StorylineInstance:
     return validate_instance(doc)
 
 
+def cit_rung(chars: int, interactions: int, times: int, seed: int) -> StorylineInstance:
+    """A c/i/t instance: interactions of 2-4 uniform members at uniform timestamps.
+
+    Characters that end up unused are dropped; every timestamp is kept.
+    """
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(interactions):
+        size = rng.randint(2, min(4, chars))
+        drawn.append((rng.sample(range(chars), size), rng.randrange(times)))
+    used = sorted({c for members, _ in drawn for c in members})
+    doc = {
+        "characters": [f"c{k}" for k in range(len(used))],
+        "timestamps": [f"t{k}" for k in range(times)],
+        "interactions": [
+            {"characters": [f"c{used.index(c)}" for c in sorted(members)], "time": f"t{t}"}
+            for members, t in drawn
+        ],
+    }
+    return validate_instance(doc)
+
+
 def oracle_corpus(
     seed: int,
     count: int,

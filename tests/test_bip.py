@@ -1,12 +1,17 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+import storyweave as sw
 import storyweave.bip as bip
-from helpers import enumerate_binary_optimum
+from storyweave import files
+from helpers import cit_rung, enumerate_binary_optimum
 
-GOLDEN = Path(__file__).parent / "data" / "golden.lp"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden.lp"
+WORKSHOP = Path(__file__).parents[1] / "demos" / "data" / "workshop.json"
 
 
 def tiny(objective, constraints, n):
@@ -143,6 +148,17 @@ class TestSolve:
                 res.status == bip.OPTIMAL
             )
 
+    def test_deadline_checked_at_every_node(self):
+        # The ilp1ml model of the 12/25/8 rung costs about a millisecond per
+        # node, so only a clock read at (nearly) every node stops in the slack.
+        inst = cit_rung(12, 25, 8, seed=1)
+        budgets = sw.layer_budget(inst, minimize=True)
+        program, _ = sw.build_model(inst, sw.ILP1ML, budgets)
+        t0 = time.monotonic()
+        res = bip.solve(program, timeout=0.5)
+        assert time.monotonic() - t0 <= 0.5 + 0.3
+        assert res.status == bip.FEASIBLE_TIMEOUT
+
 
 class TestGap:
     def test_table_convention(self):
@@ -154,7 +170,137 @@ class TestGap:
             bip.gap_percent(0, 0)
 
 
+X = bip.VarId(0, "x")
+Y = bip.VarId(1, "y")
+
+
+def only_vars(*variables):
+    """Program parts over ``variables`` whose rows use only the last of them."""
+    last = variables[-1]
+    return dict(
+        variables=variables,
+        constraints=(bip.LinearConstraint(((1, last),), "<=", 1),),
+        objective=((1, last),),
+    )
+
+
+# One hand-built program per rejection of validate_program, with its message.
+# Each breaks one rule and keeps every other, so a fast acceptance that skips
+# a rule would let its case through.
+MALFORMED = {
+    "index_mismatch": (
+        only_vars(bip.VarId(1, "x"), Y),
+        "variable 'x' has index 1, expected 0",
+    ),
+    "bad_name": (
+        only_vars(bip.VarId(0, "no spaces")),
+        "variable name 'no spaces' must match [A-Za-z0-9_]+",
+    ),
+    "duplicate_name": (
+        only_vars(X, bip.VarId(1, "x")),
+        "duplicate variable name 'x'",
+    ),
+    "foreign_var_out_of_range": (
+        dict(constraints=(bip.LinearConstraint(((1, bip.VarId(5, "w")),), "<=", 1),)),
+        "unknown variable 'w'",
+    ),
+    "foreign_var_other_name": (
+        dict(constraints=(bip.LinearConstraint(((1, bip.VarId(0, "w")),), "<=", 1),)),
+        "unknown variable 'w'",
+    ),
+    "foreign_var_in_objective": (
+        dict(objective=((1, bip.VarId(2, "w")),)),
+        "unknown variable 'w'",
+    ),
+    "empty_constraint": (
+        dict(constraints=(bip.LinearConstraint((), "<=", 1),)),
+        "constraint 0 has no terms",
+    ),
+    "bool_coefficient": (
+        dict(constraints=(bip.LinearConstraint(((True, X),), "<=", 1),)),
+        "constraint 0: coefficient True is not an integer",
+    ),
+    "float_coefficient": (
+        dict(constraints=(bip.LinearConstraint(((1.0, X),), "<=", 1),)),
+        "constraint 0: coefficient 1.0 is not an integer",
+    ),
+    "unknown_operator": (
+        dict(constraints=(bip.LinearConstraint(((1, X),), "<", 1),)),
+        "constraint 0 has unknown operator '<'",
+    ),
+    "duplicate_var_in_constraint": (
+        dict(constraints=(bip.LinearConstraint(((1, X), (1, Y), (1, X)), "<=", 1),)),
+        "constraint 0: duplicate variable 'x'",
+    ),
+    "bool_rhs": (
+        dict(constraints=(bip.LinearConstraint(((1, X),), "<=", True),)),
+        "constraint 0: right-hand side must be an integer",
+    ),
+    "float_rhs": (
+        dict(constraints=(bip.LinearConstraint(((1, X),), "<=", 1.5),)),
+        "constraint 0: right-hand side must be an integer",
+    ),
+    "second_constraint_numbered": (
+        dict(
+            constraints=(
+                bip.LinearConstraint(((1, X),), "<=", 1),
+                bip.LinearConstraint(((1, Y),), "=>", 1),
+            )
+        ),
+        "constraint 1 has unknown operator '=>'",
+    ),
+    "negative_objective": (
+        dict(objective=((1, X), (-1, Y))),
+        "objective coefficients must be non-negative integers",
+    ),
+    "float_objective": (
+        dict(objective=((0.5, X),)),
+        "objective coefficients must be non-negative integers",
+    ),
+    "duplicate_objective": (
+        dict(objective=((1, X), (2, Y), (3, X))),
+        "objective lists variable 'x' twice",
+    ),
+}
+
+
+def program_parts(**overrides):
+    parts = dict(
+        variables=(X, Y),
+        constraints=(bip.LinearConstraint(((1, X), (-1, Y)), ">=", 0),),
+        objective=((1, X), (1, Y)),
+    )
+    parts.update(overrides)
+    return parts
+
+
 class TestValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_hand_built_program_rejected(self, case):
+        overrides, message = MALFORMED[case]
+        with pytest.raises(ValueError) as err:
+            bip.BinaryProgram(**program_parts(**overrides))
+        assert str(err.value) == message
+
+    def test_equal_but_distinct_var_accepted(self):
+        twin = bip.VarId(0, "x")
+        assert twin == X and twin is not X
+        parts = program_parts(
+            constraints=(bip.LinearConstraint(((1, twin), (1, Y)), "<=", 1),),
+            objective=((2, twin),),
+        )
+        p = bip.BinaryProgram(**parts)
+        assert bip.solve(p).objective_value == 0
+
+    def test_int_subclass_coefficient_accepted(self):
+        class Weight(int):
+            pass
+
+        parts = program_parts(
+            constraints=(bip.LinearConstraint(((Weight(2), X),), "<=", Weight(1)),),
+        )
+        assert bip.BinaryProgram(**parts).constraints[0].terms[0][0] == 2
+
     def test_duplicate_var_in_constraint(self):
         mb = bip.ModelBuilder()
         x = mb.new_var("x")
@@ -222,6 +368,13 @@ class TestLpFormat:
             # zero-coefficient objective terms are dropped by the writer
             kept = tuple((c, v) for c, v in p.objective if c != 0)
             assert back.objective == kept
+
+    def test_workshop_model_golden(self):
+        inst = files.load_instance(WORKSHOP)
+        budgets = sw.layer_budget(inst, minimize=True)
+        program, _ = sw.build_model(inst, sw.ILP2ML, budgets)
+        text = bip.export_lp(program, name="workshop ilp2ml")
+        assert text == (DATA / "workshop_ilp2ml.lp").read_text(encoding="utf-8")
 
     def test_long_rows_wrap_and_parse(self):
         mb = bip.ModelBuilder()

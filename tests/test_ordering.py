@@ -182,3 +182,66 @@ class TestMinPathOrder:
     def test_empty_slice_rejected(self):
         with pytest.raises(ValueError, match="no layers"):
             sw.min_path_order(weight_graph([]))
+
+
+def path_cost(matrix, order):
+    return sum(matrix[a][b] for a, b in itertools.pairwise(order))
+
+
+def random_matrix(rng, n, top=9):
+    matrix = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        matrix[i][j] = matrix[j][i] = rng.randint(0, top)
+    return matrix
+
+
+class TestApproxPathOrder:
+    def test_visits_every_layer_once_and_never_beats_exact(self):
+        rng = random.Random(6)
+        for k in range(100):
+            matrix = random_matrix(rng, rng.randint(1, 7))
+            order = sw.approx_path_order(weight_graph(matrix))
+            assert sorted(order) == list(range(len(matrix))), f"matrix {k}"
+            expected_cost, _ = brute_best_path(matrix)
+            assert path_cost(matrix, order) >= expected_cost, f"matrix {k}"
+
+    def test_no_segment_reversal_improves(self):
+        rng = random.Random(7)
+        for k in range(20):
+            n = rng.randint(MAX_EXACT_PATH_NODES + 1, 30)
+            matrix = random_matrix(rng, n, top=50)
+            order = sw.approx_path_order(weight_graph(matrix))
+            assert sorted(order) == list(range(n))
+            cost = path_cost(matrix, order)
+            for i, j in itertools.combinations(range(n), 2):
+                moved = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
+                assert path_cost(matrix, moved) >= cost, f"matrix {k}"
+
+    def test_beats_or_ties_nearest_neighbour_from_every_start(self):
+        rng = random.Random(8)
+        for k in range(20):
+            n = rng.randint(MAX_EXACT_PATH_NODES + 1, 30)
+            matrix = random_matrix(rng, n, top=50)
+            cost = path_cost(matrix, sw.approx_path_order(weight_graph(matrix)))
+            for start in range(n):
+                path, left = [start], set(range(n)) - {start}
+                while left:
+                    nxt = min(left, key=lambda u: (matrix[path[-1]][u], u))
+                    path.append(nxt)
+                    left.remove(nxt)
+                assert cost <= path_cost(matrix, path), f"matrix {k}"
+
+    def test_fraction_weights_and_determinism(self):
+        rng = random.Random(9)
+        n = MAX_EXACT_PATH_NODES + 3
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            matrix[i][j] = matrix[j][i] = Fraction(rng.randint(0, 12), 12)
+        g = weight_graph(matrix)
+        order = sw.approx_path_order(g)
+        assert sorted(order) == list(range(n))
+        assert order == sw.approx_path_order(g)
+
+    def test_empty_slice_rejected(self):
+        with pytest.raises(ValueError, match="no layers"):
+            sw.approx_path_order(weight_graph([]))

@@ -102,6 +102,18 @@ class TestRunPipeline:
         for layer in story.layers:
             assert len(layer.interactions) <= 2
 
+    @pytest.mark.parametrize("heuristic", ["rand", "pattern"])
+    def test_slice_beyond_exact_path_limit(self, heuristic):
+        # 19 meetings of one pair at one timestamp need 19 layers, one more
+        # than the exact path search takes.
+        inst = make_instance([("ab", "t0")] * (sw.ordering.MAX_EXACT_PATH_NODES + 1))
+        story, report = sw.run_pipeline(
+            inst, sw.PipelineConfig(heuristic=heuristic, timeout=60)
+        )
+        assert sw.validate_storyline(inst, story) == []
+        assert report.layers == 19
+        assert report.crossings == sw.count_crossings(story).total == 0
+
     def test_stage_times_recorded(self):
         inst = make_instance([("ab", "t0")])
         _, report = sw.run_pipeline(inst, sw.PipelineConfig())
