@@ -8,7 +8,9 @@ an external solver.
 The solver works in exact integer arithmetic: coefficients, right-hand
 sides and objective weights are integers (scale rationals while building
 the model).  Bounding uses the partial objective plus 0/1 bound
-propagation; there is deliberately no LP relaxation.
+propagation; there is deliberately no LP relaxation.  Propagation is
+event-driven: an assignment queues only the constraints it leaves close
+enough to their right-hand side to force a variable or to fail.
 """
 
 from __future__ import annotations
@@ -217,9 +219,12 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     exact integer arithmetic this makes every run reproducible.  A single
     greedy dive runs first to seed the incumbent, so interrupted solves
     still report an upper bound.  A node is pruned as soon as the objective
-    of its forced-one variables reaches the incumbent.  The wall clock is
-    checked at every node against a monotonic timer; on timeout the best
-    incumbent is returned together with the lower bound proven so far.
+    of its forced-one variables reaches the incumbent.  Propagation is
+    event-driven: after the root pass, a constraint is examined only when
+    an assignment leaves it tight enough to force a variable or to fail.
+    The wall clock is checked at every node and at every variable of the
+    dive against a monotonic timer; on timeout the best incumbent is
+    returned together with the lower bound proven so far.
     """
     t0 = time.monotonic()
     nvars = len(program.variables)
@@ -229,43 +234,75 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         obj[v.index] = coef
 
     # Flattened constraint storage for the hot loop.  Assigning a variable
-    # shifts a constraint's reachable [lo, hi] interval by a precomputed
-    # delta: value 1 adds the positive part of the coefficient to lo and the
-    # negative part to hi, value 0 removes the opposite parts.
-    cons_terms: list[tuple[tuple[int, int], ...]] = []  # ((coef, var index), ...)
-    cons_op: list[str] = []
+    # narrows the reachable [lo, hi] interval of each of its constraints by
+    # |coef| on one side.  A constraint can force a variable or fail only once
+    # its slack falls below ``reach``, its largest |coef|: a "<=" side needs
+    # lo > rhs - reach (``lo_cap``), a ">=" side hi < rhs + reach
+    # (``hi_floor``).  A side the operator does not have gets a threshold its
+    # interval never crosses: lo never exceeds the initial hi, and hi never
+    # drops below the initial lo.
+    cons_terms: list[list[tuple[int, int]]] = []  # [(coef, var index), ...]
     cons_rhs: list[int] = []
     lo: list[int] = []  # current minimum of the left-hand side
     hi: list[int] = []  # current maximum of the left-hand side
-    var_cons: list[list[tuple[int, int, int]]] = [[] for _ in range(nvars)]
+    lo_cap: list[int] = []  # lo above this: the constraint may force or fail
+    hi_floor: list[int] = []  # hi below this: the constraint may force or fail
+    # Per variable, (constraint, |coef|) pairs split by the sign of coef:
+    # value 1 raises lo by the positive ones and lowers hi by the negative
+    # ones, value 0 the other way round.
+    pos_cons: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
+    neg_cons: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
     for k, c in enumerate(program.constraints):
-        terms = tuple((coef, v.index) for coef, v in c.terms)
+        terms = []
+        rlo = rhi = reach = 0
+        for coef, v in c.terms:
+            vi = v.index
+            terms.append((coef, vi))
+            if coef > 0:
+                rhi += coef
+                pos_cons[vi].append((k, coef))
+                if coef > reach:
+                    reach = coef
+            else:
+                rlo += coef
+                neg_cons[vi].append((k, -coef))
+                if -coef > reach:
+                    reach = -coef
+        op = c.op
+        rhs = c.rhs
         cons_terms.append(terms)
-        cons_op.append(c.op)
-        cons_rhs.append(c.rhs)
-        lo.append(sum(min(0, coef) for coef, _ in terms))
-        hi.append(sum(max(0, coef) for coef, _ in terms))
-        for coef, vi in terms:
-            var_cons[vi].append((k, max(0, coef), min(0, coef)))
+        cons_rhs.append(rhs)
+        lo.append(rlo)
+        hi.append(rhi)
+        lo_cap.append(rhs - reach if op != ">=" else rhi)
+        hi_floor.append(rhs + reach if op != "<=" else rlo)
 
     value = [-1] * nvars
     trail: list[int] = []
     cur_obj = 0
+    pending: list[int] = []  # constraints to examine, each at most once
     queued = bytearray(len(cons_terms))
 
     def assign(vi: int, val: int) -> None:
+        """Set a variable and queue every constraint it leaves tight."""
         nonlocal cur_obj
         value[vi] = val
         trail.append(vi)
         if val:
             cur_obj += obj[vi]
-            for k, pos, neg in var_cons[vi]:
-                lo[k] += pos
-                hi[k] += neg
+            raise_lo, lower_hi = pos_cons[vi], neg_cons[vi]
         else:
-            for k, pos, neg in var_cons[vi]:
-                lo[k] -= neg
-                hi[k] -= pos
+            raise_lo, lower_hi = neg_cons[vi], pos_cons[vi]
+        for k, a in raise_lo:
+            lo[k] += a
+            if lo[k] > lo_cap[k] and not queued[k]:
+                queued[k] = 1
+                pending.append(k)
+        for k, a in lower_hi:
+            hi[k] -= a
+            if hi[k] < hi_floor[k] and not queued[k]:
+                queued[k] = 1
+                pending.append(k)
 
     def undo_to(mark: int) -> None:
         nonlocal cur_obj
@@ -273,67 +310,54 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
             vi = trail.pop()
             if value[vi]:
                 cur_obj -= obj[vi]
-                for k, pos, neg in var_cons[vi]:
-                    lo[k] -= pos
-                    hi[k] -= neg
+                raise_lo, lower_hi = pos_cons[vi], neg_cons[vi]
             else:
-                for k, pos, neg in var_cons[vi]:
-                    lo[k] += neg
-                    hi[k] += pos
+                raise_lo, lower_hi = neg_cons[vi], pos_cons[vi]
+            for k, a in raise_lo:
+                lo[k] -= a
+            for k, a in lower_hi:
+                hi[k] += a
             value[vi] = -1
 
-    def run_queue(pending: list[int]) -> bool:
+    def run_queue() -> bool:
         """Propagate forced values until fixpoint; False on conflict.
 
-        Forcing a variable re-queues every constraint it appears in
-        (including the current one), so each constraint is re-examined
-        under the tightened bounds; the queue is deduplicated.
+        Pops queued constraints and forces every unassigned variable whose
+        |coef| exceeds the room left on a tight side; each forced value goes
+        through :func:`assign`, which queues the constraints it leaves tight,
+        the current one included.  Bound propagation is monotone, so the
+        fixpoint and whether it fails do not depend on the queue order.
+        Forcing on one side never moves that side's bound (it narrows the
+        interval from the other end), so ``room`` holds for a whole scan.
         """
-        for k in pending:
-            queued[k] = 1
         while pending:
             k = pending.pop()
             queued[k] = 0
-            op = cons_op[k]
-            rhs = cons_rhs[k]
-            clo = lo[k]
-            chi = hi[k]
-            conflict = (op != ">=" and clo > rhs) or (op != "<=" and chi < rhs)
-            if not conflict:
+            if lo[k] > lo_cap[k]:
+                room = cons_rhs[k] - lo[k]  # how far lo may still rise
+                if room < 0:
+                    break
                 for coef, u in cons_terms[k]:
-                    if value[u] != -1:
-                        continue
-                    force = -1
-                    if op != ">=":  # <= or =
-                        if coef > 0 and clo + coef > rhs:
-                            force = 0
-                        elif coef < 0 and clo - coef > rhs:
-                            force = 1
-                    if force == -1 and op != "<=":  # >= or =
-                        if coef > 0 and chi - coef < rhs:
-                            force = 1
-                        elif coef < 0 and chi + coef < rhs:
-                            force = 0
-                    if force != -1:
-                        assign(u, force)
-                        for k2, _pos, _neg in var_cons[u]:
-                            if not queued[k2]:
-                                queued[k2] = 1
-                                pending.append(k2)
-                        clo = lo[k]
-                        chi = hi[k]
-                        if (op != ">=" and clo > rhs) or (op != "<=" and chi < rhs):
-                            conflict = True
-                            break
-            if conflict:
-                for k2 in pending:
-                    queued[k2] = 0
-                return False
-        return True
+                    if value[u] == -1 and (coef > room or -coef > room):
+                        assign(u, 0 if coef > 0 else 1)
+            if hi[k] < hi_floor[k]:
+                room = hi[k] - cons_rhs[k]  # how far hi may still fall
+                if room < 0:
+                    break
+                for coef, u in cons_terms[k]:
+                    if value[u] == -1 and (coef > room or -coef > room):
+                        assign(u, 1 if coef > 0 else 0)
+        else:
+            return True
+        # Conflict: drop whatever is still queued.
+        for k in pending:
+            queued[k] = 0
+        pending.clear()
+        return False
 
     def propagate(vi: int, val: int) -> bool:
         assign(vi, val)
-        return run_queue([k for k, _pos, _neg in var_cons[vi]])
+        return run_queue()
 
     order = sorted(range(nvars), key=lambda i: (-obj[i], i))
 
@@ -348,7 +372,10 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     timed_out = False
 
     # Initial propagation pass over every constraint (catches units).
-    root_ok = run_queue(list(range(len(cons_terms))))
+    pending.extend(range(len(cons_terms)))
+    for k in pending:
+        queued[k] = 1
+    root_ok = run_queue()
 
     def dive() -> None:
         """Greedy pass seeding the incumbent before the systematic search.
@@ -362,10 +389,10 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         nonlocal best_assignment, best_obj
         mark = len(trail)
         dive_order = sorted(range(nvars), key=lambda i: (obj[i], i))
-        for steps, vi in enumerate(dive_order):
+        for vi in dive_order:
             if value[vi] != -1:
                 continue
-            if steps % 256 == 0 and time.monotonic() - t0 > timeout:
+            if time.monotonic() - t0 > timeout:
                 undo_to(mark)
                 return
             step = len(trail)

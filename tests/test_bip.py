@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 import storyweave as sw
 import storyweave.bip as bip
-from storyweave import files
+from storyweave import files, formulations
 from helpers import cit_rung, enumerate_binary_optimum
 
 DATA = Path(__file__).parent / "data"
@@ -37,6 +38,45 @@ def random_program(rng, max_vars=12):
     objective = [(rng.randint(0, 4), x) for x in xs if rng.random() < 0.8]
     mb.minimize(objective)
     return mb.build()
+
+
+def wide_coefficient_program(rng, max_vars=10):
+    """Rows of 2-5 terms with coefficients up to +-6, every operator mixed in.
+
+    Right-hand sides sit at or near a row's value at a hidden 0/1 point, so
+    most programs are feasible and most rows bind, often within one large
+    coefficient of their bound while small coefficients still have slack.
+    """
+    n = rng.randint(2, max_vars)
+    hidden = [rng.randint(0, 1) for _ in range(n)]
+    mb = bip.ModelBuilder()
+    xs = [mb.new_var(f"w{i}") for i in range(n)]
+    for _ in range(rng.randint(1, n + 2)):
+        chosen = rng.sample(range(n), rng.randint(2, min(5, n)))
+        coefs = [rng.choice((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)) for _ in chosen]
+        at_hidden = sum(c * hidden[i] for c, i in zip(coefs, chosen))
+        op = rng.choice(["<=", ">=", "="])
+        # A slack of -1, now and then, cuts the hidden point off.
+        slack = -1 if rng.random() < 0.04 else 0 if op == "=" else rng.choice((0, 1, 2, 4))
+        rhs = at_hidden - slack if op == ">=" else at_hidden + slack
+        mb.add([(c, xs[i]) for c, i in zip(coefs, chosen)], op, rhs)
+    mb.minimize([(rng.randint(0, 5), x) for x in xs])
+    return mb.build()
+
+
+def clique4_over_two_timestamps():
+    """Every pair of four characters meets once; pair k at timestamp k mod 2."""
+    pairs = itertools.combinations("abcd", 2)
+    return sw.validate_instance(
+        {
+            "characters": list("abcd"),
+            "timestamps": ["t0", "t1"],
+            "interactions": [
+                {"characters": list(pair), "time": f"t{k % 2}"}
+                for k, pair in enumerate(pairs)
+            ],
+        }
+    )
 
 
 def hard_cover_program(n_vars=40, n_rows=70, seed=4):
@@ -92,6 +132,60 @@ class TestSolve:
             else:
                 assert res.status == bip.OPTIMAL, f"program {k}"
                 assert res.objective_value == expected, f"program {k}"
+
+    def test_matches_enumeration_with_wide_coefficients(self):
+        # A row is examined only once its slack drops below its largest
+        # |coef|; with coefficients up to 6 that gate sits well inside the
+        # row, on the "<=" and the ">=" side of "=" rows alike.  A gate that
+        # skips a violated row gives wrong answers; one that skips a row able
+        # to force only branches more, so the node total (recorded from the
+        # solver that re-examined every row of each assigned variable) is
+        # pinned too.
+        rng = random.Random(5)
+        statuses = set()
+        nodes = 0
+        for k in range(300):
+            p = wide_coefficient_program(rng)
+            expected = enumerate_binary_optimum(p)
+            res = bip.solve(p, timeout=60)
+            statuses.add(res.status)
+            nodes += res.nodes
+            if expected is None:
+                assert res.status == bip.INFEASIBLE, f"program {k}"
+            else:
+                assert res.status == bip.OPTIMAL, f"program {k}"
+                assert res.objective_value == expected, f"program {k}"
+        assert statuses == {bip.OPTIMAL, bip.INFEASIBLE}
+        assert nodes == 490
+
+    @pytest.mark.parametrize(
+        "instance, kind, status, objective, bound, nodes",
+        [
+            ("workshop", "ilp1ml", bip.OPTIMAL, 1, 1, 52),
+            ("workshop", "ilp2ml", bip.OPTIMAL, 1, 1, 52),
+            ("workshop", "ilp2", bip.OPTIMAL, 0, 0, 88),
+            ("clique4x2", "ilp2ml", bip.OPTIMAL, 0, 0, 80),
+        ],
+    )
+    def test_search_tree_unchanged(self, instance, kind, status, objective, bound, nodes):
+        # Constants recorded from the solver that re-examined every row of
+        # each assigned variable: examining only the rows that can force
+        # must reach the same fixpoints, hence the same tree and node count.
+        inst = (
+            files.load_instance(WORKSHOP)
+            if instance == "workshop"
+            else clique4_over_two_timestamps()
+        )
+        model = formulations.EXACT_KINDS[kind]
+        budgets = sw.layer_budget(inst, minimize=model.minimize_layers)
+        program, _ = sw.build_model(inst, model, budgets)
+        res = bip.solve(program, timeout=60)
+        assert (res.status, res.objective_value, res.best_lower_bound, res.nodes) == (
+            status,
+            objective,
+            bound,
+            nodes,
+        )
 
     def test_solution_satisfies_all_constraints(self):
         rng = random.Random(1)
