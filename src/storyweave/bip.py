@@ -122,57 +122,20 @@ class ModelBuilder:
 
 
 def validate_program(p: BinaryProgram) -> None:
-    """Raise ValueError on malformed programs (bad names, dangling vars, ...).
+    """Raise ValueError on the first defect of a malformed program.
 
-    A fast pass accepts the programs :class:`ModelBuilder` produces: every
-    term refers to the very ``VarId`` object stored at its index, every
-    coefficient and right-hand side is exactly an ``int``, and a constraint's
-    variables are distinct.  Anything that pass does not accept goes through
-    the exact scan, which alone decides rejections and their messages, and
-    which also accepts terms that refer to an equal but distinct ``VarId``
-    or use ``int`` subclasses other than ``bool``.
-    """
-    if not _accepts_fast(p):
-        _validate_exact(p)
-
-
-def _accepts_fast(p: BinaryProgram) -> bool:
-    """True only for programs the exact scan accepts; False means "look closer".
-
-    Once every variable is known to sit at its own index, a term whose
-    ``VarId`` is the very object found at ``variables[v.index]`` has a valid
-    index (a negative one would name another variable), so no range check
-    is needed; lookups that fail raise and count as a miss.
+    One scan, in this order: the variables (index, name, repeated name);
+    each constraint in turn (no terms, operator, then per term the
+    reference, the coefficient and a repeated variable, then the right-hand
+    side); the objective last (per term the reference, a non-negative
+    integer coefficient and a repeated variable).  A term may refer to an
+    equal but distinct ``VarId``, and numbers may be ``int`` subclasses
+    other than ``bool``; the common case, the very ``VarId`` object stored
+    at its index and exact ``int`` numbers, is decided inline.
     """
     variables = p.variables
-    try:
-        for i, v in enumerate(variables):
-            if type(v) is not VarId or v.index != i or not _NAME_RE.match(v.name):
-                return False
-        if len({v.name for v in variables}) != len(variables):
-            return False
-        for c in p.constraints:
-            terms = c.terms
-            if not terms or c.op not in _OPS or type(c.rhs) is not int:
-                return False
-            for coef, v in terms:
-                if type(coef) is not int or variables[v.index] is not v:
-                    return False
-            if len({v.index for _coef, v in terms}) != len(terms):
-                return False
-        for coef, v in p.objective:
-            if type(coef) is not int or coef < 0:
-                return False
-            if variables[v.index] is not v:
-                return False
-        return len({v.index for _coef, v in p.objective}) == len(p.objective)
-    except (AttributeError, IndexError, TypeError, ValueError):
-        return False
-
-
-def _validate_exact(p: BinaryProgram) -> None:
-    names = set()
-    for i, v in enumerate(p.variables):
+    names: set[str] = set()
+    for i, v in enumerate(variables):
         if v.index != i:
             raise ValueError(f"variable {v.name!r} has index {v.index}, expected {i}")
         if not _NAME_RE.match(v.name):
@@ -180,35 +143,45 @@ def _validate_exact(p: BinaryProgram) -> None:
         if v.name in names:
             raise ValueError(f"duplicate variable name {v.name!r}")
         names.add(v.name)
-    n = len(p.variables)
+    n = len(variables)
 
     def check_ref(v: VarId) -> None:
-        if not (0 <= v.index < n) or p.variables[v.index] != v:
+        if not (0 <= v.index < n) or variables[v.index] != v:
             raise ValueError(f"unknown variable {v.name!r}")
 
+    # used_in[i] is the last row whose terms included variable i, so a term
+    # finding its own row's number there repeats a variable of that row.
+    used_in = [-1] * n
     for k, c in enumerate(p.constraints):
         if not c.terms:
             raise ValueError(f"constraint {k} has no terms")
-        if c.op not in ("<=", ">=", "="):
+        if c.op not in _OPS:
             raise ValueError(f"constraint {k} has unknown operator {c.op!r}")
-        seen: set[int] = set()
         for coef, v in c.terms:
-            check_ref(v)
-            if not isinstance(coef, int) or isinstance(coef, bool):
+            i = v.index
+            if i < 0 or i >= n or variables[i] is not v:
+                check_ref(v)
+            if type(coef) is not int and not _integral(coef):
                 raise ValueError(f"constraint {k}: coefficient {coef!r} is not an integer")
-            if v.index in seen:
+            if used_in[i] == k:
                 raise ValueError(f"constraint {k}: duplicate variable {v.name!r}")
-            seen.add(v.index)
-        if not isinstance(c.rhs, int) or isinstance(c.rhs, bool):
+            used_in[i] = k
+        if type(c.rhs) is not int and not _integral(c.rhs):
             raise ValueError(f"constraint {k}: right-hand side must be an integer")
-    seen = set()
+    k = len(p.constraints)  # the objective's row number
     for coef, v in p.objective:
-        check_ref(v)
-        if not isinstance(coef, int) or isinstance(coef, bool) or coef < 0:
+        i = v.index
+        if i < 0 or i >= n or variables[i] is not v:
+            check_ref(v)
+        if (type(coef) is not int and not _integral(coef)) or coef < 0:
             raise ValueError("objective coefficients must be non-negative integers")
-        if v.index in seen:
+        if used_in[i] == k:
             raise ValueError(f"objective lists variable {v.name!r} twice")
-        seen.add(v.index)
+        used_in[i] = k
+
+
+def _integral(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:

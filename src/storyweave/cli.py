@@ -15,7 +15,8 @@ A bench manifest is a JSON document::
     {"instances": ["path.json", ...], "algorithms": ["ps", "ilp1"],
      "timeout": 3600, "cap": null, "jobs": 2}
 
-Instance paths are resolved relative to the manifest's directory.
+Instance paths are resolved relative to the manifest's directory.  A
+manifest with a missing or ill-typed key is rejected before any cell runs.
 """
 
 from __future__ import annotations
@@ -140,16 +141,31 @@ def cmd_bench(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    instances = [
-        str((manifest_path.parent / p).resolve()) for p in manifest["instances"]
-    ]
+    if not isinstance(manifest, dict):
+        raise ValueError("bench manifest must be a JSON object")
+    paths = manifest.get("instances")
     algorithms = manifest.get("algorithms", list(ALGORITHMS))
+    timeout = manifest.get("timeout", DEFAULT_TIMEOUT)
+    cap = manifest.get("cap")
+    jobs = manifest.get("jobs", 0)
+    # JSON numbers load as exactly int or float, and true/false as bool.
+    for key, ok, expected in (
+        ("instances", type(paths) is list and all(type(p) is str for p in paths),
+         "a list of paths"),
+        ("algorithms", type(algorithms) is list, "a list"),
+        ("timeout", type(timeout) in (int, float) and timeout > 0, "a positive number"),
+        ("cap", cap is None or type(cap) is int, "null or an integer"),
+        ("jobs", type(jobs) is int and jobs >= 0, "a non-negative integer"),
+    ):
+        if not ok:
+            raise ValueError(
+                f"manifest key {key!r} must be {expected}, not {manifest.get(key)!r}"
+            )
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r} in manifest")
-    timeout = float(manifest.get("timeout", DEFAULT_TIMEOUT))
-    cap = manifest.get("cap")
-    jobs = args.jobs or int(manifest.get("jobs", 0)) or min(4, os.cpu_count() or 1)
+    instances = [str((manifest_path.parent / p).resolve()) for p in paths]
+    jobs = args.jobs or jobs or min(4, os.cpu_count() or 1)
 
     cells = [(path, alg) for path in instances for alg in algorithms]
     rows: list[files.BenchRow] = []

@@ -24,7 +24,8 @@ optimized.
 
 Solver assignments are decoded back into storylines; empty slots are
 dropped and the reported crossing number is always recomputed with the
-counting oracle rather than read off the objective.
+counting oracle rather than read off the objective.  The exact models and
+the pipeline share that last step, :func:`decode_and_report`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ log = logging.getLogger(__name__)
 
 K = TypeVar("K")
 Term = tuple[int, bip.VarId]
+
+# Least search time a solve gets, however much of its budget is spent
+# before the search starts.
+MIN_SEARCH_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -355,57 +360,64 @@ def decode(
     return story
 
 
+def search_seconds(timeout: float, t0: float) -> float:
+    """What remains of ``timeout`` since ``t0``, at least ``MIN_SEARCH_SECONDS``."""
+    return max(MIN_SEARCH_SECONDS, timeout - (time.monotonic() - t0))
+
+
+def decode_and_report(
+    inst: StorylineInstance,
+    cat: VariableCatalog,
+    result: bip.SolveResult,
+    algorithm: str,
+    t0: float,
+) -> tuple[CombinatorialStoryline | None, LayoutReport]:
+    """Decode a solve, recount its crossings with the oracle and report.
+
+    A timed-out search reports the gap between its incumbent and the bound
+    it proved, or no storyline and a 100 % gap when it found no incumbent.
+    ``runtime`` runs from ``t0`` (``time.monotonic``) to the end of the
+    recount.
+    """
+    story = crossings = layers = gap = None
+    if result.assignment is not None:
+        story = decode(inst, cat.kind, cat, result)
+        crossings = count_crossings(story).total
+        layers = len(story.layers)
+    if result.status == bip.FEASIBLE_TIMEOUT:
+        # A timed-out incumbent's objective is positive: open bounds are >= 0.
+        upper, lower = result.objective_value, result.best_lower_bound
+        gap = 100.0 if story is None else bip.gap_percent(upper, lower)
+    runtime = time.monotonic() - t0
+    return story, LayoutReport(algorithm, crossings, layers, runtime, result.status, gap)
+
+
 def solve_exact(
     inst: StorylineInstance,
     kind: ModelKind,
     timeout: float = 3600.0,
     cap: int | None = None,
-    symmetry_breaking: bool = True,
 ) -> tuple[CombinatorialStoryline | None, LayoutReport]:
     """Build, solve and decode one of the exact models.
 
     ``cap`` limits color class sizes when budgets are minimized and is
     rejected (by :func:`coloring.layer_budget`) for the one-slot-per-interaction
-    kinds, whose budgets do not come from coloring.  On timeout the best incumbent (if any) is decoded
-    and reported with the solver's optimality gap.
+    kinds, whose budgets do not come from coloring.  The search gets what
+    remains of ``timeout`` after model building, at least
+    ``MIN_SEARCH_SECONDS``.  On timeout the best incumbent (if any) is
+    decoded and reported with the solver's optimality gap; without one the
+    storyline is None (see :func:`decode_and_report`).
     """
     if kind.family == "fixed":
         raise ValueError("use the pipeline for fixed-layer solves")
     t0 = time.monotonic()
     budgets = coloring.layer_budget(inst, minimize=kind.minimize_layers, cap=cap)
-    program, cat = build_model(inst, kind, budgets, symmetry_breaking=symmetry_breaking)
+    program, cat = build_model(inst, kind, budgets)
     log.info(
         "%s model: %d vars, %d constraints",
         kind.name,
         len(program.variables),
         len(program.constraints),
     )
-    remaining = max(1.0, timeout - (time.monotonic() - t0))
-    result = bip.solve(program, timeout=remaining)
-    elapsed = time.monotonic() - t0
-
-    gap = None
-    if result.status == bip.FEASIBLE_TIMEOUT and result.objective_value is not None:
-        if result.objective_value > 0:
-            gap = bip.gap_percent(result.objective_value, result.best_lower_bound or 0)
-        else:
-            gap = 0.0
-    if result.assignment is None:
-        return None, LayoutReport(
-            algorithm=kind.name,
-            crossings=None,
-            layers=None,
-            runtime=elapsed,
-            status=result.status,
-            gap_percent=100.0 if result.status == bip.FEASIBLE_TIMEOUT else None,
-        )
-    story = decode(inst, kind, cat, result)
-    report = LayoutReport(
-        algorithm=kind.name,
-        crossings=count_crossings(story).total,
-        layers=len(story.layers),
-        runtime=elapsed,
-        status=result.status,
-        gap_percent=gap,
-    )
-    return story, report
+    result = bip.solve(program, timeout=search_seconds(timeout, t0))
+    return decode_and_report(inst, cat, result, kind.name, t0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bip, coloring, formulations, ordering
 from .core import (
@@ -24,7 +24,6 @@ from .core import (
     LayoutReport,
     StorylineInstance,
     TimeId,
-    count_crossings,
 )
 
 log = logging.getLogger(__name__)
@@ -71,13 +70,17 @@ def orient_slice_paths(
 
 def run_pipeline(
     inst: StorylineInstance, cfg: PipelineConfig
-) -> tuple[CombinatorialStoryline, LayoutReport]:
+) -> tuple[CombinatorialStoryline | None, LayoutReport]:
     """Run coloring, slice ordering and fixed-layer crossing minimization.
 
     The crossing-minimization stage receives whatever remains of
-    ``cfg.timeout`` after the first two stages, with a one second floor; a
-    timeout there surfaces as a ``feasible-timeout`` report built from the
-    solver's incumbent.  ``formulations.decode`` validates the storyline.
+    ``cfg.timeout`` after the first two stages, at least
+    ``formulations.MIN_SEARCH_SECONDS``.  Its result goes through
+    ``formulations.decode_and_report`` like an exact solve: a timeout
+    surfaces as a ``feasible-timeout`` report built from the solver's
+    incumbent, and a timeout before any ordering was found returns no
+    storyline.  ``stage_seconds`` splits ``runtime`` into ``coloring``,
+    ``ordering`` and ``crossing`` (search, decoding and recount).
     """
     t0 = time.monotonic()
 
@@ -128,27 +131,8 @@ def run_pipeline(
     program, cat = formulations.build_model(
         inst, formulations.FIXED_LAYER, budgets, fixed_assignment=assignment
     )
-    remaining = max(1.0, cfg.timeout - (time.monotonic() - t0))
-    result = bip.solve(program, timeout=remaining)
-    if result.assignment is None:
-        raise RuntimeError("fixed-layer stage found no ordering within the time limit")
-    story = formulations.decode(inst, formulations.FIXED_LAYER, cat, result)
-    t_solve = time.monotonic()
-
-    gap = None
-    if result.status == bip.FEASIBLE_TIMEOUT and (result.objective_value or 0) > 0:
-        gap = bip.gap_percent(result.objective_value, result.best_lower_bound or 0)
-    report = LayoutReport(
-        algorithm=cfg.algorithm,
-        crossings=count_crossings(story).total,
-        layers=len(story.layers),
-        runtime=t_solve - t0,
-        status=result.status,
-        gap_percent=gap,
-        stage_seconds={
-            "coloring": t_color - t0,
-            "ordering": t_order - t_color,
-            "crossing": t_solve - t_order,
-        },
-    )
-    return story, report
+    result = bip.solve(program, timeout=formulations.search_seconds(cfg.timeout, t0))
+    story, report = formulations.decode_and_report(inst, cat, result, cfg.algorithm, t0)
+    stages = {"coloring": t_color - t0, "ordering": t_order - t_color}
+    stages["crossing"] = report.runtime - (t_order - t0)
+    return story, replace(report, stage_seconds=stages)

@@ -279,8 +279,8 @@ def only_vars(*variables):
 
 
 # One hand-built program per rejection of validate_program, with its message.
-# Each breaks one rule and keeps every other, so a fast acceptance that skips
-# a rule would let its case through.
+# Each breaks one rule and keeps every other, so a scan that skips a rule
+# lets its case through.
 MALFORMED = {
     "index_mismatch": (
         only_vars(bip.VarId(1, "x"), Y),
@@ -358,6 +358,80 @@ MALFORMED = {
 }
 
 
+W = bip.VarId(5, "w")  # index out of range of every table program
+
+# Programs with two defects, and the one validate_program reports: variables
+# before rows, rows by index; inside a row no terms, then the operator, then
+# per term the reference, the coefficient and a repeat, then the right-hand
+# side; the objective after every row, per term in the same order.
+FIRST_DEFECT = {
+    "variables_before_rows": (
+        dict(
+            variables=(bip.VarId(1, "x"), Y),
+            constraints=(bip.LinearConstraint((), "<=", 1),),
+        ),
+        "variable 'x' has index 1, expected 0",
+    ),
+    "rows_by_index": (
+        dict(
+            constraints=(
+                bip.LinearConstraint(((1, X),), "<=", 1.5),
+                bip.LinearConstraint((), "<=", 1),
+            )
+        ),
+        "constraint 0: right-hand side must be an integer",
+    ),
+    "no_terms_before_operator": (
+        dict(constraints=(bip.LinearConstraint((), "<", 1),)),
+        "constraint 0 has no terms",
+    ),
+    "operator_before_terms": (
+        dict(constraints=(bip.LinearConstraint(((1.0, W),), "<", 1),)),
+        "constraint 0 has unknown operator '<'",
+    ),
+    "reference_before_coefficient": (
+        dict(constraints=(bip.LinearConstraint(((1.0, W),), "<=", 1),)),
+        "unknown variable 'w'",
+    ),
+    "coefficient_before_duplicate": (
+        dict(constraints=(bip.LinearConstraint(((1, X), (1.0, X)), "<=", 1),)),
+        "constraint 0: coefficient 1.0 is not an integer",
+    ),
+    "duplicate_before_later_term": (
+        dict(constraints=(bip.LinearConstraint(((1, X), (1, X), (1.0, Y)), "<=", 1),)),
+        "constraint 0: duplicate variable 'x'",
+    ),
+    "terms_before_rhs": (
+        dict(constraints=(bip.LinearConstraint(((1, X), (1, W)), "<=", 1.5),)),
+        "unknown variable 'w'",
+    ),
+    "objective_after_rows": (
+        dict(
+            constraints=(bip.LinearConstraint(((1, X),), "<=", True),),
+            objective=((-1, W),),
+        ),
+        "constraint 0: right-hand side must be an integer",
+    ),
+    "objective_reference_before_sign": (
+        dict(objective=((-1, W),)),
+        "unknown variable 'w'",
+    ),
+    "objective_sign_before_duplicate": (
+        dict(objective=((1, X), (-1, X))),
+        "objective coefficients must be non-negative integers",
+    ),
+    # A negative index must not wrap round to the last variable ('y').
+    "foreign_negative_index": (
+        dict(constraints=(bip.LinearConstraint(((1, bip.VarId(-1, "y")),), "<=", 1),)),
+        "unknown variable 'y'",
+    ),
+    "foreign_negative_index_in_objective": (
+        dict(objective=((1, bip.VarId(-1, "y")),)),
+        "unknown variable 'y'",
+    ),
+}
+
+
 def program_parts(**overrides):
     parts = dict(
         variables=(X, Y),
@@ -372,6 +446,13 @@ class TestValidation:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_hand_built_program_rejected(self, case):
         overrides, message = MALFORMED[case]
+        with pytest.raises(ValueError) as err:
+            bip.BinaryProgram(**program_parts(**overrides))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("case", sorted(FIRST_DEFECT))
+    def test_first_defect_reported(self, case):
+        overrides, message = FIRST_DEFECT[case]
         with pytest.raises(ValueError) as err:
             bip.BinaryProgram(**program_parts(**overrides))
         assert str(err.value) == message

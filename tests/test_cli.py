@@ -238,3 +238,44 @@ class TestBench:
         manifest = self.manifest(tmp_path, [p1], ["quantum"])
         assert main(["bench", str(manifest), "-o", str(tmp_path / "x.csv")]) == 1
         assert "unknown algorithm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (["a.json"], None),
+            ({"algorithms": ["ps"]}, "instances"),
+            ({"instances": "a.json"}, "instances"),
+            ({"instances": ["a.json", 3]}, "instances"),
+            ({"instances": [], "algorithms": "ps"}, "algorithms"),
+            ({"instances": [], "timeout": None}, "timeout"),
+            ({"instances": [], "timeout": 0}, "timeout"),
+            ({"instances": [], "timeout": "60"}, "timeout"),
+            ({"instances": [], "cap": 2.5}, "cap"),
+            ({"instances": [], "cap": True}, "cap"),
+            ({"instances": [], "jobs": -1}, "jobs"),
+            ({"instances": [], "jobs": 1.5}, "jobs"),
+        ],
+        ids=[
+            "not_a_mapping",
+            "instances_missing",
+            "instances_string",
+            "instances_non_string",
+            "algorithms_string",
+            "timeout_null",
+            "timeout_zero",
+            "timeout_string",
+            "cap_float",
+            "cap_bool",
+            "jobs_negative",
+            "jobs_float",
+        ],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, capsys, doc, key):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert main(["bench", str(manifest), "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert (f"manifest key {key!r}" if key else "JSON object") in err[0]
+        assert not out.exists()

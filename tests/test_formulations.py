@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 import storyweave as sw
 import storyweave.bip as bip
+from storyweave import formulations
 from helpers import oracle_corpus, random_instance
 from test_core import PATTERN_PAIR, make_instance
 
@@ -218,6 +220,40 @@ class TestDecode:
         assert result.status == bip.INFEASIBLE
         with pytest.raises(ValueError, match="status"):
             sw.decode(inst, sw.ILP1, cat, result)
+
+
+class TestDecodeAndReport:
+    @pytest.mark.parametrize("algorithm", ["ps", "ilp1ml"])
+    def test_timeout_without_incumbent(self, monkeypatch, algorithm):
+        # The search stopped before it found any feasible point.
+        stopped = bip.SolveResult(bip.FEASIBLE_TIMEOUT, None, None, 0, 1.0)
+        monkeypatch.setattr(bip, "solve", lambda program, timeout: stopped)
+        inst = make_instance(PATTERN_PAIR)
+        if algorithm == "ps":
+            story, report = sw.run_pipeline(inst, sw.PipelineConfig())
+        else:
+            story, report = sw.solve_exact(inst, sw.ILP1ML)
+        assert story is None
+        assert report.algorithm == algorithm
+        assert report.status == bip.FEASIBLE_TIMEOUT
+        assert report.crossings is None and report.layers is None
+        assert report.gap_percent == 100.0
+
+    @pytest.mark.parametrize("algorithm", ["ps", "ilp1"])
+    def test_runtime_covers_recount(self, monkeypatch, algorithm):
+        recount = formulations.count_crossings
+
+        def slow_recount(story):
+            time.sleep(0.2)
+            return recount(story)
+
+        monkeypatch.setattr(formulations, "count_crossings", slow_recount)
+        inst = make_instance(PATTERN_PAIR)
+        if algorithm == "ps":
+            _, report = sw.run_pipeline(inst, sw.PipelineConfig())
+        else:
+            _, report = sw.solve_exact(inst, sw.ILP1)
+        assert report.runtime >= 0.2
 
 
 class TestBuildOptions:

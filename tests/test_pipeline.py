@@ -119,6 +119,11 @@ class TestRunPipeline:
         _, report = sw.run_pipeline(inst, sw.PipelineConfig())
         assert set(report.stage_seconds) == {"coloring", "ordering", "crossing"}
 
+    def test_stage_times_sum_to_runtime(self):
+        _, report = sw.run_pipeline(make_instance(PATTERN_PAIR), sw.PipelineConfig())
+        assert all(s >= 0 for s in report.stage_seconds.values())
+        assert sum(report.stage_seconds.values()) == pytest.approx(report.runtime)
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError, match="heuristic"):
             sw.PipelineConfig(heuristic="nope")
