@@ -2,9 +2,10 @@
 
 The pipeline colors each timestamp's conflict graph into layers, orders
 each slice's layers along a cheapest path under the chosen estimator, and
-finally lets the exact solver order the characters within the now-fixed
-layers.  The result is saved, reloaded (files are re-validated and the
-stored crossing count re-checked on load), and drawn.
+finally orders the characters within the now fixed layers by a min-plus
+DP over every layer's candidate orders.  The result is saved, reloaded
+(files are re-validated and the stored crossing count re-checked on load),
+and drawn.
 """
 
 from pathlib import Path

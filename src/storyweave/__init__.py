@@ -5,9 +5,9 @@ its interactions, only on its time intervals.  This package lays such data
 out as a storyline: characters as x-monotone curves, interactions as
 vertical groups, every time interval as a slice of one or more layers whose
 internal order is free.  That freedom is spent on minimizing curve
-crossings, either heuristically (coloring + per-slice path ordering +
-fixed-layer ordering) or exactly with four 0/1 program formulations, all
-scored by the same counting oracle.
+crossings, either heuristically (coloring, per-slice path ordering, then a
+min-plus DP over the character orders of the fixed layers) or exactly with
+four 0/1 program formulations, all scored by the same counting oracle.
 """
 
 from .core import (
@@ -26,6 +26,8 @@ from .core import (
     brute_force_optimum,
     count_crossings,
     gap_crossings,
+    order_fixed_layers,
+    potential_characters,
     validate_instance,
     validate_storyline,
 )
@@ -52,7 +54,6 @@ from .ordering import (
     rand_index,
 )
 from .formulations import (
-    FIXED_LAYER,
     ILP1,
     ILP1ML,
     ILP2,
@@ -62,7 +63,6 @@ from .formulations import (
     VariableCatalog,
     build_model,
     decode,
-    potential_characters,
     solve_exact,
 )
 from .pipeline import PipelineConfig, orient_slice_paths, run_pipeline
@@ -84,7 +84,6 @@ __all__ = [
     "CombinatorialStoryline",
     "ConflictGraph",
     "CrossingCount",
-    "FIXED_LAYER",
     "GeometricStoryline",
     "ILP1",
     "ILP1ML",
@@ -125,6 +124,7 @@ __all__ = [
     "layer_budget",
     "min_coloring",
     "min_path_order",
+    "order_fixed_layers",
     "orient_slice_paths",
     "pad_short_curves",
     "parse_lp",

@@ -4,7 +4,7 @@ Subcommands::
 
     storyweave stats <instance>
     storyweave solve <instance> --algorithm ps|pp|ilp1|ilp1ml|ilp2|ilp2ml
-                     [--timeout S] [--seed N] [--cap K] [--export-lp F] [-o OUT]
+                     [--timeout S] [--cap K] [--export-lp F] [-o OUT]
     storyweave render <storyline> <instance> -o <svg>
     storyweave bench <manifest> -o <csv> [--jobs N]
 
@@ -202,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--seed", type=int, default=0,
-                   help="ignored: every run is deterministic")
     p.add_argument("--cap", type=int, default=None,
                    help="color class size cap (ps/pp/ilp1ml/ilp2ml only)")
     p.add_argument("--export-lp", metavar="FILE", default=None,

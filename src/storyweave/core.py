@@ -10,8 +10,9 @@ order inside a slice carries no temporal meaning.
 A pair of characters present in two consecutive layers whose relative order
 flips between them is a crossing, the quantity every solver in this package
 minimizes.  This module holds the instance/storyline containers, their
-validation, the crossing-counting oracle used to score every algorithm, and
-an exhaustive optimum finder for small instances.
+validation, the crossing-counting oracle used to score every algorithm, the
+min-plus DP that orders the characters of fixed layers, and an exhaustive
+optimum finder for small instances built on it.
 
 Characters and timestamps are dense integer indices into the instance name
 lists.  All containers are immutable and all functions are pure, so shared
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Collection, Iterable, Literal, Mapping, Sequence
 
 CharId = int
 TimeId = int
@@ -84,6 +86,12 @@ class StorylineInstance:
                 lo, hi = spans.get(c, (it.time, it.time))
                 spans[c] = (min(lo, it.time), max(hi, it.time))
         return spans
+
+
+def potential_characters(inst: StorylineInstance, time: TimeId) -> frozenset[CharId]:
+    """Characters whose first-to-last interaction span covers ``time``."""
+    spans = inst.char_spans()
+    return frozenset(c for c, (lo, hi) in spans.items() if lo <= time <= hi)
 
 
 @dataclass(frozen=True)
@@ -399,11 +407,7 @@ def _slice_plans(
     return plans
 
 
-def _layer_groups(layer: Sequence[Interaction]) -> list[tuple[CharId, ...]]:
-    return [tuple(sorted(it.characters)) for it in layer]
-
-
-def _order_count(groups: Sequence[tuple[CharId, ...]], active: frozenset[CharId]) -> int:
+def _order_count(groups: Sequence[Collection[CharId]], active: frozenset[CharId]) -> int:
     in_group = set(itertools.chain.from_iterable(groups))
     items = len(groups) + len(active - in_group)
     count = math.factorial(items)
@@ -413,7 +417,7 @@ def _order_count(groups: Sequence[tuple[CharId, ...]], active: frozenset[CharId]
 
 
 def _layer_orders(
-    groups: Sequence[tuple[CharId, ...]], active: frozenset[CharId]
+    groups: Sequence[Collection[CharId]], active: frozenset[CharId]
 ) -> Iterable[tuple[CharId, ...]]:
     """Every ordering of ``active`` keeping each group's characters consecutive."""
     in_group = set(itertools.chain.from_iterable(groups))
@@ -426,13 +430,6 @@ def _layer_orders(
             yield tuple(c for grp in parts for c in grp)
 
 
-def _pair_bit(n: int) -> dict[tuple[CharId, CharId], int]:
-    bits: dict[tuple[CharId, CharId], int] = {}
-    for k, (u, v) in enumerate(itertools.combinations(range(n), 2)):
-        bits[(u, v)] = 1 << k
-    return bits
-
-
 def _order_mask(order: Sequence[CharId], bit: Mapping[tuple[CharId, CharId], int]) -> int:
     # bit set iff the smaller-indexed character of the pair comes first
     mask = 0
@@ -443,8 +440,90 @@ def _order_mask(order: Sequence[CharId], bit: Mapping[tuple[CharId, CharId], int
     return mask
 
 
+def order_fixed_layers(
+    layers: Sequence[tuple[Sequence[Collection[CharId]], frozenset[CharId]]],
+    deadline: float = math.inf,
+    guard: float = DEFAULT_SEARCH_GUARD,
+) -> tuple[list[tuple[CharId, ...]], int, bool]:
+    """Character orders of fixed layers: ``(orders, crossings, proven)``.
+
+    Each layer is ``(groups, active)``: the character groups of its
+    interactions, each to be kept consecutive, and the characters it holds.
+    Every layer starts in descending order: blocks (groups and lone
+    characters) by descending smallest character, characters descending
+    inside a block.  Unless that costs nothing, a min-plus DP over the
+    candidate orders C_i of every layer proves the optimum, provided the
+    sum of |C_i|·|C_{i+1}| is at most ``guard`` and ``deadline`` (on the
+    ``time.monotonic`` clock) does not pass first.  It keeps the descending
+    orders if they are optimal, and otherwise returns the optimum least in
+    this key: crossings, then per gap the flip bit of every co-present
+    pair, then per layer the "smaller character first" bit of every pair,
+    pairs in index order, 0 before 1.
+    """
+    start = []
+    for groups, active in layers:
+        blocks = [sorted(g, reverse=True) for g in groups]
+        blocks += [[c] for c in active.difference(*groups)]
+        blocks.sort(key=lambda b: b[-1], reverse=True)
+        start.append(tuple(c for b in blocks for c in b))
+    chars = sorted(set().union(*(active for _groups, active in layers)))
+    # Earlier pairs take higher bits, so masks compare like bit vectors.
+    pairs = list(itertools.combinations(chars, 2))
+    width = len(pairs)
+    bit = {pair: 1 << (width - 1 - k) for k, pair in enumerate(pairs)}
+    gates = [
+        sum(bit[p] for p in itertools.combinations(sorted(a & b), 2))
+        for (_g, a), (_h, b) in itertools.pairwise(layers)
+    ]
+    start_masks = [_order_mask(o, bit) for o in start]
+    cost = sum(
+        ((m1 ^ m2) & gate).bit_count()
+        for m1, m2, gate in zip(start_masks, start_masks[1:], gates)
+    )
+    counts = [_order_count(groups, active) for groups, active in layers]
+    if cost == 0 or sum(a * b for a, b in itertools.pairwise(counts)) > guard:
+        return start, cost, cost == 0
+
+    by_mask: list[dict[int, tuple[CharId, ...]]] = []
+    for groups, active in layers:
+        by_mask.append({})
+        for order in _layer_orders(groups, active):
+            if time.monotonic() > deadline:
+                return start, cost, False
+            by_mask[-1][_order_mask(order, bit)] = order
+
+    # One integer key per path: crossings above the flip masks of gaps
+    # 0..n-2 above the order masks of layers 0..n-1, each field ``width``
+    # bits.  Fields never overlap, so sums compare like the key tuples, and
+    # the least key spells out its own orders.
+    n = len(layers)
+    crossing_shift = (2 * n - 1) * width
+    keys = [m << ((n - 1) * width) for m in by_mask[0]]
+    for gi, gate in enumerate(gates):
+        flip_shift = (2 * n - 2 - gi) * width
+        order_shift = (n - 2 - gi) * width
+        nxt = []
+        for m2 in by_mask[gi + 1]:
+            if time.monotonic() > deadline:
+                return start, cost, False
+            least = min(
+                key + ((f := (m1 ^ m2) & gate).bit_count() << crossing_shift) + (f << flip_shift)
+                for key, m1 in zip(keys, by_mask[gi])
+            )
+            nxt.append(least + (m2 << order_shift))
+        keys = nxt
+    least = min(keys)
+    if least >> crossing_shift == cost:
+        return start, cost, True
+    field = (1 << width) - 1
+    orders = [
+        table[(least >> ((n - 1 - li) * width)) & field] for li, table in enumerate(by_mask)
+    ]
+    return orders, least >> crossing_shift, True
+
+
 def _active_sets(
-    layers: Sequence[tuple[TimeId, list[tuple[CharId, ...]]]],
+    layers: Sequence[tuple[TimeId, list[frozenset[CharId]]]],
     spans: Mapping[CharId, tuple[TimeId, TimeId]],
     activity: ActivityMode,
 ) -> list[frozenset[CharId]]:
@@ -481,9 +560,10 @@ def brute_force_optimum(
     character present in every layer of every timestamp between its first
     and last interaction, ``minimal`` trims presence to the tightest layer
     range covering its interactions.  Crossing totals decompose over
-    consecutive layer pairs, so orderings are scanned with a min-plus sweep
-    instead of materializing full combinations; the candidate count is still
-    bounded by ``guard`` and exceeding it raises :class:`SearchSpaceError`.
+    consecutive layer pairs, so each layer sequence's orderings go through
+    the min-plus DP of :func:`order_fixed_layers` instead of materializing
+    full combinations; the candidate count is still bounded by ``guard``
+    and exceeding it raises :class:`SearchSpaceError`.
     """
     if activity not in ("span", "minimal"):
         raise ValueError(f"unknown activity mode {activity!r}")
@@ -491,7 +571,6 @@ def brute_force_optimum(
     if not times:
         return 0
     spans = inst.char_spans()
-    bit = _pair_bit(inst.num_characters)
 
     per_time: list[list[tuple[tuple[Interaction, ...], ...]]] = []
     for t in times:
@@ -510,11 +589,11 @@ def brute_force_optimum(
             f"search space too large: {n_sequences} layer sequences exceed guard {guard}"
         )
 
-    def sequence_layers(combo) -> list[tuple[TimeId, list[tuple[CharId, ...]]]]:
-        out: list[tuple[TimeId, list[tuple[CharId, ...]]]] = []
+    def sequence_layers(combo) -> list[tuple[TimeId, list[frozenset[CharId]]]]:
+        out: list[tuple[TimeId, list[frozenset[CharId]]]] = []
         for t, plan in zip(times, combo):
             for layer in plan:
-                out.append((t, _layer_groups(layer)))
+                out.append((t, [it.characters for it in layer]))
         return out
 
     total_candidates = 0
@@ -534,26 +613,10 @@ def brute_force_optimum(
     for combo in itertools.product(*per_time):
         layers = sequence_layers(combo)
         actives = _active_sets(layers, spans, activity)
-        masks_per_layer: list[list[int]] = []
-        for (_t, groups), act in zip(layers, actives):
-            masks_per_layer.append(
-                [_order_mask(o, bit) for o in _layer_orders(groups, act)]
-            )
-        costs = [0] * len(masks_per_layer[0])
-        for gi in range(len(layers) - 1):
-            common = actives[gi] & actives[gi + 1]
-            gate = 0
-            for u, v in itertools.combinations(sorted(common), 2):
-                gate |= bit[(u, v)]
-            left = masks_per_layer[gi]
-            right = masks_per_layer[gi + 1]
-            nxt = []
-            for m2 in right:
-                nxt.append(
-                    min(c + ((m1 ^ m2) & gate).bit_count() for c, m1 in zip(costs, left))
-                )
-            costs = nxt
-        seq_best = min(costs)
+        # The guard above already bounds the work of every sequence.
+        _orders, seq_best, _proven = order_fixed_layers(
+            [(groups, act) for (_t, groups), act in zip(layers, actives)], guard=math.inf
+        )
         if best is None or seq_best < best:
             best = seq_best
             if best == 0:

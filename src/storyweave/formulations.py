@@ -18,14 +18,9 @@ built from the same machinery:
               pairs.
 * ``ilp2ml``  ``ilp2`` with minimized slot budgets.
 
-A fifth kind, ``fixed``, keeps layer contents constant (the pipeline's
-final stage): placement comes from the caller and only orderings are
-optimized.
-
 Solver assignments are decoded back into storylines; empty slots are
 dropped and the reported crossing number is always recomputed with the
-counting oracle rather than read off the objective.  The exact models and
-the pipeline share that last step, :func:`decode_and_report`.
+counting oracle rather than read off the objective.
 """
 
 from __future__ import annotations
@@ -46,6 +41,7 @@ from .core import (
     StorylineInstance,
     TimeId,
     count_crossings,
+    potential_characters,
     validate_storyline,
 )
 
@@ -72,13 +68,11 @@ class LayerSlot:
 
 @dataclass(frozen=True)
 class ModelKind:
-    family: str  # "ilp1", "ilp2" or "fixed"
+    family: str  # "ilp1" or "ilp2"
     minimize_layers: bool = False
 
     @property
     def name(self) -> str:
-        if self.family == "fixed":
-            return "fixed"
         return self.family + ("ml" if self.minimize_layers else "")
 
 
@@ -86,7 +80,6 @@ ILP1 = ModelKind("ilp1", False)
 ILP1ML = ModelKind("ilp1", True)
 ILP2 = ModelKind("ilp2", False)
 ILP2ML = ModelKind("ilp2", True)
-FIXED_LAYER = ModelKind("fixed", False)
 
 EXACT_KINDS: dict[str, ModelKind] = {
     "ilp1": ILP1,
@@ -107,13 +100,6 @@ class VariableCatalog:
     order: dict[tuple[int, CharId, CharId], bip.VarId] = field(default_factory=dict)
     crossing: dict[tuple[int, CharId, CharId], bip.VarId] = field(default_factory=dict)
     active: dict[tuple[CharId, int], bip.VarId] = field(default_factory=dict)
-    fixed_assignment: dict[InteractionId, int] | None = None
-
-
-def potential_characters(inst: StorylineInstance, time: TimeId) -> frozenset[CharId]:
-    """Characters whose first-to-last interaction span covers ``time``."""
-    spans = inst.char_spans()
-    return frozenset(c for c, (lo, hi) in spans.items() if lo <= time <= hi)
 
 
 def build_slots(
@@ -130,36 +116,18 @@ def build_model(
     inst: StorylineInstance,
     kind: ModelKind,
     budgets: Mapping[TimeId, int],
-    fixed_assignment: Mapping[InteractionId, int] | None = None,
     symmetry_breaking: bool = True,
 ) -> tuple[bip.BinaryProgram, VariableCatalog]:
     """Assemble the program for ``kind`` under the given slot budgets.
 
-    ``fixed_assignment`` (interaction id to global slot index) is required
-    for the ``fixed`` kind and rejected otherwise.  ``symmetry_breaking``
-    forbids a slot from holding interactions while an earlier slot of the
-    same slice is empty; any storyline reachable without the restriction is
-    still reachable with it, at equal cost, by shifting its occupied slots
-    to the front of the slice.
+    ``symmetry_breaking`` forbids a slot from holding interactions while an
+    earlier slot of the same slice is empty; any storyline reachable without
+    the restriction is still reachable with it, at equal cost, by shifting
+    its occupied slots to the front of the slice.
     """
-    if kind.family == "fixed":
-        if fixed_assignment is None:
-            raise ValueError("fixed-layer models need an interaction-to-slot assignment")
-    elif fixed_assignment is not None:
-        raise ValueError("only fixed-layer models accept a fixed assignment")
-
     slots = build_slots(inst, budgets)
     potential = tuple(potential_characters(inst, s.time) for s in slots)
     cat = VariableCatalog(kind=kind, slots=slots, potential=potential)
-    if fixed_assignment is not None:
-        cat.fixed_assignment = dict(fixed_assignment)
-        placed_at: dict[int, list[InteractionId]] = {si: [] for si in range(len(slots))}
-        for iid, si in sorted(cat.fixed_assignment.items()):
-            if not (0 <= si < len(slots)):
-                raise ValueError(f"interaction {iid} assigned to unknown slot {si}")
-            if inst.interactions[iid].time != slots[si].time:
-                raise ValueError(f"interaction {iid} assigned to a slot of another timestamp")
-            placed_at[si].append(iid)
 
     mb = bip.ModelBuilder()
     slots_at: dict[TimeId, list[int]] = {}
@@ -169,30 +137,29 @@ def build_model(
     # Rows are tuples of the (1, v) and (-1, v) terms that _signed makes once
     # per variable, so the many rows of a large model share their terms.
 
-    # Placement variables and constraints (free-assignment kinds only).
-    if kind.family != "fixed":
-        for si, s in enumerate(slots):
-            for it in inst.interactions_at(s.time):
-                cat.placement[(si, it.id)] = mb.new_var(f"y_s{si}_i{it.id}")
-        y, neg_y = _signed(cat.placement)
-        for it in inst.interactions:
-            row = tuple(y[(si, it.id)] for si in slots_at.get(it.time, []))
-            if not row:
-                raise ValueError(
-                    f"timestamp {it.time} has interactions but a zero slot budget"
-                )
-            mb.add(row, "=", 1)
-        for t, sis in slots_at.items():
-            items = inst.interactions_at(t)
-            for a, b in itertools.combinations(items, 2):
-                if a.characters & b.characters:
-                    for si in sis:
-                        mb.add((y[(si, a.id)], y[(si, b.id)]), "<=", 1)
-            if symmetry_breaking:
-                for earlier, later in itertools.pairwise(sis):
-                    fill = tuple(neg_y[(earlier, it.id)] for it in items)
-                    for it in items:
-                        mb.add((y[(later, it.id)],) + fill, "<=", 0)
+    # Placement variables and constraints.
+    for si, s in enumerate(slots):
+        for it in inst.interactions_at(s.time):
+            cat.placement[(si, it.id)] = mb.new_var(f"y_s{si}_i{it.id}")
+    y, neg_y = _signed(cat.placement)
+    for it in inst.interactions:
+        row = tuple(y[(si, it.id)] for si in slots_at.get(it.time, []))
+        if not row:
+            raise ValueError(
+                f"timestamp {it.time} has interactions but a zero slot budget"
+            )
+        mb.add(row, "=", 1)
+    for t, sis in slots_at.items():
+        items = inst.interactions_at(t)
+        for a, b in itertools.combinations(items, 2):
+            if a.characters & b.characters:
+                for si in sis:
+                    mb.add((y[(si, a.id)], y[(si, b.id)]), "<=", 1)
+        if symmetry_breaking:
+            for earlier, later in itertools.pairwise(sis):
+                fill = tuple(neg_y[(earlier, it.id)] for it in items)
+                for it in items:
+                    mb.add((y[(later, it.id)],) + fill, "<=", 0)
 
     # Ordering variables: one per slot and character pair, smaller index first.
     for si in range(len(slots)):
@@ -222,19 +189,8 @@ def build_model(
     # Interaction blocks: characters outside a placed interaction must end
     # up entirely before or entirely after its characters.
     for si, s in enumerate(slots):
-        if kind.family == "fixed":
-            present = [inst.interactions[iid] for iid in placed_at[si]]
-        else:
-            present = list(inst.interactions_at(s.time))
-        for it in present:
-            if kind.family == "fixed":
-                guard: tuple[Term, ...] = ()
-                neg_guard: tuple[Term, ...] = ()
-                bound = 0
-            else:
-                guard = (y[(si, it.id)],)
-                neg_guard = (neg_y[(si, it.id)],)
-                bound = 1
+        for it in inst.interactions_at(s.time):
+            placed, unplaced = y[(si, it.id)], neg_y[(si, it.id)]
             members = sorted(it.characters)
             outside = sorted(potential[si] - it.characters)
             for ci, cj in itertools.combinations(members, 2):
@@ -242,17 +198,17 @@ def build_model(
                     if cj < ck:
                         left = (si, ci, ck)
                         right = (si, cj, ck)
-                        mb.add((x[left], neg_x[right]) + guard, "<=", bound)
-                        mb.add((x[right], neg_x[left]) + guard, "<=", bound)
+                        mb.add((x[left], neg_x[right], placed), "<=", 1)
+                        mb.add((x[right], neg_x[left], placed), "<=", 1)
                     elif ck < ci:
                         left = (si, ck, ci)
                         right = (si, ck, cj)
-                        mb.add((x[left], neg_x[right]) + guard, "<=", bound)
-                        mb.add((x[right], neg_x[left]) + guard, "<=", bound)
+                        mb.add((x[left], neg_x[right], placed), "<=", 1)
+                        mb.add((x[right], neg_x[left], placed), "<=", 1)
                     else:
                         pair = (x[(si, ci, ck)], x[(si, ck, cj)])
-                        mb.add(pair + guard, "<=", 1 + bound)
-                        mb.add(pair + neg_guard, ">=", 1 - bound)
+                        mb.add(pair + (placed,), "<=", 2)
+                        mb.add(pair + (unplaced,), ">=", 0)
 
     # Activity: forced where an interaction is placed, contiguous otherwise.
     if kind.family == "ilp2":
@@ -317,13 +273,9 @@ def decode(
         raise ValueError(f"cannot decode a result with status {result.status!r}")
 
     placed_at: dict[int, list[InteractionId]] = {si: [] for si in range(len(cat.slots))}
-    if cat.fixed_assignment is not None:
-        for iid, si in cat.fixed_assignment.items():
+    for (si, iid), var in cat.placement.items():
+        if result.value(var) == 1:
             placed_at[si].append(iid)
-    else:
-        for (si, iid), var in cat.placement.items():
-            if result.value(var) == 1:
-                placed_at[si].append(iid)
 
     layers: list[Layer] = []
     for si, slot in enumerate(cat.slots):
@@ -360,38 +312,6 @@ def decode(
     return story
 
 
-def search_seconds(timeout: float, t0: float) -> float:
-    """What remains of ``timeout`` since ``t0``, at least ``MIN_SEARCH_SECONDS``."""
-    return max(MIN_SEARCH_SECONDS, timeout - (time.monotonic() - t0))
-
-
-def decode_and_report(
-    inst: StorylineInstance,
-    cat: VariableCatalog,
-    result: bip.SolveResult,
-    algorithm: str,
-    t0: float,
-) -> tuple[CombinatorialStoryline | None, LayoutReport]:
-    """Decode a solve, recount its crossings with the oracle and report.
-
-    A timed-out search reports the gap between its incumbent and the bound
-    it proved, or no storyline and a 100 % gap when it found no incumbent.
-    ``runtime`` runs from ``t0`` (``time.monotonic``) to the end of the
-    recount.
-    """
-    story = crossings = layers = gap = None
-    if result.assignment is not None:
-        story = decode(inst, cat.kind, cat, result)
-        crossings = count_crossings(story).total
-        layers = len(story.layers)
-    if result.status == bip.FEASIBLE_TIMEOUT:
-        # A timed-out incumbent's objective is positive: open bounds are >= 0.
-        upper, lower = result.objective_value, result.best_lower_bound
-        gap = 100.0 if story is None else bip.gap_percent(upper, lower)
-    runtime = time.monotonic() - t0
-    return story, LayoutReport(algorithm, crossings, layers, runtime, result.status, gap)
-
-
 def solve_exact(
     inst: StorylineInstance,
     kind: ModelKind,
@@ -404,12 +324,11 @@ def solve_exact(
     rejected (by :func:`coloring.layer_budget`) for the one-slot-per-interaction
     kinds, whose budgets do not come from coloring.  The search gets what
     remains of ``timeout`` after model building, at least
-    ``MIN_SEARCH_SECONDS``.  On timeout the best incumbent (if any) is
-    decoded and reported with the solver's optimality gap; without one the
-    storyline is None (see :func:`decode_and_report`).
+    ``MIN_SEARCH_SECONDS``.  Crossings are recounted with the oracle.  A
+    timed-out search reports the gap between its incumbent and the bound it
+    proved, or no storyline and a 100 % gap when it found no incumbent.
+    ``runtime`` covers everything up to the end of the recount.
     """
-    if kind.family == "fixed":
-        raise ValueError("use the pipeline for fixed-layer solves")
     t0 = time.monotonic()
     budgets = coloring.layer_budget(inst, minimize=kind.minimize_layers, cap=cap)
     program, cat = build_model(inst, kind, budgets)
@@ -419,5 +338,16 @@ def solve_exact(
         len(program.variables),
         len(program.constraints),
     )
-    result = bip.solve(program, timeout=search_seconds(timeout, t0))
-    return decode_and_report(inst, cat, result, kind.name, t0)
+    search = max(MIN_SEARCH_SECONDS, timeout - (time.monotonic() - t0))
+    result = bip.solve(program, timeout=search)
+    story = crossings = layers = gap = None
+    if result.assignment is not None:
+        story = decode(inst, kind, cat, result)
+        crossings = count_crossings(story).total
+        layers = len(story.layers)
+    if result.status == bip.FEASIBLE_TIMEOUT:
+        # A timed-out incumbent's objective is positive: open bounds are >= 0.
+        upper, lower = result.objective_value, result.best_lower_bound
+        gap = 100.0 if story is None else bip.gap_percent(upper, lower)
+    runtime = time.monotonic() - t0
+    return story, LayoutReport(kind.name, crossings, layers, runtime, result.status, gap)

@@ -8,6 +8,7 @@ logic with it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from storyweave import (
@@ -274,3 +275,81 @@ def enumerate_binary_optimum(program) -> int | None:
         if best is None or obj < best:
             best = obj
     return best
+
+
+def random_fixed_layers(
+    rng: random.Random, max_paths: int = 2000
+) -> list[tuple[list[frozenset[int]], frozenset[int]]]:
+    """2-4 layers over 3-5 characters, each with disjoint random groups.
+
+    Most layers hold every character and group most of them, so crossings
+    are common.  Draws with more than ``max_paths`` combinations of layer
+    orders are redrawn, so full enumeration stays cheap.
+    """
+    while True:
+        chars = range(rng.randint(3, 5))
+        layers = []
+        paths = 1
+        for _ in range(rng.randint(2, 4)):
+            size = len(chars) if rng.random() < 0.7 else rng.randint(2, len(chars))
+            active = rng.sample(chars, size)
+            groups = []
+            while len(active) > 1 and rng.random() < 0.8:
+                size = rng.randint(2, min(3, len(active)))
+                groups.append(frozenset(active[:size]))
+                active = active[size:]
+            paths *= math.factorial(len(groups) + len(active))
+            paths *= math.prod(math.factorial(len(g)) for g in groups)
+            layers.append((groups, frozenset(active).union(*groups)))
+        if paths <= max_paths:
+            return layers
+
+
+def reference_fixed_orders(layers) -> tuple[list[tuple[int, ...]], int]:
+    """Reference for ``order_fixed_layers``: ``(orders, crossings)`` by enumeration.
+
+    Candidates are the permutations of a layer's active set that keep every
+    group consecutive.  Each layer starts at its candidate with the least
+    "smaller character first" bit vector over the pairs in index order.
+    Those starting orders are kept when no path costs fewer crossings;
+    otherwise the product of all candidates is scanned for the least
+    (crossings, flip bits gap by gap, order bits layer by layer).
+    """
+
+    def order_bits(order, active):
+        pos = {c: k for k, c in enumerate(order)}
+        return tuple(int(pos[u] < pos[v]) for u, v in itertools.combinations(sorted(active), 2))
+
+    def flip_bits(left, right, common):
+        pl = {c: k for k, c in enumerate(left)}
+        pr = {c: k for k, c in enumerate(right)}
+        return tuple(
+            int((pl[u] < pl[v]) != (pr[u] < pr[v]))
+            for u, v in itertools.combinations(sorted(common), 2)
+        )
+
+    candidates = []
+    for groups, active in layers:
+        fits = []
+        for perm in itertools.permutations(sorted(active)):
+            pos = {c: k for k, c in enumerate(perm)}
+            if all(max(pos[c] for c in g) - min(pos[c] for c in g) == len(g) - 1 for g in groups):
+                fits.append(perm)
+        candidates.append(fits)
+
+    def key(orders):
+        flips = tuple(
+            flip_bits(a, b, la[1] & lb[1])
+            for a, b, la, lb in zip(orders, orders[1:], layers, layers[1:])
+        )
+        bits = tuple(order_bits(o, act) for o, (_g, act) in zip(orders, layers))
+        return sum(map(sum, flips)), flips, bits
+
+    start = [min(fits, key=lambda o, a=act: order_bits(o, a)) for fits, (_g, act) in zip(candidates, layers)]
+    start_cost = key(start)[0]
+    if start_cost == 0:
+        return start, 0
+    best = min(itertools.product(*candidates), key=key)
+    if key(best)[0] == start_cost:
+        return start, start_cost
+    return list(best), key(best)[0]

@@ -3,7 +3,13 @@ import random
 import pytest
 
 import storyweave as sw
-from helpers import naive_gap_crossings, random_instance, random_storyline
+from helpers import (
+    naive_gap_crossings,
+    random_fixed_layers,
+    random_instance,
+    random_storyline,
+    reference_fixed_orders,
+)
 
 
 def make_instance(interactions, characters=None, timestamps=None):
@@ -270,3 +276,43 @@ class TestBruteForceOptimum:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="activity mode"):
             sw.brute_force_optimum(make_instance([("ab", "t0")]), "weird")
+
+
+class TestOrderFixedLayers:
+    def test_matches_enumeration(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            layers = random_fixed_layers(rng)
+            orders, cost, proven = sw.order_fixed_layers(layers)
+            assert proven
+            assert (orders, cost) == reference_fixed_orders(layers)
+
+    def test_descending_start_without_proof(self):
+        # Two layers of the unavoidable pattern: {0,1} and {2,3} paired, then
+        # {0,2} and {1,3} paired.
+        layers = [
+            ([frozenset({0, 1}), frozenset({2, 3})], frozenset(range(4))),
+            ([frozenset({0, 2}), frozenset({1, 3})], frozenset(range(4))),
+        ]
+        start = [(3, 2, 1, 0), (3, 1, 2, 0)]
+        assert sw.order_fixed_layers(layers, guard=0) == (start, 1, False)
+        assert sw.order_fixed_layers(layers, deadline=0.0) == (start, 1, False)
+        assert sw.order_fixed_layers(layers) == (start, 1, True)
+
+    def test_optimal_start_is_kept(self):
+        # The start flips pair (1, 2) in the first gap; flipping it in the
+        # last gap costs the same and has the smaller key, but the optimal
+        # start wins.
+        everyone = frozenset(range(3))
+        layers = [
+            ([frozenset({0, 2})], everyone),
+            ([frozenset({1, 2})], everyone),
+            ([], everyone),
+            ([frozenset({0, 1})], everyone),
+        ]
+        start = [(1, 2, 0), (2, 1, 0), (2, 1, 0), (2, 1, 0)]
+        assert sw.order_fixed_layers(layers) == (start, 1, True)
+        assert reference_fixed_orders(layers) == (start, 1)
+
+    def test_no_layers(self):
+        assert sw.order_fixed_layers([]) == ([], 0, True)

@@ -2,12 +2,13 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 import storyweave as sw
 import storyweave.bip as bip
-from storyweave import formulations
+from storyweave import formulations, pipeline
 from helpers import oracle_corpus, random_instance
 from test_core import PATTERN_PAIR, make_instance
 
@@ -72,13 +73,6 @@ class TestBuildModel:
         _, cat2 = sw.build_model(inst, sw.ILP2, {0: 4})
         assert not cat1.active
         assert len(cat2.active) == 4 * 4
-
-    def test_fixed_requires_assignment(self):
-        inst = make_instance([("ab", "t0")])
-        with pytest.raises(ValueError, match="assignment"):
-            sw.build_model(inst, sw.FIXED_LAYER, {0: 1})
-        with pytest.raises(ValueError, match="fixed-layer"):
-            sw.build_model(inst, sw.ILP1, {0: 1}, fixed_assignment={0: 0})
 
 
 class TestExactness:
@@ -161,22 +155,19 @@ class TestExactness:
 
     def test_fixed_layer_reproduces_ilp1_optimum(self):
         for inst, expected in small_corpus(seed=13, count=15):
-            budgets = sw.layer_budget(inst, minimize=False)
-            program, cat = sw.build_model(inst, sw.ILP1, budgets)
-            result = bip.solve(program, timeout=120)
-            assert result.status == bip.OPTIMAL
-            assignment = {
-                iid: si
-                for (si, iid), var in cat.placement.items()
-                if result.value(var) == 1
-            }
-            fixed_program, fixed_cat = sw.build_model(
-                inst, sw.FIXED_LAYER, budgets, fixed_assignment=assignment
+            story, report = sw.solve_exact(inst, sw.ILP1, timeout=120)
+            assert report.status == bip.OPTIMAL
+            layers = [
+                ([inst.interactions[i].characters for i in layer.interactions], layer.active)
+                for layer in story.layers
+            ]
+            orders, cost, proven = sw.order_fixed_layers(layers)
+            assert proven and cost == expected
+            reordered = sw.CombinatorialStoryline(
+                tuple(replace(layer, order=order) for layer, order in zip(story.layers, orders))
             )
-            fixed_result = bip.solve(fixed_program, timeout=120)
-            assert fixed_result.status == bip.OPTIMAL
-            story = sw.decode(inst, sw.FIXED_LAYER, fixed_cat, fixed_result)
-            assert sw.count_crossings(story).total == expected
+            assert sw.validate_storyline(inst, reordered) == []
+            assert sw.count_crossings(reordered).total == expected
 
 
 class TestDecode:
@@ -223,16 +214,12 @@ class TestDecode:
 
 
 class TestDecodeAndReport:
-    @pytest.mark.parametrize("algorithm", ["ps", "ilp1ml"])
+    @pytest.mark.parametrize("algorithm", ["ilp1ml"])
     def test_timeout_without_incumbent(self, monkeypatch, algorithm):
         # The search stopped before it found any feasible point.
         stopped = bip.SolveResult(bip.FEASIBLE_TIMEOUT, None, None, 0, 1.0)
         monkeypatch.setattr(bip, "solve", lambda program, timeout: stopped)
-        inst = make_instance(PATTERN_PAIR)
-        if algorithm == "ps":
-            story, report = sw.run_pipeline(inst, sw.PipelineConfig())
-        else:
-            story, report = sw.solve_exact(inst, sw.ILP1ML)
+        story, report = sw.solve_exact(make_instance(PATTERN_PAIR), sw.ILP1ML)
         assert story is None
         assert report.algorithm == algorithm
         assert report.status == bip.FEASIBLE_TIMEOUT
@@ -241,13 +228,14 @@ class TestDecodeAndReport:
 
     @pytest.mark.parametrize("algorithm", ["ps", "ilp1"])
     def test_runtime_covers_recount(self, monkeypatch, algorithm):
-        recount = formulations.count_crossings
+        recount = sw.count_crossings
 
         def slow_recount(story):
             time.sleep(0.2)
             return recount(story)
 
-        monkeypatch.setattr(formulations, "count_crossings", slow_recount)
+        module = pipeline if algorithm == "ps" else formulations
+        monkeypatch.setattr(module, "count_crossings", slow_recount)
         inst = make_instance(PATTERN_PAIR)
         if algorithm == "ps":
             _, report = sw.run_pipeline(inst, sw.PipelineConfig())

@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 import storyweave as sw
-from helpers import oracle_corpus, random_instance
+from helpers import cit_rung, oracle_corpus, random_instance
 from test_core import PATTERN_PAIR, make_instance
 
 
@@ -113,6 +114,27 @@ class TestRunPipeline:
         assert sw.validate_storyline(inst, story) == []
         assert report.layers == 19
         assert report.crossings == sw.count_crossings(story).total == 0
+
+    @pytest.mark.parametrize("heuristic", ["rand", "pattern"])
+    @pytest.mark.parametrize(
+        "rung, budget",
+        [((8, 12, 4), 0.2), ((12, 25, 8), 0.2), ((30, 100, 20), 1.0)],
+        ids=["8-12-4", "12-25-8", "30-100-20"],
+    )
+    def test_budget_holds(self, heuristic, rung, budget):
+        # 8/12/4 is cut inside the DP, the others exceed its guard.
+        inst = cit_rung(*rung, 1)
+        t0 = time.monotonic()
+        story, report = sw.run_pipeline(
+            inst, sw.PipelineConfig(heuristic=heuristic, timeout=budget)
+        )
+        assert time.monotonic() - t0 <= budget + 0.1
+        assert sw.validate_storyline(inst, story) == []
+        assert report.crossings == sw.count_crossings(story).total
+        assert (report.status, report.gap_percent) in {
+            ("optimal", None),
+            ("feasible-timeout", 100.0),
+        }
 
     def test_stage_times_recorded(self):
         inst = make_instance([("ab", "t0")])
