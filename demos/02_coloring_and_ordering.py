@@ -56,9 +56,9 @@ layers = [
     (frozenset({0, 1}), frozenset({2, 3})),   # ab | cd again
 ]
 for heuristic in ("rand", "pattern"):
-    graph = sw.build_slice_graph(layers, heuristic)
-    order = sw.min_path_order(graph)
-    cost = sum(graph.weights[a][b] for a, b in zip(order, order[1:]))
+    weights = sw.build_slice_graph(layers, heuristic)  # symmetric matrix
+    order = sw.min_path_order(weights)
+    cost = sum(weights[a][b] for a, b in zip(order, order[1:]))
     if isinstance(cost, Fraction):
         cost = f"{cost} (= {float(cost):.3f})"
     print(f"{heuristic:>7} weights -> layer order {order}, path cost {cost}")

@@ -45,7 +45,6 @@ from .bip import (
 from .coloring import Coloring, ConflictGraph, build_conflict_graph, layer_budget, min_coloring
 from .ordering import (
     RandCounts,
-    SliceGraph,
     approx_path_order,
     build_slice_graph,
     min_path_order,
@@ -68,7 +67,6 @@ from .formulations import (
 from .pipeline import PipelineConfig, orient_slice_paths, run_pipeline
 from .render import (
     GeometricStoryline,
-    RenderConfig,
     assign_coordinates,
     emit_svg,
     pad_short_curves,
@@ -100,9 +98,7 @@ __all__ = [
     "ModelKind",
     "PipelineConfig",
     "RandCounts",
-    "RenderConfig",
     "SearchSpaceError",
-    "SliceGraph",
     "SolveResult",
     "StorylineInstance",
     "TimeId",

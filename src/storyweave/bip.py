@@ -112,9 +112,6 @@ class ModelBuilder:
     def minimize(self, terms: Iterable[tuple[int, VarId]]) -> None:
         self._objective = list(terms)
 
-    def add_objective_term(self, coef: int, var: VarId) -> None:
-        self._objective.append((coef, var))
-
     def build(self) -> BinaryProgram:
         return BinaryProgram(
             tuple(self._vars), tuple(self._constraints), tuple(self._objective)
@@ -454,14 +451,14 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _wrap(line: str, width: int = _LINE_WIDTH) -> list[str]:
-    if len(line) <= width:
+def _wrap(line: str) -> list[str]:
+    if len(line) <= _LINE_WIDTH:
         return [line]
     out: list[str] = []
     words = line.split(" ")
     cur = words[0]
     for w in words[1:]:
-        if len(cur) + 1 + len(w) > width:
+        if len(cur) + 1 + len(w) > _LINE_WIDTH:
             out.append(cur)
             cur = " " + w
         else:

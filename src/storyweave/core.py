@@ -21,6 +21,7 @@ use across threads is safe.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -304,31 +305,13 @@ def validate_storyline(
 
 
 def _inversions(seq: Sequence[int]) -> int:
-    """Number of pairs i<j with seq[i] > seq[j] (merge-sort count)."""
-    n = len(seq)
-    if n < 2:
-        return 0
-    buf = list(seq)
-    tmp = [0] * n
+    """Number of pairs i<j with seq[i] > seq[j] (insertion into a sorted list)."""
+    seen: list[int] = []
     total = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if buf[i] <= buf[j]:
-                    tmp[k] = buf[i]
-                    i += 1
-                else:
-                    tmp[k] = buf[j]
-                    total += mid - i
-                    j += 1
-                k += 1
-            tmp[k:hi] = buf[i:mid] if i < mid else buf[j:hi]
-            buf[lo:hi] = tmp[lo:hi]
-        width *= 2
+    for v in seq:
+        i = bisect.bisect_right(seen, v)
+        total += len(seen) - i
+        seen.insert(i, v)
     return total
 
 
@@ -484,13 +467,20 @@ def order_fixed_layers(
     if cost == 0 or sum(a * b for a, b in itertools.pairwise(counts)) > guard:
         return start, cost, cost == 0
 
+    # A layer's flips depend only on its bits in its two gates, so of the
+    # orders agreeing there only the least mask can lie on the least key.
     by_mask: list[dict[int, tuple[CharId, ...]]] = []
-    for groups, active in layers:
-        by_mask.append({})
+    for li, (groups, active) in enumerate(layers):
+        gated = (gates[li - 1] if li else 0) | (gates[li] if li < len(gates) else 0)
+        least_in: dict[int, tuple[int, tuple[CharId, ...]]] = {}
         for order in _layer_orders(groups, active):
             if time.monotonic() > deadline:
                 return start, cost, False
-            by_mask[-1][_order_mask(order, bit)] = order
+            mask = _order_mask(order, bit)
+            cls = mask & gated
+            if cls not in least_in or mask < least_in[cls][0]:
+                least_in[cls] = (mask, order)
+        by_mask.append(dict(least_in.values()))
 
     # One integer key per path: crossings above the flip masks of gaps
     # 0..n-2 above the order masks of layers 0..n-1, each field ``width``

@@ -146,7 +146,7 @@ def storyline_from_doc(
     violation, and when the stored crossing count disagrees with the
     oracle's recount.
     """
-    if not isinstance(doc, Mapping) or "layers" not in doc:
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("layers"), list):
         raise ValueError("storyline document must be a mapping with a 'layers' list")
     name_to_id = {name: i for i, name in enumerate(inst.characters)}
     label_to_id = {label: i for i, label in enumerate(inst.timestamps)}
@@ -155,11 +155,17 @@ def storyline_from_doc(
         path = f"layers[{li}]"
         try:
             time = label_to_id[item["time"]]
-            order = tuple(name_to_id[n] for n in item["order"])
-            active = frozenset(name_to_id[n] for n in item["active"])
-            interactions = tuple(int(i) for i in item["interactions"])
+            fields = {key: item[key] for key in ("order", "active", "interactions")}
+            for key, value in fields.items():
+                if not isinstance(value, list):
+                    raise ValueError(f"{path}: {key!r} must be a list")
+            if any(type(i) is not int for i in fields["interactions"]):
+                raise ValueError(f"{path}: interaction ids must be integers")
+            order = tuple(name_to_id[n] for n in fields["order"])
+            active = frozenset(name_to_id[n] for n in fields["active"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed layer ({exc})") from exc
+        interactions = tuple(fields["interactions"])
         layers.append(Layer(time=time, interactions=interactions, order=order, active=active))
     story = CombinatorialStoryline(tuple(layers))
     problems = validate_storyline(inst, story)

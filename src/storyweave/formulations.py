@@ -256,12 +256,9 @@ def _signed(variables: Mapping[K, bip.VarId]) -> tuple[dict[K, Term], dict[K, Te
 
 
 def decode(
-    inst: StorylineInstance,
-    kind: ModelKind,
-    cat: VariableCatalog,
-    result: bip.SolveResult,
+    inst: StorylineInstance, cat: VariableCatalog, result: bip.SolveResult
 ) -> CombinatorialStoryline:
-    """Turn a solver assignment into a storyline.
+    """Turn a solver assignment into a storyline of the catalog's model kind.
 
     Slot orders come from the pairwise ordering variables (transitivity
     makes them total), activity from the slot's character span or the
@@ -294,7 +291,7 @@ def decode(
             raise RuntimeError(
                 f"ordering variables of slot {si} do not form a total order"
             )
-        if kind.family == "ilp2":
+        if cat.kind.family == "ilp2":
             active = frozenset(
                 c for c in chars if result.value(cat.active[(c, si)]) == 1
             )
@@ -327,8 +324,11 @@ def solve_exact(
     ``MIN_SEARCH_SECONDS``.  Crossings are recounted with the oracle.  A
     timed-out search reports the gap between its incumbent and the bound it
     proved, or no storyline and a 100 % gap when it found no incumbent.
-    ``runtime`` covers everything up to the end of the recount.
+    ``runtime`` covers everything up to the end of the recount.  A
+    ``timeout`` that is not positive (or is nan) raises ValueError.
     """
+    if not timeout > 0:
+        raise ValueError("timeout must be positive")
     t0 = time.monotonic()
     budgets = coloring.layer_budget(inst, minimize=kind.minimize_layers, cap=cap)
     program, cat = build_model(inst, kind, budgets)
@@ -342,7 +342,7 @@ def solve_exact(
     result = bip.solve(program, timeout=search)
     story = crossings = layers = gap = None
     if result.assignment is not None:
-        story = decode(inst, kind, cat, result)
+        story = decode(inst, cat, result)
         crossings = count_crossings(story).total
         layers = len(story.layers)
     if result.status == bip.FEASIBLE_TIMEOUT:

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import CharId, TimeId
+from .core import CharId
 
 # A layer is handled here as a collection of character groups, one frozenset
 # per interaction; groups within one layer are pairwise disjoint.
 LayerGroups = Sequence[frozenset[CharId]]
+# Symmetric edge weights of a slice's complete layer graph, indexed by layer.
+Weights = tuple[tuple[Fraction | int, ...], ...]
 
 HEURISTICS = ("rand", "pattern")
 
@@ -50,13 +52,6 @@ class RandCounts:
             + self.apart_then_together
             + self.together_then_apart
         )
-
-
-@dataclass(frozen=True)
-class SliceGraph:
-    time: TimeId
-    layers: tuple[tuple[frozenset[CharId], ...], ...]
-    weights: tuple[tuple[Fraction | int, ...], ...]
 
 
 def _together_pairs(layer: LayerGroups) -> set[frozenset[CharId]]:
@@ -134,10 +129,8 @@ def pattern_count(a: LayerGroups, b: LayerGroups) -> int:
     return total
 
 
-def build_slice_graph(
-    layers: Sequence[LayerGroups], heuristic: str, time: TimeId = 0
-) -> SliceGraph:
-    """Complete weighted graph over one slice's layers.
+def build_slice_graph(layers: Sequence[LayerGroups], heuristic: str) -> Weights:
+    """Edge weights of the complete graph over one slice's layers.
 
     ``pattern`` weights edges by :func:`pattern_count`; ``rand`` by
     1 - :func:`rand_index`, turning similarity into a distance so that the
@@ -151,11 +144,7 @@ def build_slice_graph(
         w = layer_weight(layers[i], layers[j], heuristic)
         weights[i][j] = w
         weights[j][i] = w
-    return SliceGraph(
-        time,
-        tuple(tuple(layer) for layer in layers),
-        tuple(tuple(row) for row in weights),
-    )
+    return tuple(tuple(row) for row in weights)
 
 
 def layer_weight(a: LayerGroups, b: LayerGroups, heuristic: str) -> Fraction | int:
@@ -166,14 +155,14 @@ def layer_weight(a: LayerGroups, b: LayerGroups, heuristic: str) -> Fraction | i
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
-def min_path_order(g: SliceGraph) -> list[int]:
-    """Minimum-weight Hamiltonian path over the slice graph, exactly.
+def min_path_order(w: Weights) -> list[int]:
+    """Minimum-weight Hamiltonian path over the weight matrix ``w``, exactly.
 
     Subset dynamic programming, limited to :data:`MAX_EXACT_PATH_NODES`
     nodes.  Among all optimal paths the lexicographically smallest index
     sequence is returned, which also fixes the orientation of the path.
     """
-    n = len(g.layers)
+    n = len(w)
     if n == 0:
         raise ValueError("slice has no layers")
     if n > MAX_EXACT_PATH_NODES:
@@ -182,7 +171,6 @@ def min_path_order(g: SliceGraph) -> list[int]:
         )
     if n == 1:
         return [0]
-    w = g.weights
 
     # best[mask][v]: cheapest path visiting exactly ``mask`` and ending at v.
     full = (1 << n) - 1
@@ -227,7 +215,7 @@ def min_path_order(g: SliceGraph) -> list[int]:
     return path
 
 
-def approx_path_order(g: SliceGraph) -> list[int]:
+def approx_path_order(w: Weights) -> list[int]:
     """A cheap Hamiltonian path for slices too large for :func:`min_path_order`.
 
     Nearest neighbour from every start node (ties to the smaller index),
@@ -236,10 +224,9 @@ def approx_path_order(g: SliceGraph) -> list[int]:
     the path strictly cheaper, until no reversal does.  Weights are exact, so
     the result is deterministic; it is not optimal in general.
     """
-    n = len(g.layers)
+    n = len(w)
     if n == 0:
         raise ValueError("slice has no layers")
-    w = g.weights
 
     def cost(path: list[int]) -> Fraction | int:
         return sum((w[a][b] for a, b in itertools.pairwise(path)), 0)

@@ -43,7 +43,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.heuristic not in ordering.HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects nan
             raise ValueError("timeout must be positive")
 
     @property
@@ -103,12 +103,12 @@ def run_pipeline(
     slice_ids: list[list[list[InteractionId]]] = []
     for t in slice_times:
         layers = classes_at[t]
-        graph = ordering.build_slice_graph([groups_of(ids) for ids in layers], cfg.heuristic, t)
+        weights = ordering.build_slice_graph([groups_of(ids) for ids in layers], cfg.heuristic)
         if len(layers) <= ordering.MAX_EXACT_PATH_NODES:
-            path = ordering.min_path_order(graph)
+            path = ordering.min_path_order(weights)
         else:
             log.info("timestamp %d: %d layers, ordered heuristically", t, len(layers))
-            path = ordering.approx_path_order(graph)
+            path = ordering.approx_path_order(weights)
         slices.append([groups_of(layers[i]) for i in path])
         slice_ids.append([layers[i] for i in path])
     oriented = orient_slice_paths(slices, cfg.heuristic)

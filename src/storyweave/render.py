@@ -27,18 +27,17 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    gap_within: float = 14.0  # same interaction
-    gap_between: float = 28.0  # different interactions or free neighbors
-    x_step: float = 60.0
-    boundary_gap: float = 20.0  # extra space where a new slice starts
-    margin: float = 40.0
-    label_space: float = 70.0
-    sweep_pairs: int = 20
-    min_improvement: float = 0.5
-    short_curve_pad: float = 24.0
-    bar_width: float = 5.0
+# Lengths are in SVG user units.
+GAP_WITHIN = 14.0  # same interaction
+GAP_BETWEEN = 28.0  # different interactions or free neighbors
+X_STEP = 60.0
+BOUNDARY_GAP = 20.0  # extra space where a new slice starts
+MARGIN = 40.0
+LABEL_SPACE = 70.0
+SWEEP_PAIRS = 20
+MIN_IMPROVEMENT = 0.5
+SHORT_CURVE_PAD = 24.0
+BAR_WIDTH = 5.0
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,10 @@ class GeometricStoryline:
     xs: tuple[float, ...]
     ys: dict[tuple[CharId, int], float]  # (character, layer index) -> y
     extents: dict[tuple[int, InteractionId], tuple[float, float]]
-    config: RenderConfig
     pads: dict[CharId, tuple[float, float]] = field(default_factory=dict)
 
 
-def _layer_gaps(
-    inst: StorylineInstance, layer, cfg: RenderConfig
-) -> list[float]:
+def _layer_gaps(inst: StorylineInstance, layer) -> list[float]:
     """Minimum gap required above each character (first entry unused)."""
     owner: dict[CharId, InteractionId] = {}
     for iid in layer.interactions:
@@ -62,7 +58,7 @@ def _layer_gaps(
     gaps = [0.0]
     for above, below in itertools.pairwise(layer.order):
         same = owner.get(above) is not None and owner.get(above) == owner.get(below)
-        gaps.append(cfg.gap_within if same else cfg.gap_between)
+        gaps.append(GAP_WITHIN if same else GAP_BETWEEN)
     return gaps
 
 
@@ -108,9 +104,7 @@ def total_wiggle(ys: dict[tuple[CharId, int], float], ranges) -> float:
 
 
 def assign_coordinates(
-    s: CombinatorialStoryline,
-    inst: StorylineInstance,
-    cfg: RenderConfig = RenderConfig(),
+    s: CombinatorialStoryline, inst: StorylineInstance
 ) -> GeometricStoryline:
     """Compute layer x positions and per-character y tracks.
 
@@ -118,26 +112,26 @@ def assign_coordinates(
     right-to-left median sweeps move each character toward its own position
     in the adjacent layers; each sweep ends with a projection restoring the
     layer order and its minimum gaps.  A sweep pair that fails to improve
-    total wiggle by the configured threshold ends the relaxation (and one
-    that would worsen it is discarded).
+    total wiggle by :data:`MIN_IMPROVEMENT` ends the relaxation (and one
+    that would worsen it is discarded), as does the :data:`SWEEP_PAIRS`-th.
     """
     layers = s.layers
     xs: list[float] = []
-    x = cfg.margin + cfg.label_space
+    x = MARGIN + LABEL_SPACE
     for li, layer in enumerate(layers):
         if li > 0:
-            x += cfg.x_step
+            x += X_STEP
             if layer.time != layers[li - 1].time:
-                x += cfg.boundary_gap
+                x += BOUNDARY_GAP
         xs.append(x)
 
     ranges = _activity_ranges(s)
     ys: dict[tuple[CharId, int], float] = {}
     for li, layer in enumerate(layers):
         for rank, c in enumerate(layer.order):
-            ys[(c, li)] = cfg.margin + rank * cfg.gap_between
+            ys[(c, li)] = MARGIN + rank * GAP_BETWEEN
 
-    gaps_per_layer = [_layer_gaps(inst, layer, cfg) for layer in layers]
+    gaps_per_layer = [_layer_gaps(inst, layer) for layer in layers]
 
     def sweep(direction: int) -> None:
         todo = range(len(layers)) if direction > 0 else range(len(layers) - 1, -1, -1)
@@ -159,7 +153,7 @@ def assign_coordinates(
                 ys[(c, li)] = y
 
     wiggle = total_wiggle(ys, ranges)
-    for _ in range(cfg.sweep_pairs):
+    for _ in range(SWEEP_PAIRS):
         snapshot = dict(ys)
         sweep(+1)
         sweep(-1)
@@ -167,7 +161,7 @@ def assign_coordinates(
         if new_wiggle > wiggle:
             ys = snapshot
             break
-        if wiggle - new_wiggle < cfg.min_improvement:
+        if wiggle - new_wiggle < MIN_IMPROVEMENT:
             wiggle = new_wiggle
             break
         wiggle = new_wiggle
@@ -184,17 +178,15 @@ def assign_coordinates(
         xs=tuple(xs),
         ys=dict(ys),
         extents=extents,
-        config=cfg,
     )
 
 
 def pad_short_curves(g: GeometricStoryline) -> GeometricStoryline:
     """Give one-layer characters a horizontal stub so their curve is visible.
 
-    The stub extends the curve by the configured pad on both sides at
+    The stub extends the curve by :data:`SHORT_CURVE_PAD` on both sides at
     constant y, clipped so it never reaches a slice separator line.
     """
-    cfg = g.config
     seps = _separator_xs(g)
     ranges = _activity_ranges(g.storyline)
     pads: dict[CharId, tuple[float, float]] = {}
@@ -202,8 +194,8 @@ def pad_short_curves(g: GeometricStoryline) -> GeometricStoryline:
         if a != b:
             continue
         x = g.xs[a]
-        left = x - cfg.short_curve_pad
-        right = x + cfg.short_curve_pad
+        left = x - SHORT_CURVE_PAD
+        right = x + SHORT_CURVE_PAD
         for sep in seps:
             if sep < x:
                 left = max(left, sep + 2.0)
@@ -234,12 +226,11 @@ def _fmt(v: float) -> str:
 
 def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
     """Serialize the geometry as standalone SVG 1.1 text."""
-    cfg = g.config
     layers = g.storyline.layers
     ranges = _activity_ranges(g.storyline)
-    all_y = list(g.ys.values()) or [cfg.margin]
-    bottom = max(all_y) + cfg.margin
-    width = (g.xs[-1] if g.xs else cfg.margin) + cfg.margin
+    all_y = list(g.ys.values()) or [MARGIN]
+    bottom = max(all_y) + MARGIN
+    width = (g.xs[-1] if g.xs else MARGIN) + MARGIN
     height = bottom + 30.0
 
     out: list[str] = []
@@ -255,7 +246,7 @@ def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
 
     for sep in _separator_xs(g):
         out.append(
-            f'<line class="separator" x1="{_fmt(sep)}" y1="{_fmt(cfg.margin / 2)}" '
+            f'<line class="separator" x1="{_fmt(sep)}" y1="{_fmt(MARGIN / 2)}" '
             f'x2="{_fmt(sep)}" y2="{_fmt(bottom)}" stroke="#999999" '
             f'stroke-dasharray="6,4" stroke-width="1"/>'
         )
@@ -280,10 +271,10 @@ def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
         )
 
     for (li, iid), (y0, y1) in sorted(g.extents.items()):
-        x = g.xs[li] - cfg.bar_width / 2.0
+        x = g.xs[li] - BAR_WIDTH / 2.0
         out.append(
             f'<rect class="interaction" x="{_fmt(x)}" y="{_fmt(y0 - 4.0)}" '
-            f'width="{_fmt(cfg.bar_width)}" height="{_fmt(y1 - y0 + 8.0)}" fill="#000000"/>'
+            f'width="{_fmt(BAR_WIDTH)}" height="{_fmt(y1 - y0 + 8.0)}" fill="#000000"/>'
         )
 
     for c in sorted(ranges):

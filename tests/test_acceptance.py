@@ -18,6 +18,7 @@ import pytest
 import storyweave as sw
 import storyweave.bip as bip
 from storyweave import files
+from storyweave.render import GAP_BETWEEN, GAP_WITHIN
 from helpers import (
     brute_best_path,
     brute_chromatic,
@@ -94,7 +95,7 @@ def test_criterion_03_unavoidable_pattern():
         program, cat = sw.build_model(inst, kind, two_layers)
         result = bip.solve(program, timeout=120)
         assert result.status == bip.OPTIMAL
-        story = sw.decode(inst, kind, cat, result)
+        story = sw.decode(inst, cat, result)
         assert sw.count_crossings(story).total >= 1
 
 
@@ -195,7 +196,7 @@ def test_criterion_09_render(corpus):
             for above, below in itertools.pairwise(layer.order):
                 gap = g.ys[(below, li)] - g.ys[(above, li)]
                 same = above in owner and owner.get(above) == owner.get(below)
-                minimum = g.config.gap_within if same else g.config.gap_between
+                minimum = GAP_WITHIN if same else GAP_BETWEEN
                 assert gap >= minimum - 1e-9
         done += 1
 

@@ -169,6 +169,13 @@ class TestRender:
         assert main(["solve", str(path_a), "--algorithm", "ps", "-o", str(story)]) == 0
         assert main(["render", str(story), str(path_b), "-o", str(tmp_path / "x.svg")]) == 1
 
+    def test_rejects_non_list_layers(self, tmp_path, capsys):
+        path, _ = write_instance(tmp_path, "bad", [("ab", "t0")])
+        story = tmp_path / "story.json"
+        story.write_text(json.dumps({"layers": 5}))
+        assert main(["render", str(story), str(path), "-o", str(tmp_path / "x.svg")]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestBench:
     def manifest(self, tmp_path, instances, algorithms, timeout=60, jobs=1):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -219,6 +220,14 @@ class TestCountCrossings:
             ]
             assert list(counted.per_gap) == naive
 
+    def test_long_layers_match_naive_pairwise_reference(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            chars = range(rng.randint(30, 100) + 10)
+            left = layer(rng.sample(chars, len(chars) - 10))
+            right = layer(rng.sample(chars, len(chars) - rng.randint(0, 10)))
+            assert sw.gap_crossings(left, right) == naive_gap_crossings(left, right)
+
     def test_reversal_symmetry(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -279,6 +288,24 @@ class TestBruteForceOptimum:
 
 
 class TestOrderFixedLayers:
+    def test_keeps_one_order_per_gate_class(self):
+        # Seven lone characters at t0 share no pair with later layers, so
+        # their 5,040 orders form one class; the p/q/r/s pattern makes the
+        # start cost 1 and the DP run.  Storing every order peaked at
+        # 1.42 MB under tracemalloc.
+        inst = make_instance(
+            [(c, "t0") for c in "abcdefg"]
+            + [("a", "t1"), ("pq", "t2"), ("rs", "t2"), ("pr", "t3"), ("qs", "t3")]
+        )
+        tracemalloc.start()
+        try:
+            _story, report = sw.run_pipeline(inst, sw.PipelineConfig(timeout=600))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.crossings, report.status) == (1, "optimal")
+        assert peak < 1_418_000 / 2
+
     def test_matches_enumeration(self):
         rng = random.Random(31)
         for _ in range(200):

@@ -84,6 +84,30 @@ class TestStorylineFiles:
         with pytest.raises(ValueError, match="malformed layer"):
             files.storyline_from_doc(inst, doc)
 
+    def test_layers_must_be_a_list(self):
+        inst = make_instance([("ab", "t0")])
+        with pytest.raises(ValueError, match="'layers' list"):
+            files.storyline_from_doc(inst, {"layers": 5})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("interactions", [0.7], "interaction ids must be integers"),
+            ("interactions", [True], "interaction ids must be integers"),
+            ("interactions", ["0"], "interaction ids must be integers"),
+            ("interactions", 0, "'interactions' must be a list"),
+            ("order", "ab", "'order' must be a list"),
+            ("active", "ab", "'active' must be a list"),
+        ],
+    )
+    def test_ill_typed_fields_rejected(self, key, value, message):
+        inst = make_instance([("ab", "t0")])
+        item = {"time": "t0", "interactions": [0], "order": ["a", "b"], "active": ["a", "b"]}
+        files.storyline_from_doc(inst, {"layers": [item]})
+        item[key] = value
+        with pytest.raises(ValueError, match=r"layers\[0\]: " + message):
+            files.storyline_from_doc(inst, {"layers": [item]})
+
 
 class TestBenchRows:
     def test_csv_sorted_with_header(self, tmp_path):

@@ -201,7 +201,7 @@ class TestDecode:
                 program, cat = sw.build_model(inst, kind, budgets)
                 result = bip.solve(program, timeout=120)
                 assert result.status == bip.OPTIMAL
-                story = sw.decode(inst, kind, cat, result)
+                story = sw.decode(inst, cat, result)
                 assert sw.count_crossings(story).total <= result.objective_value
 
     def test_infeasible_cannot_decode(self):
@@ -210,7 +210,7 @@ class TestDecode:
         result = bip.solve(program, timeout=60)
         assert result.status == bip.INFEASIBLE
         with pytest.raises(ValueError, match="status"):
-            sw.decode(inst, sw.ILP1, cat, result)
+            sw.decode(inst, cat, result)
 
 
 class TestDecodeAndReport:
@@ -245,6 +245,12 @@ class TestDecodeAndReport:
 
 
 class TestBuildOptions:
+    @pytest.mark.parametrize("timeout", [0, -5, float("nan")])
+    def test_rejects_non_positive_timeout(self, timeout):
+        inst = make_instance([("ab", "t0")])
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            sw.solve_exact(inst, sw.ILP1, timeout=timeout)
+
     def test_symmetry_breaking_preserves_optimum(self):
         for inst, expected in small_corpus(seed=17, count=20):
             budgets = sw.layer_budget(inst, minimize=False)
@@ -254,7 +260,7 @@ class TestBuildOptions:
                 )
                 result = bip.solve(program, timeout=120)
                 assert result.status == bip.OPTIMAL
-                story = sw.decode(inst, sw.ILP1, cat, result)
+                story = sw.decode(inst, cat, result)
                 assert sw.count_crossings(story).total == expected
 
     def test_cap_rejected_for_uncolored_budgets(self):

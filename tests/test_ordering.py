@@ -104,16 +104,15 @@ class TestPatternCount:
 
 class TestSliceGraph:
     def test_identical_layers_zero_distance(self):
-        g = sw.build_slice_graph([WORKED_LEFT, list(WORKED_LEFT)], "rand")
-        assert g.weights[0][1] == 0
+        w = sw.build_slice_graph([WORKED_LEFT, list(WORKED_LEFT)], "rand")
+        assert w[0][1] == 0
 
     def test_worked_pair_pattern_weight(self):
-        g = sw.build_slice_graph([WORKED_LEFT, WORKED_RIGHT], "pattern")
-        assert g.weights[0][1] == 1
+        w = sw.build_slice_graph([WORKED_LEFT, WORKED_RIGHT], "pattern")
+        assert w[0][1] == 1
 
     def test_single_layer(self):
-        g = sw.build_slice_graph([WORKED_LEFT], "rand")
-        assert len(g.layers) == 1
+        assert sw.build_slice_graph([WORKED_LEFT], "rand") == ((0,),)
 
     def test_rejects_unknown_heuristic(self):
         with pytest.raises(ValueError, match="heuristic"):
@@ -125,9 +124,7 @@ class TestSliceGraph:
 
 
 def weight_graph(matrix):
-    n = len(matrix)
-    layers = tuple((frozenset({i}),) for i in range(n))
-    return sw.SliceGraph(0, layers, tuple(tuple(row) for row in matrix))
+    return tuple(tuple(row) for row in matrix)
 
 
 class TestMinPathOrder:

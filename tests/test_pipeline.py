@@ -149,5 +149,6 @@ class TestRunPipeline:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError, match="heuristic"):
             sw.PipelineConfig(heuristic="nope")
-        with pytest.raises(ValueError, match="timeout"):
-            sw.PipelineConfig(timeout=0)
+        for timeout in (0, -5, float("nan")):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                sw.PipelineConfig(timeout=timeout)

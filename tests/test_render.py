@@ -4,7 +4,16 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import storyweave as sw
-from storyweave.render import RenderConfig, total_wiggle, _activity_ranges
+from storyweave.render import (
+    BOUNDARY_GAP,
+    GAP_BETWEEN,
+    GAP_WITHIN,
+    MARGIN,
+    SHORT_CURVE_PAD,
+    X_STEP,
+    _activity_ranges,
+    total_wiggle,
+)
 from helpers import random_instance
 from test_core import make_instance
 
@@ -45,7 +54,7 @@ class TestAssignCoordinates:
         ys_b = [g.ys[(1, li)] for li in range(2)]
         assert ys_a[0] == ys_a[1]
         assert ys_b[0] == ys_b[1]
-        assert abs(ys_a[0] - ys_b[0]) >= g.config.gap_within
+        assert abs(ys_a[0] - ys_b[0]) >= GAP_WITHIN
 
     def test_orders_preserved(self):
         rng = random.Random(0)
@@ -65,9 +74,7 @@ class TestAssignCoordinates:
                 for above, below in itertools.pairwise(layer.order):
                     gap = g.ys[(below, li)] - g.ys[(above, li)]
                     same = owner.get(above) == owner.get(below) and above in owner
-                    minimum = (
-                        g.config.gap_within if same else g.config.gap_between
-                    )
+                    minimum = GAP_WITHIN if same else GAP_BETWEEN
                     assert gap >= minimum - 1e-9
 
     def test_crossing_fidelity(self):
@@ -90,22 +97,20 @@ class TestAssignCoordinates:
         inst, story = solved([("ab", "t0"), ("ab", "t1"), ("cd", "t1")])
         g = sw.assign_coordinates(story, inst)
         assert all(b > a for a, b in itertools.pairwise(g.xs))
-        cfg = g.config
         step = g.xs[1] - g.xs[0]
-        assert step == cfg.x_step + cfg.boundary_gap
+        assert step == X_STEP + BOUNDARY_GAP
 
     def test_relaxation_never_increases_wiggle(self):
         rng = random.Random(3)
         for _ in range(20):
             inst = random_instance(rng)
             story, _ = sw.run_pipeline(inst, sw.PipelineConfig(timeout=60))
-            cfg = RenderConfig()
-            g = sw.assign_coordinates(story, inst, cfg)
+            g = sw.assign_coordinates(story, inst)
             ranges = _activity_ranges(story)
             initial = {}
             for li, layer in enumerate(story.layers):
                 for rank, c in enumerate(layer.order):
-                    initial[(c, li)] = cfg.margin + rank * cfg.gap_between
+                    initial[(c, li)] = MARGIN + rank * GAP_BETWEEN
             assert total_wiggle(g.ys, ranges) <= total_wiggle(initial, ranges) + 1e-9
 
 
@@ -115,7 +120,7 @@ class TestPadShortCurves:
         g = sw.pad_short_curves(sw.assign_coordinates(story, inst))
         b = 1  # only interacts at t0
         left, right = g.pads[b]
-        assert right - left >= 2 * g.config.short_curve_pad - 4.0
+        assert right - left >= 2 * SHORT_CURVE_PAD - 4.0
         assert right - left >= 40.0
 
     def test_multi_layer_characters_untouched(self):
