@@ -5,6 +5,9 @@ a deterministic depth-first branch-and-bound solver with timeout and bound
 reporting, and CPLEX-style LP text export so large models can be handed to
 an external solver.
 
+A row is a ``LinearConstraint`` named tuple.  Consecutive rows may share one
+terms tuple, which validation checks and the LP writer formats only once.
+
 The solver works in exact integer arithmetic: coefficients, right-hand
 sides and objective weights are integers (scale rationals while building
 the model).  Bounding uses the partial objective plus 0/1 bound
@@ -18,7 +21,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 Op = Literal["<=", ">=", "="]
 
@@ -38,8 +41,7 @@ class VarId:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     terms: tuple[tuple[int, VarId], ...]
     op: Op
     rhs: int
@@ -149,12 +151,13 @@ def validate_program(p: BinaryProgram) -> None:
     # used_in[i] is the last row whose terms included variable i, so a term
     # finding its own row's number there repeats a variable of that row.
     used_in = [-1] * n
-    for k, c in enumerate(p.constraints):
-        if not c.terms:
+    seen = None  # the previous row's terms tuple, whose terms passed
+    for k, (terms, op, rhs) in enumerate(p.constraints):
+        if not terms:
             raise ValueError(f"constraint {k} has no terms")
-        if c.op not in _OPS:
-            raise ValueError(f"constraint {k} has unknown operator {c.op!r}")
-        for coef, v in c.terms:
+        if op not in _OPS:
+            raise ValueError(f"constraint {k} has unknown operator {op!r}")
+        for coef, v in () if terms is seen else terms:
             i = v.index
             if i < 0 or i >= n or variables[i] is not v:
                 check_ref(v)
@@ -163,7 +166,8 @@ def validate_program(p: BinaryProgram) -> None:
             if used_in[i] == k:
                 raise ValueError(f"constraint {k}: duplicate variable {v.name!r}")
             used_in[i] = k
-        if type(c.rhs) is not int and not _integral(c.rhs):
+        seen = terms
+        if type(rhs) is not int and not _integral(rhs):
             raise ValueError(f"constraint {k}: right-hand side must be an integer")
     k = len(p.constraints)  # the objective's row number
     for coef, v in p.objective:
@@ -222,10 +226,10 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     # ones, value 0 the other way round.
     pos_cons: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
     neg_cons: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-    for k, c in enumerate(program.constraints):
+    for k, (row, op, rhs) in enumerate(program.constraints):
         terms = []
         rlo = rhi = reach = 0
-        for coef, v in c.terms:
+        for coef, v in row:
             vi = v.index
             terms.append((coef, vi))
             if coef > 0:
@@ -238,8 +242,6 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
                 neg_cons[vi].append((k, -coef))
                 if -coef > reach:
                     reach = -coef
-        op = c.op
-        rhs = c.rhs
         cons_terms.append(terms)
         cons_rhs.append(rhs)
         lo.append(rlo)
@@ -495,8 +497,12 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
     obj_terms = [(coef, v) for coef, v in p.objective if coef != 0]
     out.extend(_wrap(" obj: " + expression(obj_terms) if obj_terms else " obj:"))
     out.append("Subject To")
-    for k, c in enumerate(p.constraints):
-        line = f" c{k}: {expression(c.terms)} {c.op} {c.rhs}"
+    shared = expr = None
+    for k, (terms, op, rhs) in enumerate(p.constraints):
+        # Consecutive rows of one terms tuple (a "<=" and ">=" pair) share its text.
+        if terms is not shared:
+            shared, expr = terms, expression(terms)
+        line = f" c{k}: {expr} {op} {rhs}"
         if len(line) > _LINE_WIDTH:
             out.extend(_wrap(line))
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -442,6 +443,23 @@ def program_parts(**overrides):
     return parts
 
 
+class TestLinearConstraint:
+    def test_fields_are_read_only(self):
+        row = bip.LinearConstraint(((1, X),), "<=", 1)
+        for name in ("terms", "op", "rhs"):
+            with pytest.raises(AttributeError):
+                setattr(row, name, None)
+        assert row == bip.LinearConstraint(((1, X),), "<=", 1)
+
+    def test_equal_fields_equal_and_hash_equal(self):
+        row = bip.LinearConstraint(((1, X), (-1, Y)), ">=", 0)
+        twin = bip.LinearConstraint(((1, bip.VarId(0, "x")), (-1, Y)), ">=", 0)
+        assert twin is not row and twin == row and hash(twin) == hash(row)
+        assert len({row, twin}) == 1
+        assert bip.LinearConstraint(row.terms, "<=", 0) != row
+        assert bip.LinearConstraint(row.terms, ">=", 1) != row
+
+
 class TestValidation:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_hand_built_program_rejected(self, case):
@@ -466,6 +484,27 @@ class TestValidation:
         )
         p = bip.BinaryProgram(**parts)
         assert bip.solve(p).objective_value == 0
+
+    @pytest.mark.parametrize(
+        "op, rhs, message",
+        [
+            ("<", 1, "constraint 1 has unknown operator '<'"),
+            (">=", 1.5, "constraint 1: right-hand side must be an integer"),
+        ],
+    )
+    def test_row_sharing_checked_terms_still_checked(self, op, rhs, message):
+        # The second row reuses the first row's terms tuple, whose terms were
+        # checked once; its own operator and right-hand side are still checked.
+        terms = ((1, X), (-1, Y))
+        parts = program_parts(
+            constraints=(
+                bip.LinearConstraint(terms, "<=", 1),
+                bip.LinearConstraint(terms, op, rhs),
+            )
+        )
+        with pytest.raises(ValueError) as err:
+            bip.BinaryProgram(**parts)
+        assert str(err.value) == message
 
     def test_int_subclass_coefficient_accepted(self):
         class Weight(int):
@@ -550,6 +589,47 @@ class TestLpFormat:
         program, _ = sw.build_model(inst, sw.ILP2ML, budgets)
         text = bip.export_lp(program, name="workshop ilp2ml")
         assert text == (DATA / "workshop_ilp2ml.lp").read_text(encoding="utf-8")
+
+    def test_shared_terms_tuple_reuses_its_expression(self):
+        mb = bip.ModelBuilder()
+        a, b, c = (mb.new_var(name) for name in "abc")
+        shared = ((1, a), (-1, b))
+        mb.add(shared, "<=", 1)
+        mb.add(shared, ">=", -1)
+        mb.add(((1, a), (-1, b)), "=", 0)  # equal terms, distinct tuple
+        mb.add(((2, b), (1, c)), ">=", 1)
+        p = mb.build()
+        rows = p.constraints
+        assert rows[0].terms is rows[1].terms
+        assert rows[2].terms == shared and rows[2].terms is not shared
+        text = bip.export_lp(p)
+        lines = text.splitlines()
+        assert lines[lines.index("Subject To") + 1 : lines.index("Binary")] == [
+            " c0: a - b <= 1",
+            " c1: a - b >= -1",
+            " c2: a - b = 0",
+            " c3: 2 b + c >= 1",
+        ]
+        assert bip.parse_lp(text).constraints == p.constraints
+
+    @pytest.mark.parametrize(
+        "kind, symmetry_breaking, digest",
+        [
+            ("ilp1ml", True, "40f99e41dbc835f214b52b34e82c11866bae2d5732eef94443282904d2bc45a5"),
+            ("ilp1ml", False, "c838d7a570a975c24865775478a4197754366a35520e5bdbfbddeb9df4f07e19"),
+            ("ilp2ml", True, "158339fafb326d33fbdec533ea571600550c4d0234d8bc2222f0cc4fe6bd9690"),
+            ("ilp2ml", False, "d81272686b1bed39c3d30dd7e611e26570ca2686763404113d33971d51569889"),
+        ],
+    )
+    def test_wide_model_lp_unchanged(self, kind, symmetry_breaking, digest):
+        # SHA-256 of the LP text recorded from the writer that printed every
+        # row's expression afresh; rows sharing a terms tuple must not change it.
+        inst = cit_rung(8, 12, 4, 1)
+        model = formulations.EXACT_KINDS[kind]
+        budgets = sw.layer_budget(inst, minimize=model.minimize_layers)
+        program, _ = sw.build_model(inst, model, budgets, symmetry_breaking=symmetry_breaking)
+        text = bip.export_lp(program)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_long_rows_wrap_and_parse(self):
         mb = bip.ModelBuilder()

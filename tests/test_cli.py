@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,32 @@ class TestBench:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert (f"manifest key {key!r}" if key else "JSON object") in err[0]
         assert not out.exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m storyweave.cli`` runs the same CLI as the installed script."""
+
+    ROOT = Path(__file__).parents[1]
+
+    def run_module(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(self.ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "storyweave.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=self.ROOT, timeout=60,
+        )
+
+    def test_stats_prints_budgets(self):
+        done = self.run_module("stats", "demos/data/workshop.json")
+        assert done.returncode == 0, done.stderr
+        assert "dataset: workshop" in done.stdout
+        assert "coloring-layers: 4" in done.stdout
+
+    def test_malformed_instance_exits_1(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"characters": ["a"], "timestamps": ["t0"]}))
+        done = self.run_module("stats", str(path))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
