@@ -108,8 +108,10 @@ class ModelBuilder:
         return var
 
     def add(self, terms: Iterable[tuple[int, VarId]], op: Op, rhs: int) -> None:
-        """Append a constraint; a tuple of terms is kept as given, not copied."""
-        self._constraints.append(LinearConstraint(tuple(terms), op, rhs))
+        """Append a constraint; a tuple of terms is kept as given, not copied.
+
+        Builds the row as ``LinearConstraint.__new__`` would, minus its frame."""
+        self._constraints.append(tuple.__new__(LinearConstraint, (tuple(terms), op, rhs)))
 
     def minimize(self, terms: Iterable[tuple[int, VarId]]) -> None:
         self._objective = list(terms)

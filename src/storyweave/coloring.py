@@ -3,8 +3,10 @@
 Interactions sharing a character cannot sit in the same layer, so the
 interactions of one timestamp form a conflict graph whose chromatic number
 is the fewest layers that timestamp needs.  Coloring is found exactly by a
-backtracking search over palettes of growing size; an optional cap bounds
-the size of every color class, trading more layers for shorter ones.
+backtracking search over palettes of growing size, from the size of a
+greedily grown clique up, as no smaller palette can color a clique; an
+optional cap bounds the size of every color class, trading more layers for
+shorter ones.
 """
 
 from __future__ import annotations
@@ -45,15 +47,36 @@ def build_conflict_graph(inst: StorylineInstance, time: TimeId) -> ConflictGraph
     return ConflictGraph(time, tuple(it.id for it in items), edges)
 
 
+def greedy_clique(g: ConflictGraph) -> tuple[InteractionId, ...]:
+    """The largest clique grown greedily from some node of ``g``, adding
+    neighbours by descending degree, then in ``g.nodes`` order, while they
+    are adjacent to every node taken so far."""
+    adj: dict[InteractionId, set[InteractionId]] = {v: set() for v in g.nodes}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    by_degree = sorted(g.nodes, key=lambda v: -len(adj[v]))
+    best: tuple[InteractionId, ...] = ()
+    for v in g.nodes:
+        clique, common = [v], adj[v]
+        for u in by_degree:
+            if u in common:
+                clique.append(u)
+                common = common & adj[u]
+        best = max(best, tuple(clique), key=len)
+    return best
+
+
 def min_coloring(g: ConflictGraph, cap: int | None = None) -> Coloring:
     """Exact minimum proper coloring, optionally capping every class at ``cap``.
 
-    Palettes of k = ceil(n / cap) (1 without a cap), k+1, ... colors are
-    tried in turn; for each, a depth-first search visits the nodes in
-    ``g.nodes`` order and gives each the smallest color that no earlier
-    neighbour holds and whose class is below the cap.  A node may open at
-    most one new color, which prunes color permutations without changing
-    the first coloring found.
+    Palettes of k = ceil(n / cap) (1 without a cap) or, beyond 2 nodes, the
+    size of :func:`greedy_clique` if larger, k+1, ... colors are tried in
+    turn; no smaller palette can color a clique.  For each, a fresh
+    depth-first search visits the nodes in ``g.nodes`` order and gives each
+    the smallest color that no earlier neighbour holds and whose class is
+    below the cap.  A node may open at most one new color, which prunes
+    color permutations without changing the first coloring found.
 
     Search color c is reported as k-1-c.  The result is thus the
     lexicographically first coloring over the reversed palette, which is
@@ -72,6 +95,8 @@ def min_coloring(g: ConflictGraph, cap: int | None = None) -> Coloring:
         earlier[j].append(i)
     limit = cap or n
     k = -(-n // cap) if cap else min(n, 1)
+    if n > 2:
+        k = max(k, len(greedy_clique(g)))
     while True:
         color = [-1] * n
         size = [0] * k

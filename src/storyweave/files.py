@@ -143,8 +143,8 @@ def storyline_from_doc(
     """Decode and fully validate a storyline document against its instance.
 
     Raises ValueError on schema problems, on any storyline invariant
-    violation, and when the stored crossing count disagrees with the
-    oracle's recount.
+    violation, and when the stored crossing count, if present and not
+    null, is not an ``int`` or disagrees with the oracle's recount.
     """
     if not isinstance(doc, Mapping) or not isinstance(doc.get("layers"), list):
         raise ValueError("storyline document must be a mapping with a 'layers' list")
@@ -172,6 +172,8 @@ def storyline_from_doc(
     if problems:
         raise ValueError("invalid storyline: " + "; ".join(problems))
     declared = doc.get("crossings")
+    if declared is not None and type(declared) is not int:
+        raise ValueError("'crossings' must be an integer")
     recount = count_crossings(story).total
     if declared is not None and declared != recount:
         raise ValueError(

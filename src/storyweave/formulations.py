@@ -130,6 +130,7 @@ def build_model(
     cat = VariableCatalog(kind=kind, slots=slots, potential=potential)
 
     mb = bip.ModelBuilder()
+    add = mb.add
     slots_at: dict[TimeId, list[int]] = {}
     for si, s in enumerate(slots):
         slots_at.setdefault(s.time, []).append(si)
@@ -148,18 +149,18 @@ def build_model(
             raise ValueError(
                 f"timestamp {it.time} has interactions but a zero slot budget"
             )
-        mb.add(row, "=", 1)
+        add(row, "=", 1)
     for t, sis in slots_at.items():
         items = inst.interactions_at(t)
         for a, b in itertools.combinations(items, 2):
             if a.characters & b.characters:
                 for si in sis:
-                    mb.add((y[(si, a.id)], y[(si, b.id)]), "<=", 1)
+                    add((y[(si, a.id)], y[(si, b.id)]), "<=", 1)
         if symmetry_breaking:
             for earlier, later in itertools.pairwise(sis):
                 fill = tuple(neg_y[(earlier, it.id)] for it in items)
                 for it in items:
-                    mb.add((y[(later, it.id)],) + fill, "<=", 0)
+                    add((y[(later, it.id)],) + fill, "<=", 0)
 
     # Ordering variables: one per slot and character pair, smaller index first.
     for si in range(len(slots)):
@@ -183,8 +184,8 @@ def build_model(
     for si in range(len(slots)):
         for u, v, w in itertools.combinations(sorted(potential[si]), 3):
             row = (x[(si, u, v)], x[(si, v, w)], neg_x[(si, u, w)])
-            mb.add(row, "<=", 1)
-            mb.add(row, ">=", 0)
+            add(row, "<=", 1)
+            add(row, ">=", 0)
 
     # Interaction blocks: characters outside a placed interaction must end
     # up entirely before or entirely after its characters.
@@ -198,31 +199,31 @@ def build_model(
                     if cj < ck:
                         left = (si, ci, ck)
                         right = (si, cj, ck)
-                        mb.add((x[left], neg_x[right], placed), "<=", 1)
-                        mb.add((x[right], neg_x[left], placed), "<=", 1)
+                        add((x[left], neg_x[right], placed), "<=", 1)
+                        add((x[right], neg_x[left], placed), "<=", 1)
                     elif ck < ci:
                         left = (si, ck, ci)
                         right = (si, ck, cj)
-                        mb.add((x[left], neg_x[right], placed), "<=", 1)
-                        mb.add((x[right], neg_x[left], placed), "<=", 1)
+                        add((x[left], neg_x[right], placed), "<=", 1)
+                        add((x[right], neg_x[left], placed), "<=", 1)
                     else:
                         pair = (x[(si, ci, ck)], x[(si, ck, cj)])
-                        mb.add(pair + (placed,), "<=", 2)
-                        mb.add(pair + (unplaced,), ">=", 0)
+                        add(pair + (placed,), "<=", 2)
+                        add(pair + (unplaced,), ">=", 0)
 
     # Activity: forced where an interaction is placed, contiguous otherwise.
     if kind.family == "ilp2":
         for si, s in enumerate(slots):
             for it in inst.interactions_at(s.time):
                 for c in it.characters:
-                    mb.add((act[(c, si)], neg_y[(si, it.id)]), ">=", 0)
+                    add((act[(c, si)], neg_y[(si, it.id)]), ">=", 0)
         by_char: dict[CharId, list[int]] = {}
         for si in range(len(slots)):
             for c in potential[si]:
                 by_char.setdefault(c, []).append(si)
         for c, sis in sorted(by_char.items()):
             for s1, s2, s3 in itertools.combinations(sis, 3):
-                mb.add((act[(c, s2)], neg_act[(c, s1)], neg_act[(c, s3)]), ">=", -1)
+                add((act[(c, s2)], neg_act[(c, s1)], neg_act[(c, s3)]), ">=", -1)
 
     # Crossing linking: z is forced to 1 when the pair order flips between
     # the two slots (and, for ilp2, only while both characters are active
@@ -237,11 +238,11 @@ def build_model(
                 neg_act[(cj, gi)],
                 neg_act[(cj, gi + 1)],
             )
-            mb.add((z[left], neg_x[left], x[right]) + inactive, ">=", -4)
-            mb.add((z[left], x[left], neg_x[right]) + inactive, ">=", -4)
+            add((z[left], neg_x[left], x[right]) + inactive, ">=", -4)
+            add((z[left], x[left], neg_x[right]) + inactive, ">=", -4)
         else:
-            mb.add((z[left], neg_x[left], x[right]), ">=", 0)
-            mb.add((z[left], x[left], neg_x[right]), ">=", 0)
+            add((z[left], neg_x[left], x[right]), ">=", 0)
+            add((z[left], x[left], neg_x[right]), ">=", 0)
 
     mb.minimize(z.values())
     return mb.build(), cat

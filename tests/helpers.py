@@ -94,6 +94,27 @@ def cit_rung(chars: int, interactions: int, times: int, seed: int) -> StorylineI
     for _ in range(interactions):
         size = rng.randint(2, min(4, chars))
         drawn.append((rng.sample(range(chars), size), rng.randrange(times)))
+    return _drawn_instance(drawn, times)
+
+
+def wide_instances(count: int = 4, chars: int = 24, times: int = 2) -> list[StorylineInstance]:
+    """The ``wide-export`` benchmark instances, redrawn the way
+    ``benchmarks/instances.wide_draw`` draws them from structure seed 1:
+    12-14 interactions of 2-4 uniform members at each timestamp."""
+    rng = random.Random(1)
+    out = []
+    for _ in range(count):
+        drawn = []
+        for t in range(times):
+            for _ in range(rng.randint(12, 14)):
+                drawn.append((rng.sample(range(chars), rng.randint(2, 4)), t))
+        out.append(_drawn_instance(drawn, times))
+    return out
+
+
+def _drawn_instance(drawn: list[tuple[list[int], int]], times: int) -> StorylineInstance:
+    """Instance from (member indices, time index) pairs; characters that end
+    up unused are dropped and the rest renumbered, every timestamp is kept."""
     used = sorted({c for members, _ in drawn for c in members})
     doc = {
         "characters": [f"c{k}" for k in range(len(used))],

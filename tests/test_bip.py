@@ -459,6 +459,27 @@ class TestLinearConstraint:
         assert bip.LinearConstraint(row.terms, "<=", 0) != row
         assert bip.LinearConstraint(row.terms, ">=", 1) != row
 
+    def test_builder_rows_match_constructed_rows(self):
+        mb = bip.ModelBuilder()
+        x, y = mb.new_var("x"), mb.new_var("y")
+        listed = [(1, x), (-1, y)]
+        shared = ((1, x), (1, y))
+        mb.add(listed, ">=", 0)
+        mb.add(shared, "<=", 1)
+        mb.add(iter(shared), "=", 1)
+        rows = mb.build().constraints
+        expected = [
+            bip.LinearConstraint(tuple(listed), ">=", 0),
+            bip.LinearConstraint(shared, "<=", 1),
+            bip.LinearConstraint(shared, "=", 1),
+        ]
+        for row, twin in zip(rows, expected, strict=True):
+            assert type(row) is bip.LinearConstraint
+            assert row == twin and hash(row) == hash(twin)
+            assert (row.terms, row.op, row.rhs) == tuple(twin)
+        assert type(rows[0].terms) is tuple and rows[0].terms == tuple(listed)
+        assert rows[1].terms is shared
+
 
 class TestValidation:
     @pytest.mark.parametrize("case", sorted(MALFORMED))

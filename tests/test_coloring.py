@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -5,7 +6,8 @@ import time
 import pytest
 
 import storyweave as sw
-from helpers import brute_chromatic
+from helpers import brute_chromatic, wide_instances
+from storyweave.coloring import greedy_clique
 from test_core import make_instance
 
 
@@ -149,6 +151,46 @@ class TestMinColoring:
         assert col.classes() == [
             [12], [10], [9], [8, 11], [4, 6, 7], [1, 3], [0, 2, 5]
         ]
+
+    def test_colorings_pinned(self):
+        # SHA-256 recorded from the search that tried every palette from
+        # ceil(n / cap) (1 without a cap) up; starting higher must not
+        # change a single color.
+        rng = random.Random(9)
+        digest = hashlib.sha256()
+        for _ in range(400):
+            n = rng.randint(0, 14)
+            p = rng.choice([0.2, 0.5, 0.8])
+            g = graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            cap = rng.choice([None, 1, 2, 3])
+            digest.update(repr(sw.min_coloring(g, cap).assignment).encode())
+        for inst in wide_instances():
+            for t in range(inst.num_timestamps):
+                col = sw.min_coloring(sw.build_conflict_graph(inst, t))
+                digest.update(repr(col.assignment).encode())
+        assert digest.hexdigest() == (
+            "18d3b452708fc32f832bf70899131075201ff79e8437cfc323b6c46ff95c8af8"
+        )
+
+
+class TestGreedyClique:
+    def test_is_a_clique_within_chromatic_number(self):
+        rng = random.Random(4)
+        for k in range(300):
+            g = random_graph(rng, max_nodes=7)
+            edges = {frozenset(e) for e in g.edges}
+            clique = greedy_clique(g)
+            assert len(set(clique)) == len(clique) and set(clique) <= set(g.nodes)
+            assert all(frozenset(e) in edges for e in itertools.combinations(clique, 2))
+            assert len(clique) <= brute_chromatic(list(g.nodes), edges), f"graph {k}"
+            assert bool(clique) == bool(g.nodes)
+
+    def test_finds_the_shared_character_clique(self):
+        # Interactions 0-3 all hold character "a", so they pairwise conflict.
+        inst = make_instance(
+            [("ab", "t0"), ("ac", "t0"), ("ad", "t0"), ("ae", "t0"), ("bc", "t0"), ("fg", "t0")]
+        )
+        assert greedy_clique(sw.build_conflict_graph(inst, 0)) == (0, 1, 2, 3)
 
 
 class TestLayerBudget:

@@ -53,6 +53,25 @@ class TestStorylineFiles:
         with pytest.raises(ValueError, match="disagrees with recount"):
             files.load_storyline(path, inst)
 
+    @pytest.mark.parametrize("declared", [True, 1.0, "1"])
+    def test_crossings_must_be_an_int(self, declared):
+        # One crossing, so True and 1.0 equal the recount and "1" prints like it.
+        inst = make_instance([("ab", "t0"), ("ab", "t1")])
+        order = {"t0": ["a", "b"], "t1": ["b", "a"]}
+        doc = {
+            "layers": [
+                {"time": t, "interactions": [i], "order": order[t], "active": ["a", "b"]}
+                for i, t in enumerate(("t0", "t1"))
+            ],
+        }
+        files.storyline_from_doc(inst, doc)
+        for ok in (None, 1):
+            doc["crossings"] = ok
+            files.storyline_from_doc(inst, doc)
+        doc["crossings"] = declared
+        with pytest.raises(ValueError, match="'crossings' must be an integer"):
+            files.storyline_from_doc(inst, doc)
+
     def test_illegal_storyline_rejected(self):
         inst = make_instance([("ab", "t0"), ("ac", "t0")])
         doc = {
