@@ -11,9 +11,11 @@ terms tuple, which validation checks and the LP writer formats only once.
 The solver works in exact integer arithmetic: coefficients, right-hand
 sides and objective weights are integers (scale rationals while building
 the model).  Bounding uses the partial objective plus 0/1 bound
-propagation; there is deliberately no LP relaxation.  Propagation is
-event-driven: an assignment queues only the constraints it leaves close
-enough to their right-hand side to force a variable or to fail.
+propagation; there is deliberately no LP relaxation.  The solver keeps every
+row in one form, ``sum(coef * x) <= rhs``: it negates a ``>=`` row and
+splits an ``=`` row into one row of each sign.  Propagation is event-driven:
+an assignment queues only the rows it leaves close enough to their
+right-hand side to force a variable or to fail.
 """
 
 from __future__ import annotations
@@ -195,11 +197,12 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     exact integer arithmetic this makes every run reproducible.  A single
     greedy dive runs first to seed the incumbent, so interrupted solves
     still report an upper bound.  A node is pruned as soon as the objective
-    of its forced-one variables reaches the incumbent.  Propagation is
-    event-driven: after the root pass, a constraint is examined only when
-    an assignment leaves it tight enough to force a variable or to fail.
-    The wall clock is checked at every node and at every variable of the
-    dive against a monotonic timer; on timeout the best incumbent is
+    of its forced-one variables reaches the incumbent.  Every row is kept
+    as ``sum(coef * x) <= rhs`` (``>=`` negated, ``=`` split in two), and
+    propagation is event-driven: after the root pass, a row is examined only
+    when an assignment leaves it tight enough to force a variable or to
+    fail.  The wall clock is checked at every node and at every variable of
+    the dive against a monotonic timer; on timeout the best incumbent is
     returned together with the lower bound proven so far.
     """
     t0 = time.monotonic()
@@ -209,72 +212,59 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     for coef, v in program.objective:
         obj[v.index] = coef
 
-    # Flattened constraint storage for the hot loop.  Assigning a variable
-    # narrows the reachable [lo, hi] interval of each of its constraints by
-    # |coef| on one side.  A constraint can force a variable or fail only once
-    # its slack falls below ``reach``, its largest |coef|: a "<=" side needs
-    # lo > rhs - reach (``lo_cap``), a ">=" side hi < rhs + reach
-    # (``hi_floor``).  A side the operator does not have gets a threshold its
-    # interval never crosses: lo never exceeds the initial hi, and hi never
-    # drops below the initial lo.
+    # Flattened row storage for the hot loop.  ``lo`` is the least value the
+    # left-hand side can still take.  A row can force a variable or fail only
+    # once its slack rhs - lo falls below ``reach``, its largest |coef|, that
+    # is once lo exceeds ``lo_cap`` = rhs - reach.
     cons_terms: list[list[tuple[int, int]]] = []  # [(coef, var index), ...]
     cons_rhs: list[int] = []
-    lo: list[int] = []  # current minimum of the left-hand side
-    hi: list[int] = []  # current maximum of the left-hand side
-    lo_cap: list[int] = []  # lo above this: the constraint may force or fail
-    hi_floor: list[int] = []  # hi below this: the constraint may force or fail
-    # Per variable, (constraint, |coef|) pairs split by the sign of coef:
-    # value 1 raises lo by the positive ones and lowers hi by the negative
-    # ones, value 0 the other way round.
-    pos_cons: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-    neg_cons: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-    for k, (row, op, rhs) in enumerate(program.constraints):
-        terms = []
-        rlo = rhi = reach = 0
-        for coef, v in row:
-            vi = v.index
-            terms.append((coef, vi))
-            if coef > 0:
-                rhi += coef
-                pos_cons[vi].append((k, coef))
-                if coef > reach:
-                    reach = coef
-            else:
-                rlo += coef
-                neg_cons[vi].append((k, -coef))
-                if -coef > reach:
-                    reach = -coef
-        cons_terms.append(terms)
-        cons_rhs.append(rhs)
-        lo.append(rlo)
-        hi.append(rhi)
-        lo_cap.append(rhs - reach if op != ">=" else rhi)
-        hi_floor.append(rhs + reach if op != "<=" else rlo)
+    lo: list[int] = []
+    lo_cap: list[int] = []
+    # raises[val][vi]: the (row, |coef|) pairs whose lo rises when variable
+    # vi takes value val, from its negative coefficients for 0 and its
+    # positive ones for 1.
+    raise0: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
+    raise1: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
+    raises = (raise0, raise1)
+    for row, op, rhs in program.constraints:
+        for sign in (1, -1) if op == "=" else (-1,) if op == ">=" else (1,):
+            k = len(cons_rhs)
+            terms = []
+            rlo = reach = 0
+            for coef, v in row:
+                coef *= sign
+                vi = v.index
+                terms.append((coef, vi))
+                if coef > 0:
+                    raise1[vi].append((k, coef))
+                    if coef > reach:
+                        reach = coef
+                else:
+                    rlo += coef
+                    raise0[vi].append((k, -coef))
+                    if -coef > reach:
+                        reach = -coef
+            cons_terms.append(terms)
+            cons_rhs.append(sign * rhs)
+            lo.append(rlo)
+            lo_cap.append(sign * rhs - reach)
 
     value = [-1] * nvars
     trail: list[int] = []
     cur_obj = 0
-    pending: list[int] = []  # constraints to examine, each at most once
+    pending: list[int] = []  # rows to examine, each at most once
     queued = bytearray(len(cons_terms))
 
     def assign(vi: int, val: int) -> None:
-        """Set a variable and queue every constraint it leaves tight."""
+        """Set a variable and queue every row it leaves tight."""
         nonlocal cur_obj
         value[vi] = val
         trail.append(vi)
         if val:
             cur_obj += obj[vi]
-            raise_lo, lower_hi = pos_cons[vi], neg_cons[vi]
-        else:
-            raise_lo, lower_hi = neg_cons[vi], pos_cons[vi]
-        for k, a in raise_lo:
+        for k, a in raises[val][vi]:
             lo[k] += a
             if lo[k] > lo_cap[k] and not queued[k]:
-                queued[k] = 1
-                pending.append(k)
-        for k, a in lower_hi:
-            hi[k] -= a
-            if hi[k] < hi_floor[k] and not queued[k]:
                 queued[k] = 1
                 pending.append(k)
 
@@ -282,45 +272,32 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         nonlocal cur_obj
         while len(trail) > mark:
             vi = trail.pop()
-            if value[vi]:
+            val = value[vi]
+            if val:
                 cur_obj -= obj[vi]
-                raise_lo, lower_hi = pos_cons[vi], neg_cons[vi]
-            else:
-                raise_lo, lower_hi = neg_cons[vi], pos_cons[vi]
-            for k, a in raise_lo:
+            for k, a in raises[val][vi]:
                 lo[k] -= a
-            for k, a in lower_hi:
-                hi[k] += a
             value[vi] = -1
 
     def run_queue() -> bool:
         """Propagate forced values until fixpoint; False on conflict.
 
-        Pops queued constraints and forces every unassigned variable whose
-        |coef| exceeds the room left on a tight side; each forced value goes
-        through :func:`assign`, which queues the constraints it leaves tight,
-        the current one included.  Bound propagation is monotone, so the
-        fixpoint and whether it fails do not depend on the queue order.
-        Forcing on one side never moves that side's bound (it narrows the
-        interval from the other end), so ``room`` holds for a whole scan.
+        Pops queued rows and gives every unassigned variable whose |coef|
+        exceeds the row's room the value that leaves its lo alone; each forced
+        value goes through :func:`assign`, which queues the rows it leaves
+        tight.  Bound propagation is monotone, so the fixpoint and whether it
+        fails do not depend on the queue order.  Forcing never raises the
+        scanned row's own lo, so ``room`` holds for a whole scan.
         """
         while pending:
             k = pending.pop()
             queued[k] = 0
-            if lo[k] > lo_cap[k]:
-                room = cons_rhs[k] - lo[k]  # how far lo may still rise
-                if room < 0:
-                    break
-                for coef, u in cons_terms[k]:
-                    if value[u] == -1 and (coef > room or -coef > room):
-                        assign(u, 0 if coef > 0 else 1)
-            if hi[k] < hi_floor[k]:
-                room = hi[k] - cons_rhs[k]  # how far hi may still fall
-                if room < 0:
-                    break
-                for coef, u in cons_terms[k]:
-                    if value[u] == -1 and (coef > room or -coef > room):
-                        assign(u, 1 if coef > 0 else 0)
+            room = cons_rhs[k] - lo[k]  # how far lo may still rise
+            if room < 0:
+                break
+            for coef, u in cons_terms[k]:
+                if value[u] == -1 and (coef > room or -coef > room):
+                    assign(u, 0 if coef > 0 else 1)
         else:
             return True
         # Conflict: drop whatever is still queued.
@@ -345,8 +322,8 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     nodes = 0
     timed_out = False
 
-    # Initial propagation pass over every constraint (catches units).
-    pending.extend(range(len(cons_terms)))
+    # Root pass: every row that can already force a variable or fail.
+    pending.extend(k for k in range(len(lo)) if lo[k] > lo_cap[k])
     for k in pending:
         queued[k] = 1
     root_ok = run_queue()
@@ -384,7 +361,8 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     if root_ok:
         dive()
 
-    # Frames: [order position of the branch var, next value, trail mark, entry bound]
+    # Frames: [order position of the branch var, next value, trail length
+    # at entry, entry bound]
     frames: list[list[int]] = []
     if root_ok:
         pos = next_unassigned(0)
@@ -392,33 +370,27 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
             best_assignment = list(value)
             best_obj = cur_obj
         else:
-            frames.append([pos, 0, -1, cur_obj])
+            frames.append([pos, 0, len(trail), cur_obj])
 
+    # None exactly when no subtree was left unexplored, in which case the
+    # search completed despite the timeout flag.
     open_bound: int | None = None
     while frames:
         f = frames[-1]
-        if f[2] >= 0:
-            undo_to(f[2])
-            f[2] = -1
+        undo_to(f[2])
         if f[1] > 1:
             frames.pop()
             continue
         if timed_out:
             # Everything still on the stack is unexplored search space.
-            for g in frames:
-                if g[1] <= 1:
-                    if open_bound is None or g[3] < open_bound:
-                        open_bound = g[3]
+            open_bound = min(g[3] for g in frames if g[1] <= 1)
             break
         val = f[1]
         f[1] += 1
         nodes += 1
         if time.monotonic() - t0 > timeout:
             timed_out = True
-        vi = order[f[0]]
-        mark = len(trail)
-        f[2] = mark
-        if not propagate(vi, val):
+        if not propagate(order[f[0]], val):
             continue
         if best_obj is not None and cur_obj >= best_obj:
             continue
@@ -427,27 +399,12 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
             best_assignment = list(value)
             best_obj = cur_obj
             continue
-        frames.append([pos, 0, -1, cur_obj])
+        frames.append([pos, 0, len(trail), cur_obj])
 
-    elapsed = time.monotonic() - t0
-    # open_bound is None exactly when no subtree was left unexplored, in
-    # which case the search completed despite the timeout flag.
-    if best_obj is None:
-        if timed_out and open_bound is not None:
-            return SolveResult(FEASIBLE_TIMEOUT, None, None, open_bound, elapsed, nodes)
-        return SolveResult(INFEASIBLE, None, None, None, elapsed, nodes)
-    if timed_out and open_bound is not None and open_bound < best_obj:
-        return SolveResult(
-            FEASIBLE_TIMEOUT,
-            tuple(best_assignment or ()),
-            best_obj,
-            open_bound,
-            elapsed,
-            nodes,
-        )
-    return SolveResult(
-        OPTIMAL, tuple(best_assignment or ()), best_obj, best_obj, elapsed, nodes
-    )
+    bound = min((b for b in (best_obj, open_bound) if b is not None), default=None)
+    status = INFEASIBLE if bound is None else OPTIMAL if bound == best_obj else FEASIBLE_TIMEOUT
+    assignment = None if best_assignment is None else tuple(best_assignment)
+    return SolveResult(status, assignment, best_obj, bound, time.monotonic() - t0, nodes)
 
 
 # ---------------------------------------------------------------------------

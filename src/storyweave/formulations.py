@@ -50,10 +50,6 @@ log = logging.getLogger(__name__)
 K = TypeVar("K")
 Term = tuple[int, bip.VarId]
 
-# Least search time a solve gets, however much of its budget is spent
-# before the search starts.
-MIN_SEARCH_SECONDS = 1.0
-
 
 @dataclass(frozen=True)
 class LayerSlot:
@@ -321,10 +317,10 @@ def solve_exact(
     ``cap`` limits color class sizes when budgets are minimized and is
     rejected (by :func:`coloring.layer_budget`) for the one-slot-per-interaction
     kinds, whose budgets do not come from coloring.  The search gets what
-    remains of ``timeout`` after model building, at least
-    ``MIN_SEARCH_SECONDS``.  Crossings are recounted with the oracle.  A
-    timed-out search reports the gap between its incumbent and the bound it
-    proved, or no storyline and a 100 % gap when it found no incumbent.
+    remains of ``timeout`` after model building, however little that is.
+    Crossings are recounted with the oracle.  A timed-out search reports the
+    gap between its incumbent and the bound it proved, or no storyline and a
+    100 % gap when it found no incumbent.
     ``runtime`` covers everything up to the end of the recount.  A
     ``timeout`` that is not positive (or is nan) raises ValueError.
     """
@@ -339,8 +335,7 @@ def solve_exact(
         len(program.variables),
         len(program.constraints),
     )
-    search = max(MIN_SEARCH_SECONDS, timeout - (time.monotonic() - t0))
-    result = bip.solve(program, timeout=search)
+    result = bip.solve(program, timeout=timeout - (time.monotonic() - t0))
     story = crossings = layers = gap = None
     if result.assignment is not None:
         story = decode(inst, cat, result)

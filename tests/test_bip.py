@@ -65,6 +65,19 @@ def wide_coefficient_program(rng, max_vars=10):
     return mb.build()
 
 
+def mixed_row_program(rng):
+    """1-9 variables, 0-8 rows of every operator, coefficients -3..3 with zeros."""
+    n = rng.randint(1, 9)
+    mb = bip.ModelBuilder()
+    xs = [mb.new_var(f"m{i}") for i in range(n)]
+    for _ in range(rng.randint(0, 8)):
+        chosen = rng.sample(range(n), rng.randint(1, min(4, n)))
+        op = rng.choice(["<=", ">=", "="])
+        mb.add([(rng.randint(-3, 3), xs[i]) for i in chosen], op, rng.randint(-1, 2))
+    mb.minimize([(rng.randint(0, 4), x) for x in xs])
+    return mb.build()
+
+
 def clique4_over_two_timestamps():
     """Every pair of four characters meets once; pair k at timestamp k mod 2."""
     pairs = itertools.combinations("abcd", 2)
@@ -159,6 +172,22 @@ class TestSolve:
         assert statuses == {bip.OPTIMAL, bip.INFEASIBLE}
         assert nodes == 490
 
+    def test_mixed_row_outcomes_unchanged(self):
+        # Rows of every operator with zero and negative coefficients, down to
+        # the node count and the returned point; the digest was recorded from
+        # the solver that kept a lower and an upper bound per row.
+        rng = random.Random(7)
+        outcomes = []
+        for _ in range(400):
+            r = bip.solve(mixed_row_program(rng), timeout=60)
+            outcomes.append(
+                (r.status, r.objective_value, r.best_lower_bound, r.nodes, r.assignment)
+            )
+        assert {o[0] for o in outcomes} == {bip.OPTIMAL, bip.INFEASIBLE}
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+            "a4632b54e66b65e8d064e5142d27b4096f80e508f23697393dfee616f0bd5e2b"
+        )
+
     @pytest.mark.parametrize(
         "instance, kind, status, objective, bound, nodes",
         [
@@ -222,6 +251,30 @@ class TestSolve:
         assert res.assignment is not None
         assert res.best_lower_bound is not None
         assert res.best_lower_bound < res.objective_value
+
+    @pytest.mark.parametrize(
+        "ticks, objective, nodes", [(50, 16, 28), (200, 15, 178), (1000, 13, 978)]
+    )
+    def test_timeout_outcome_pinned(self, monkeypatch, ticks, objective, nodes):
+        # A clock that advances one second per read stops the search after a
+        # fixed number of reads, so a timed-out solve is reproducible.  The
+        # root's value-1 branch is still open, so the proven bound is the
+        # root's entry bound, the least over the open frames.
+        class Ticks:
+            now = 0
+
+            def monotonic(self):
+                self.now += 1
+                return self.now
+
+        monkeypatch.setattr(bip, "time", Ticks())
+        res = bip.solve(hard_cover_program(), timeout=ticks)
+        assert (res.status, res.objective_value, res.best_lower_bound, res.nodes) == (
+            bip.FEASIBLE_TIMEOUT,
+            objective,
+            0,
+            nodes,
+        )
 
     def test_timeout_monotone(self):
         p = hard_cover_program()

@@ -9,7 +9,7 @@ import pytest
 import storyweave as sw
 import storyweave.bip as bip
 from storyweave import formulations, pipeline
-from helpers import oracle_corpus, random_instance
+from helpers import cit_rung, oracle_corpus, random_instance
 from test_core import PATTERN_PAIR, make_instance
 
 
@@ -225,6 +225,17 @@ class TestDecodeAndReport:
         assert report.status == bip.FEASIBLE_TIMEOUT
         assert report.crossings is None and report.layers is None
         assert report.gap_percent == 100.0
+
+    @pytest.mark.parametrize("kind", ["ilp1ml", "ilp2ml"])
+    def test_budget_under_a_second_holds(self, kind):
+        # Model building takes part of the budget; the search gets the rest,
+        # with no floor, so the whole solve ends within the budget plus slack.
+        inst = cit_rung(12, 25, 8, 1)
+        t0 = time.monotonic()
+        story, report = sw.solve_exact(inst, formulations.EXACT_KINDS[kind], timeout=0.2)
+        assert time.monotonic() - t0 <= 0.2 + 0.25
+        assert report.status == bip.FEASIBLE_TIMEOUT
+        assert story is None or sw.validate_storyline(inst, story) == []
 
     @pytest.mark.parametrize("algorithm", ["ps", "ilp1"])
     def test_runtime_covers_recount(self, monkeypatch, algorithm):
