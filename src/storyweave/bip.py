@@ -75,7 +75,6 @@ class SolveResult:
     assignment: tuple[int, ...] | None
     objective_value: int | None
     best_lower_bound: int | None
-    elapsed: float
     nodes: int = 0
 
     def value(self, var: VarId) -> int:
@@ -95,18 +94,13 @@ class ModelBuilder:
 
     def __init__(self) -> None:
         self._vars: list[VarId] = []
-        self._names: set[str] = set()
         self._constraints: list[LinearConstraint] = []
         self._objective: list[tuple[int, VarId]] = []
 
     def new_var(self, name: str) -> VarId:
-        if not _NAME_RE.match(name):
-            raise ValueError(f"variable name {name!r} must match [A-Za-z0-9_]+")
-        if name in self._names:
-            raise ValueError(f"duplicate variable name {name!r}")
+        """A new variable; its name is checked when :meth:`build` validates."""
         var = VarId(len(self._vars), name)
         self._vars.append(var)
-        self._names.add(name)
         return var
 
     def add(self, terms: Iterable[tuple[int, VarId]], op: Op, rhs: int) -> None:
@@ -119,6 +113,7 @@ class ModelBuilder:
         self._objective = list(terms)
 
     def build(self) -> BinaryProgram:
+        """The program so far; raises ValueError as :func:`validate_program` does."""
         return BinaryProgram(
             tuple(self._vars), tuple(self._constraints), tuple(self._objective)
         )
@@ -404,7 +399,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     bound = min((b for b in (best_obj, open_bound) if b is not None), default=None)
     status = INFEASIBLE if bound is None else OPTIMAL if bound == best_obj else FEASIBLE_TIMEOUT
     assignment = None if best_assignment is None else tuple(best_assignment)
-    return SolveResult(status, assignment, best_obj, bound, time.monotonic() - t0, nodes)
+    return SolveResult(status, assignment, best_obj, bound, nodes)
 
 
 # ---------------------------------------------------------------------------

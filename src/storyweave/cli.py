@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from . import bip, coloring, files, formulations, pipeline, render
-from .core import InstanceError, LayoutReport, count_crossings
+from .core import InstanceError, LayoutReport, StorylineInstance, count_crossings
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +108,7 @@ def _bench_cell(
     instance_path: str, algorithm: str, timeout: float, cap: int | None
 ) -> files.BenchRow:
     dataset = Path(instance_path).stem
-    inst = None
+    inst, started = StorylineInstance((), (), ()), None  # sizes 0 until loaded
     try:
         inst = files.load_instance(instance_path)
         started = time.monotonic()
@@ -121,20 +121,9 @@ def _bench_cell(
             )
         return files.BenchRow.from_report(dataset, inst, report)
     except Exception as exc:  # every per-cell failure lands in the row
-        loaded = inst is not None
-        return files.BenchRow(
-            dataset=dataset,
-            algorithm=algorithm,
-            interactions=inst.num_interactions if loaded else 0,
-            characters=inst.num_characters if loaded else 0,
-            timestamps=inst.num_timestamps if loaded else 0,
-            layers=None,
-            crossings=None,
-            runtime_s=time.monotonic() - started if loaded else 0.0,
-            status="error",
-            gap_pct=None,
-            error=str(exc),
-        )
+        runtime = 0.0 if started is None else time.monotonic() - started
+        failed = LayoutReport(algorithm, None, None, runtime, "error")
+        return files.BenchRow.from_report(dataset, inst, failed, error=str(exc))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

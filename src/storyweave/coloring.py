@@ -19,7 +19,6 @@ from .core import InteractionId, StorylineInstance, TimeId
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    time: TimeId
     nodes: tuple[InteractionId, ...]
     edges: tuple[tuple[InteractionId, InteractionId], ...]
 
@@ -44,7 +43,7 @@ def build_conflict_graph(inst: StorylineInstance, time: TimeId) -> ConflictGraph
         for a, b in itertools.combinations(items, 2)
         if a.characters & b.characters
     )
-    return ConflictGraph(time, tuple(it.id for it in items), edges)
+    return ConflictGraph(tuple(it.id for it in items), edges)
 
 
 def greedy_clique(g: ConflictGraph) -> tuple[InteractionId, ...]:

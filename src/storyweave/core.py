@@ -390,27 +390,23 @@ def _slice_plans(
     return plans
 
 
-def _order_count(groups: Sequence[Collection[CharId]], active: frozenset[CharId]) -> int:
-    in_group = set(itertools.chain.from_iterable(groups))
-    items = len(groups) + len(active - in_group)
-    count = math.factorial(items)
-    for g in groups:
-        count *= math.factorial(len(g))
-    return count
-
-
-def _layer_orders(
+def _blocks(
     groups: Sequence[Collection[CharId]], active: frozenset[CharId]
-) -> Iterable[tuple[CharId, ...]]:
-    """Every ordering of ``active`` keeping each group's characters consecutive."""
-    in_group = set(itertools.chain.from_iterable(groups))
-    items: list[tuple[CharId, ...]] = list(groups)
-    items += [(c,) for c in sorted(active - in_group)]
-    for arrangement in itertools.permutations(items):
-        for parts in itertools.product(
-            *(itertools.permutations(grp) for grp in arrangement)
-        ):
-            yield tuple(c for grp in parts for c in grp)
+) -> list[tuple[CharId, ...]]:
+    """A layer's runs of consecutive characters: each group, then each
+    active character outside every group, in index order."""
+    return [tuple(g) for g in groups] + [(c,) for c in sorted(active.difference(*groups))]
+
+
+def _order_count(blocks: Sequence[tuple[CharId, ...]]) -> int:
+    return math.factorial(len(blocks)) * math.prod(math.factorial(len(b)) for b in blocks)
+
+
+def _layer_orders(blocks: Sequence[tuple[CharId, ...]]) -> Iterable[tuple[CharId, ...]]:
+    """Every ordering of a layer keeping each block consecutive."""
+    for arrangement in itertools.permutations(blocks):
+        for parts in itertools.product(*(itertools.permutations(b) for b in arrangement)):
+            yield tuple(c for b in parts for c in b)
 
 
 def _order_mask(order: Sequence[CharId], bit: Mapping[tuple[CharId, CharId], int]) -> int:
@@ -443,12 +439,11 @@ def order_fixed_layers(
     pair, then per layer the "smaller character first" bit of every pair,
     pairs in index order, 0 before 1.
     """
+    blocks = [_blocks(groups, active) for groups, active in layers]
     start = []
-    for groups, active in layers:
-        blocks = [sorted(g, reverse=True) for g in groups]
-        blocks += [[c] for c in active.difference(*groups)]
-        blocks.sort(key=lambda b: b[-1], reverse=True)
-        start.append(tuple(c for b in blocks for c in b))
+    for runs in blocks:
+        desc = sorted((sorted(b, reverse=True) for b in runs), key=lambda b: b[-1], reverse=True)
+        start.append(tuple(c for b in desc for c in b))
     chars = sorted(set().union(*(active for _groups, active in layers)))
     # Earlier pairs take higher bits, so masks compare like bit vectors.
     pairs = list(itertools.combinations(chars, 2))
@@ -463,17 +458,17 @@ def order_fixed_layers(
         ((m1 ^ m2) & gate).bit_count()
         for m1, m2, gate in zip(start_masks, start_masks[1:], gates)
     )
-    counts = [_order_count(groups, active) for groups, active in layers]
+    counts = [_order_count(runs) for runs in blocks]
     if cost == 0 or sum(a * b for a, b in itertools.pairwise(counts)) > guard:
         return start, cost, cost == 0
 
     # A layer's flips depend only on its bits in its two gates, so of the
     # orders agreeing there only the least mask can lie on the least key.
     by_mask: list[dict[int, tuple[CharId, ...]]] = []
-    for li, (groups, active) in enumerate(layers):
+    for li, runs in enumerate(blocks):
         gated = (gates[li - 1] if li else 0) | (gates[li] if li < len(gates) else 0)
         least_in: dict[int, tuple[int, tuple[CharId, ...]]] = {}
-        for order in _layer_orders(groups, active):
+        for order in _layer_orders(runs):
             if time.monotonic() > deadline:
                 return start, cost, False
             mask = _order_mask(order, bit)
@@ -592,7 +587,7 @@ def brute_force_optimum(
         actives = _active_sets(layers, spans, activity)
         cand = 1
         for (_t, groups), act in zip(layers, actives):
-            cand *= _order_count(groups, act)
+            cand *= _order_count(_blocks(groups, act))
         total_candidates += cand
         if total_candidates > guard:
             raise SearchSpaceError(

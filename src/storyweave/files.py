@@ -21,6 +21,7 @@ CSV row per (dataset, algorithm) cell.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,21 +36,6 @@ from .core import (
     validate_instance,
     validate_storyline,
 )
-
-BENCH_COLUMNS = (
-    "dataset",
-    "algorithm",
-    "interactions",
-    "characters",
-    "timestamps",
-    "layers",
-    "crossings",
-    "runtime_s",
-    "status",
-    "gap_pct",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -67,7 +53,7 @@ class BenchRow:
 
     @classmethod
     def from_report(
-        cls, dataset: str, inst: StorylineInstance, report: LayoutReport
+        cls, dataset: str, inst: StorylineInstance, report: LayoutReport, error: str = ""
     ) -> "BenchRow":
         return cls(
             dataset=dataset,
@@ -80,6 +66,7 @@ class BenchRow:
             runtime_s=report.runtime,
             status=report.status,
             gap_pct=report.gap_percent,
+            error=error,
         )
 
     def as_csv(self) -> list[str]:
@@ -96,6 +83,9 @@ class BenchRow:
             "" if self.gap_pct is None else f"{self.gap_pct:.1f}",
             self.error,
         ]
+
+
+BENCH_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchRow))
 
 
 def load_instance(path: str | Path) -> StorylineInstance:

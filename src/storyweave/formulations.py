@@ -192,20 +192,18 @@ def build_model(
             outside = sorted(potential[si] - it.characters)
             for ci, cj in itertools.combinations(members, 2):
                 for ck in outside:
-                    if cj < ck:
-                        left = (si, ci, ck)
-                        right = (si, cj, ck)
-                        add((x[left], neg_x[right], placed), "<=", 1)
-                        add((x[right], neg_x[left], placed), "<=", 1)
-                    elif ck < ci:
-                        left = (si, ck, ci)
-                        right = (si, ck, cj)
-                        add((x[left], neg_x[right], placed), "<=", 1)
-                        add((x[right], neg_x[left], placed), "<=", 1)
-                    else:
+                    if ci < ck < cj:
                         pair = (x[(si, ci, ck)], x[(si, ck, cj)])
                         add(pair + (placed,), "<=", 2)
                         add(pair + (unplaced,), ">=", 0)
+                    else:
+                        # ck is beyond both members, on the same side of each pair key.
+                        if ck > cj:
+                            left, right = (si, ci, ck), (si, cj, ck)
+                        else:
+                            left, right = (si, ck, ci), (si, ck, cj)
+                        add((x[left], neg_x[right], placed), "<=", 1)
+                        add((x[right], neg_x[left], placed), "<=", 1)
 
     # Activity: forced where an interaction is placed, contiguous otherwise.
     if kind.family == "ilp2":

@@ -13,6 +13,8 @@ character patterns that make a crossing unavoidable.
 from __future__ import annotations
 
 import itertools
+import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -155,12 +157,14 @@ def layer_weight(a: LayerGroups, b: LayerGroups, heuristic: str) -> Fraction | i
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
-def min_path_order(w: Weights) -> list[int]:
+def min_path_order(w: Weights, deadline: float = math.inf) -> list[int] | None:
     """Minimum-weight Hamiltonian path over the weight matrix ``w``, exactly.
 
     Subset dynamic programming, limited to :data:`MAX_EXACT_PATH_NODES`
     nodes.  Among all optimal paths the lexicographically smallest index
     sequence is returned, which also fixes the orientation of the path.
+    The ``time.monotonic`` clock is read once per subset; None is returned
+    as soon as it has passed ``deadline``.
     """
     n = len(w)
     if n == 0:
@@ -178,6 +182,8 @@ def min_path_order(w: Weights) -> list[int]:
     for v in range(n):
         best[1 << v][v] = 0
     for mask in range(1, full + 1):
+        if time.monotonic() > deadline:
+            return None
         row = best[mask]
         for v in range(n):
             cur = row[v]

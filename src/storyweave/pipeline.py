@@ -3,8 +3,9 @@
 Three stages: (i) assign each timestamp's interactions to layers through
 exact conflict-graph coloring, (ii) order the layers of every slice along a
 minimum-weight Hamiltonian path under the chosen crossing estimate (exactly
-up to ``ordering.MAX_EXACT_PATH_NODES`` layers, by nearest neighbour plus
-2-opt beyond that), then (iii) order the characters of the now fixed layers
+up to ``ordering.MAX_EXACT_PATH_NODES`` layers while the budget lasts, by
+nearest neighbour plus 2-opt otherwise) and orient each path against the
+slice before it, then (iii) order the characters of the now fixed layers
 with :func:`core.order_fixed_layers`, a min-plus DP over every layer's
 candidate orders when they are few enough.  The two variants differ only
 in the stage (ii) edge weights: partition similarity ("rand") or
@@ -13,6 +14,7 @@ unavoidable-pattern counts ("pattern").
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -53,24 +55,21 @@ class PipelineConfig:
 
 def orient_slice_paths(
     slices: list[list[tuple[frozenset[CharId], ...]]], heuristic: str
-) -> list[list[tuple[frozenset[CharId], ...]]]:
-    """Pick a left-to-right direction for each slice's layer path.
+) -> list[bool]:
+    """Whether to reverse each slice's layer path, left to right.
 
     The path solver returns an undirected path per slice; stitching is
-    greedy: keep the orientation whose first layer scores the smaller
-    weight against the previous slice's last layer, ties keeping the
-    canonical direction.
+    greedy: a slice is reversed when its last layer scores a strictly
+    smaller weight than its first against the previous slice's last layer,
+    as that slice is drawn.  Ties, and the first slice, keep the canonical
+    direction, so a slice whose end layers are equal is never reversed.
     """
-    if len(slices) <= 1:
-        return [list(s) for s in slices]
-
-    out = [list(slices[0])]
-    for s in slices[1:]:
-        prev_last = out[-1][-1]
-        keep = ordering.layer_weight(prev_last, s[0], heuristic)
-        flip = ordering.layer_weight(prev_last, s[-1], heuristic)
-        out.append(list(reversed(s)) if flip < keep else list(s))
-    return out
+    flips = [False] * len(slices)
+    for k, (prev, s) in enumerate(itertools.pairwise(slices), 1):
+        last = prev[0] if flips[k - 1] else prev[-1]
+        keep = ordering.layer_weight(last, s[0], heuristic)
+        flips[k] = ordering.layer_weight(last, s[-1], heuristic) < keep
+    return flips
 
 
 def run_pipeline(
@@ -78,57 +77,49 @@ def run_pipeline(
 ) -> tuple[CombinatorialStoryline, LayoutReport]:
     """Run coloring, slice ordering and fixed-layer crossing minimization.
 
-    The last stage gets what remains of ``cfg.timeout``.  Orders it cannot
-    prove optimal are reported as ``feasible-timeout`` with a 100 % gap.
+    A slice whose exact path outlasts ``cfg.timeout`` takes the approximate
+    path, and the last stage gets what remains.  Orders it cannot prove
+    optimal are reported as ``feasible-timeout`` with a 100 % gap.
     Crossings are recounted with the oracle.  ``stage_seconds`` splits
     ``runtime`` into ``coloring``, ``ordering`` and ``crossing``.
     """
     t0 = time.monotonic()
+    deadline = t0 + cfg.timeout
 
     # Stage (i): one color class per layer, per timestamp.
-    classes_at: dict[TimeId, list[list[InteractionId]]] = {}
+    slices: list[tuple[TimeId, list[list[InteractionId]]]] = []
     for t in range(inst.num_timestamps):
         graph = coloring.build_conflict_graph(inst, t)
-        if not graph.nodes:
-            continue
-        classes_at[t] = coloring.min_coloring(graph, cfg.cap).classes()
+        if graph.nodes:
+            slices.append((t, coloring.min_coloring(graph, cfg.cap).classes()))
     t_color = time.monotonic()
 
-    # Stage (ii): order each slice's layers along a cheapest path.
+    # Stage (ii): order each slice's layers along a cheapest path, then orient it.
     def groups_of(ids: list[InteractionId]) -> tuple[frozenset[CharId], ...]:
         return tuple(inst.interactions[iid].characters for iid in ids)
 
-    slice_times = sorted(classes_at)
-    slices: list[list[tuple[frozenset[CharId], ...]]] = []
-    slice_ids: list[list[list[InteractionId]]] = []
-    for t in slice_times:
-        layers = classes_at[t]
+    for t, layers in slices:
         weights = ordering.build_slice_graph([groups_of(ids) for ids in layers], cfg.heuristic)
+        path = None
         if len(layers) <= ordering.MAX_EXACT_PATH_NODES:
-            path = ordering.min_path_order(weights)
-        else:
+            path = ordering.min_path_order(weights, deadline)
+        if path is None:
             log.info("timestamp %d: %d layers, ordered heuristically", t, len(layers))
             path = ordering.approx_path_order(weights)
-        slices.append([groups_of(layers[i]) for i in path])
-        slice_ids.append([layers[i] for i in path])
-    oriented = orient_slice_paths(slices, cfg.heuristic)
-    # Layers with equal contents are interchangeable, so matching by content
-    # against the canonical direction recovers each slice's flip decision.
-    oriented_ids = [
-        list(reversed(ids)) if done != canonical else ids
-        for canonical, done, ids in zip(slices, oriented, slice_ids)
-    ]
+        layers[:] = [layers[i] for i in path]
+    flips = orient_slice_paths(
+        [[groups_of(ids) for ids in layers] for _t, layers in slices], cfg.heuristic
+    )
     t_order = time.monotonic()
 
     # Stage (iii): character orders within the fixed layers.
     fixed = [
-        (t, tuple(sorted(ids)), potential_characters(inst, t))
-        for t, layers_ids in zip(slice_times, oriented_ids)
-        for ids in layers_ids
+        (t, tuple(ids), potential_characters(inst, t))
+        for (t, layers), flip in zip(slices, flips)
+        for ids in (layers[::-1] if flip else layers)
     ]
     orders, _cost, proven = order_fixed_layers(
-        [(groups_of(ids), act) for _t, ids, act in fixed],
-        deadline=t0 + cfg.timeout,
+        [(groups_of(ids), act) for _t, ids, act in fixed], deadline=deadline
     )
     story = CombinatorialStoryline(
         tuple(Layer(t, ids, order, act) for (t, ids, act), order in zip(fixed, orders))

@@ -607,8 +607,9 @@ class TestValidation:
 
     def test_bad_name_rejected(self):
         mb = bip.ModelBuilder()
+        mb.new_var("no spaces")
         with pytest.raises(ValueError, match="A-Za-z0-9_"):
-            mb.new_var("no spaces")
+            mb.build()
 
     def test_empty_constraint_rejected(self):
         mb = bip.ModelBuilder()
@@ -656,6 +657,11 @@ class TestLpFormat:
             # zero-coefficient objective terms are dropped by the writer
             kept = tuple((c, v) for c, v in p.objective if c != 0)
             assert back.objective == kept
+
+    def test_repeated_binary_name_rejected(self):
+        text = "Minimize\n obj: x\nSubject To\n c0: x + y >= 1\nBinary\n x y x\nEnd\n"
+        with pytest.raises(ValueError, match="duplicate variable name"):
+            bip.parse_lp(text)
 
     def test_workshop_model_golden(self):
         inst = files.load_instance(WORKSHOP)

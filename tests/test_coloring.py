@@ -11,10 +11,8 @@ from storyweave.coloring import greedy_clique
 from test_core import make_instance
 
 
-def graph(n, edges, time=0):
-    return sw.ConflictGraph(
-        time, tuple(range(n)), tuple(tuple(sorted(e)) for e in edges)
-    )
+def graph(n, edges):
+    return sw.ConflictGraph(tuple(range(n)), tuple(tuple(sorted(e)) for e in edges))
 
 
 def random_graph(rng, max_nodes=8):

@@ -217,7 +217,7 @@ class TestDecodeAndReport:
     @pytest.mark.parametrize("algorithm", ["ilp1ml"])
     def test_timeout_without_incumbent(self, monkeypatch, algorithm):
         # The search stopped before it found any feasible point.
-        stopped = bip.SolveResult(bip.FEASIBLE_TIMEOUT, None, None, 0, 1.0)
+        stopped = bip.SolveResult(bip.FEASIBLE_TIMEOUT, None, None, 0)
         monkeypatch.setattr(bip, "solve", lambda program, timeout: stopped)
         story, report = sw.solve_exact(make_instance(PATTERN_PAIR), sw.ILP1ML)
         assert story is None

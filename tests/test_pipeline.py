@@ -1,17 +1,18 @@
+import hashlib
 import random
 import time
 
 import pytest
 
 import storyweave as sw
-from helpers import cit_rung, oracle_corpus, random_instance
+from helpers import cit_rung, dense_instance, oracle_corpus, random_instance
 from test_core import PATTERN_PAIR, make_instance
 
 
 class TestOrientSlicePaths:
     def test_single_slice_keeps_canonical(self):
         s = [[(frozenset({0, 1}),), (frozenset({2, 3}),)]]
-        assert sw.orient_slice_paths(s, "rand") == s
+        assert sw.orient_slice_paths(s, "rand") == [False]
 
     def test_cheaper_orientation_wins(self):
         # reversing the second slice moves its pattern-free layer to the boundary
@@ -20,14 +21,12 @@ class TestOrientSlicePaths:
             (frozenset({0, 2}), frozenset({1, 3})),
             (frozenset({0, 1}), frozenset({2, 3})),
         ]
-        out = sw.orient_slice_paths([first, second], "pattern")
-        assert out[1] == list(reversed(second))
+        assert sw.orient_slice_paths([first, second], "pattern") == [False, True]
 
     def test_tie_keeps_canonical(self):
         first = [(frozenset({0, 1}),)]
         second = [(frozenset({2, 3}),), (frozenset({4, 5}),)]
-        out = sw.orient_slice_paths([first, second], "rand")
-        assert out[1] == second
+        assert sw.orient_slice_paths([first, second], "rand") == [False, False]
 
 
 class TestRunPipeline:
@@ -136,6 +135,19 @@ class TestRunPipeline:
             ("feasible-timeout", 100.0),
         }
 
+    @pytest.mark.parametrize("heuristic", ["rand", "pattern"])
+    def test_exact_slice_path_keeps_budget(self, heuristic):
+        # One character meets 16 others: a 16-layer slice whose exact path
+        # alone takes longer than the budget.
+        inst = make_instance([("a" + c, "t0") for c in "bcdefghijklmnopq"])
+        t0 = time.monotonic()
+        story, report = sw.run_pipeline(
+            inst, sw.PipelineConfig(heuristic=heuristic, timeout=0.5)
+        )
+        assert time.monotonic() - t0 <= 0.5 + 0.25
+        assert sw.validate_storyline(inst, story) == []
+        assert report.crossings == sw.count_crossings(story).total
+
     def test_stage_times_recorded(self):
         inst = make_instance([("ab", "t0")])
         _, report = sw.run_pipeline(inst, sw.PipelineConfig())
@@ -152,3 +164,34 @@ class TestRunPipeline:
         for timeout in (0, -5, float("nan")):
             with pytest.raises(ValueError, match="timeout must be positive"):
                 sw.PipelineConfig(timeout=timeout)
+
+
+def hub_instance(k):
+    """A hub meeting ``k`` others at t1, one per layer, between two slices
+    that pair it with its first (t0) and its last (t2) partner; ``rand``
+    reverses the hub slice."""
+    others = [f"c{i:02d}" for i in range(k)]
+    interactions = [(["h", others[0]], "t0"), (others[-2:], "t0")]
+    interactions += [(["h", c], "t1") for c in others]
+    interactions += [(["h", others[-1]], "t2"), (others[:2], "t2")]
+    return make_instance(interactions)
+
+
+def test_storylines_pinned():
+    # Seeded draws plus hub slices on both sides of the exact path limit;
+    # the corpus reverses five slices under "rand" and one under "pattern".
+    rng = random.Random(3)
+    corpus = [random_instance(rng, 6, 12, 3) for _ in range(20)]
+    corpus += [dense_instance(rng) for _ in range(20)]
+    corpus += [hub_instance(k) for k in (6, 9, 19, 21)]
+    digest = hashlib.sha256()
+    for inst in corpus:
+        for heuristic in ("rand", "pattern"):
+            story, report = sw.run_pipeline(
+                inst, sw.PipelineConfig(heuristic=heuristic, timeout=600)
+            )
+            record = (story, report.crossings, report.status, report.gap_percent)
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == (
+        "0cd6b68b93d732670842aa7cc06fee8e25ec576cddc4e86c093a9fa49494a277"
+    )
