@@ -27,7 +27,6 @@ from .core import (
     count_crossings,
     gap_crossings,
     order_fixed_layers,
-    potential_characters,
     validate_instance,
     validate_storyline,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "pad_short_curves",
     "parse_lp",
     "pattern_count",
-    "potential_characters",
     "rand_counts",
     "rand_index",
     "run_pipeline",

@@ -37,7 +37,7 @@ class Coloring:
 
 def build_conflict_graph(inst: StorylineInstance, time: TimeId) -> ConflictGraph:
     """Nodes are the timestamp's interactions, edges join those sharing a character."""
-    items = inst.interactions_at(time)
+    items = inst.by_time[time]
     edges = tuple(
         (a.id, b.id)
         for a, b in itertools.combinations(items, 2)
@@ -139,5 +139,5 @@ def layer_budget(
         if minimize:
             budgets[t] = min_coloring(build_conflict_graph(inst, t), cap).num_colors
         else:
-            budgets[t] = len(inst.interactions_at(t))
+            budgets[t] = len(inst.by_time[t])
     return budgets

@@ -15,8 +15,10 @@ min-plus DP that orders the characters of fixed layers, and an exhaustive
 optimum finder for small instances built on it.
 
 Characters and timestamps are dense integer indices into the instance name
-lists.  All containers are immutable and all functions are pure, so shared
-use across threads is safe.
+lists.  An instance computes its per-timestamp tables (``by_time``,
+``potential``) once, on first use, and every stage reads them.  All
+containers are immutable and all functions are pure, so shared use across
+threads is safe.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable, Literal, Mapping, Sequence
 
 CharId = int
@@ -76,23 +79,27 @@ class StorylineInstance:
     def num_interactions(self) -> int:
         return len(self.interactions)
 
-    def interactions_at(self, time: TimeId) -> tuple[Interaction, ...]:
-        return tuple(it for it in self.interactions if it.time == time)
+    @cached_property
+    def by_time(self) -> tuple[tuple[Interaction, ...], ...]:
+        """``by_time[t]``: the interactions at timestamp ``t``, in input order."""
+        out: list[list[Interaction]] = [[] for _ in self.timestamps]
+        for it in self.interactions:
+            out[it.time].append(it)
+        return tuple(map(tuple, out))
 
-    def char_spans(self) -> dict[CharId, tuple[TimeId, TimeId]]:
-        """First and last timestamp (inclusive) at which each character interacts."""
+    @cached_property
+    def potential(self) -> tuple[frozenset[CharId], ...]:
+        """``potential[t]``: the characters whose first-to-last interaction
+        span (inclusive) covers timestamp ``t``."""
         spans: dict[CharId, tuple[TimeId, TimeId]] = {}
         for it in self.interactions:
             for c in it.characters:
                 lo, hi = spans.get(c, (it.time, it.time))
                 spans[c] = (min(lo, it.time), max(hi, it.time))
-        return spans
-
-
-def potential_characters(inst: StorylineInstance, time: TimeId) -> frozenset[CharId]:
-    """Characters whose first-to-last interaction span covers ``time``."""
-    spans = inst.char_spans()
-    return frozenset(c for c, (lo, hi) in spans.items() if lo <= time <= hi)
+        return tuple(
+            frozenset(c for c, (lo, hi) in spans.items() if lo <= t <= hi)
+            for t in range(self.num_timestamps)
+        )
 
 
 @dataclass(frozen=True)
@@ -315,24 +322,31 @@ def _inversions(seq: Sequence[int]) -> int:
     return total
 
 
+def _order_flips(
+    left: Sequence[CharId], right: Sequence[CharId], common: Collection[CharId]
+) -> int:
+    """Pairs of ``common`` whose relative order differs between two orders."""
+    if len(common) < 2:
+        return 0
+    rank: dict[CharId, int] = {}
+    r = 0
+    for c in left:
+        if c in common:
+            rank[c] = r
+            r += 1
+    seq = [rank[c] for c in right if c in common]
+    return _inversions(seq)
+
+
 def gap_crossings(left: Layer, right: Layer) -> int:
     """Crossings between two consecutive layers.
 
     Counts unordered character pairs present in both layers whose relative
     order differs between the two orderings; pairs not co-present contribute
-    nothing.
+    nothing.  :func:`order_fixed_layers` scores its start with the same
+    count.
     """
-    common = left.active & right.active
-    if len(common) < 2:
-        return 0
-    rank: dict[CharId, int] = {}
-    r = 0
-    for c in left.order:
-        if c in common:
-            rank[c] = r
-            r += 1
-    seq = [rank[c] for c in right.order if c in common]
-    return _inversions(seq)
+    return _order_flips(left.order, right.order, left.active & right.active)
 
 
 def count_crossings(s: CombinatorialStoryline) -> CrossingCount:
@@ -430,20 +444,30 @@ def order_fixed_layers(
     interactions, each to be kept consecutive, and the characters it holds.
     Every layer starts in descending order: blocks (groups and lone
     characters) by descending smallest character, characters descending
-    inside a block.  Unless that costs nothing, a min-plus DP over the
-    candidate orders C_i of every layer proves the optimum, provided the
-    sum of |C_i|·|C_{i+1}| is at most ``guard`` and ``deadline`` (on the
-    ``time.monotonic`` clock) does not pass first.  It keeps the descending
-    orders if they are optimal, and otherwise returns the optimum least in
-    this key: crossings, then per gap the flip bit of every co-present
-    pair, then per layer the "smaller character first" bit of every pair,
-    pairs in index order, 0 before 1.
+    inside a block.  Its cost is the oracle's count (co-present pairs that
+    flip, as in :func:`gap_crossings`).  Unless that cost is 0, a min-plus DP
+    over the candidate orders C_i of every layer proves the optimum,
+    provided the sum of |C_i|·|C_{i+1}| is at most ``guard`` and
+    ``deadline`` (on the ``time.monotonic`` clock) does not pass first;
+    otherwise the start comes back with its cost, unproven.  The DP keeps
+    the descending orders if they are optimal, and otherwise returns the
+    optimum least in this key: crossings, then per gap the flip bit of every
+    co-present pair, then per layer the "smaller character first" bit of
+    every pair, pairs in index order, 0 before 1.
     """
     blocks = [_blocks(groups, active) for groups, active in layers]
     start = []
     for runs in blocks:
         desc = sorted((sorted(b, reverse=True) for b in runs), key=lambda b: b[-1], reverse=True)
         start.append(tuple(c for b in desc for c in b))
+    cost = sum(
+        _order_flips(o1, o2, a1 & a2)
+        for o1, o2, (_g, a1), (_h, a2) in zip(start, start[1:], layers, layers[1:])
+    )
+    counts = [_order_count(runs) for runs in blocks]
+    if cost == 0 or sum(a * b for a, b in itertools.pairwise(counts)) > guard:
+        return start, cost, cost == 0
+
     chars = sorted(set().union(*(active for _groups, active in layers)))
     # Earlier pairs take higher bits, so masks compare like bit vectors.
     pairs = list(itertools.combinations(chars, 2))
@@ -453,15 +477,6 @@ def order_fixed_layers(
         sum(bit[p] for p in itertools.combinations(sorted(a & b), 2))
         for (_g, a), (_h, b) in itertools.pairwise(layers)
     ]
-    start_masks = [_order_mask(o, bit) for o in start]
-    cost = sum(
-        ((m1 ^ m2) & gate).bit_count()
-        for m1, m2, gate in zip(start_masks, start_masks[1:], gates)
-    )
-    counts = [_order_count(runs) for runs in blocks]
-    if cost == 0 or sum(a * b for a, b in itertools.pairwise(counts)) > guard:
-        return start, cost, cost == 0
-
     # A layer's flips depend only on its bits in its two gates, so of the
     # orders agreeing there only the least mask can lie on the least key.
     by_mask: list[dict[int, tuple[CharId, ...]]] = []
@@ -507,26 +522,20 @@ def order_fixed_layers(
     return orders, least >> crossing_shift, True
 
 
-def _active_sets(
-    layers: Sequence[tuple[TimeId, list[frozenset[CharId]]]],
-    spans: Mapping[CharId, tuple[TimeId, TimeId]],
-    activity: ActivityMode,
+def _minimal_activity(
+    groups: Sequence[Sequence[frozenset[CharId]]],
 ) -> list[frozenset[CharId]]:
-    if activity == "span":
-        return [
-            frozenset(c for c, (lo, hi) in spans.items() if lo <= t <= hi)
-            for t, _groups in layers
-        ]
+    """Per layer, the characters between their first and last interaction layer."""
     first: dict[CharId, int] = {}
     last: dict[CharId, int] = {}
-    for li, (_t, groups) in enumerate(layers):
-        for g in groups:
+    for li, layer in enumerate(groups):
+        for g in layer:
             for c in g:
                 first.setdefault(c, li)
                 last[c] = li
     return [
-        frozenset(c for c in spans if first[c] <= li <= last[c])
-        for li in range(len(layers))
+        frozenset(c for c in first if first[c] <= li <= last[c])
+        for li in range(len(groups))
     ]
 
 
@@ -555,11 +564,10 @@ def brute_force_optimum(
     times = sorted({it.time for it in inst.interactions})
     if not times:
         return 0
-    spans = inst.char_spans()
 
     per_time: list[list[tuple[tuple[Interaction, ...], ...]]] = []
     for t in times:
-        items = inst.interactions_at(t)
+        items = inst.by_time[t]
         limit = len(items) if budgets is None else budgets[t]
         plans = _slice_plans(items, limit)
         if not plans:
@@ -574,21 +582,19 @@ def brute_force_optimum(
             f"search space too large: {n_sequences} layer sequences exceed guard {guard}"
         )
 
-    def sequence_layers(combo) -> list[tuple[TimeId, list[frozenset[CharId]]]]:
-        out: list[tuple[TimeId, list[frozenset[CharId]]]] = []
-        for t, plan in zip(times, combo):
-            for layer in plan:
-                out.append((t, [it.characters for it in layer]))
-        return out
+    def fixed_layers(combo) -> list[tuple[list[frozenset[CharId]], frozenset[CharId]]]:
+        groups = [[it.characters for it in layer] for plan in combo for layer in plan]
+        if activity == "span":
+            actives = [inst.potential[t] for t, plan in zip(times, combo) for _ in plan]
+        else:
+            actives = _minimal_activity(groups)
+        return list(zip(groups, actives))
 
     total_candidates = 0
     for combo in itertools.product(*per_time):
-        layers = sequence_layers(combo)
-        actives = _active_sets(layers, spans, activity)
-        cand = 1
-        for (_t, groups), act in zip(layers, actives):
-            cand *= _order_count(_blocks(groups, act))
-        total_candidates += cand
+        total_candidates += math.prod(
+            _order_count(_blocks(groups, act)) for groups, act in fixed_layers(combo)
+        )
         if total_candidates > guard:
             raise SearchSpaceError(
                 f"search space too large: more than {guard} candidate storylines"
@@ -596,12 +602,8 @@ def brute_force_optimum(
 
     best: int | None = None
     for combo in itertools.product(*per_time):
-        layers = sequence_layers(combo)
-        actives = _active_sets(layers, spans, activity)
         # The guard above already bounds the work of every sequence.
-        _orders, seq_best, _proven = order_fixed_layers(
-            [(groups, act) for (_t, groups), act in zip(layers, actives)], guard=math.inf
-        )
+        _orders, seq_best, _proven = order_fixed_layers(fixed_layers(combo), guard=math.inf)
         if best is None or seq_best < best:
             best = seq_best
             if best == 0:

@@ -41,7 +41,6 @@ from .core import (
     StorylineInstance,
     TimeId,
     count_crossings,
-    potential_characters,
     validate_storyline,
 )
 
@@ -122,7 +121,7 @@ def build_model(
     its occupied slots to the front of the slice.
     """
     slots = build_slots(inst, budgets)
-    potential = tuple(potential_characters(inst, s.time) for s in slots)
+    potential = tuple(inst.potential[s.time] for s in slots)
     cat = VariableCatalog(kind=kind, slots=slots, potential=potential)
 
     mb = bip.ModelBuilder()
@@ -136,7 +135,7 @@ def build_model(
 
     # Placement variables and constraints.
     for si, s in enumerate(slots):
-        for it in inst.interactions_at(s.time):
+        for it in inst.by_time[s.time]:
             cat.placement[(si, it.id)] = mb.new_var(f"y_s{si}_i{it.id}")
     y, neg_y = _signed(cat.placement)
     for it in inst.interactions:
@@ -147,7 +146,7 @@ def build_model(
             )
         add(row, "=", 1)
     for t, sis in slots_at.items():
-        items = inst.interactions_at(t)
+        items = inst.by_time[t]
         for a, b in itertools.combinations(items, 2):
             if a.characters & b.characters:
                 for si in sis:
@@ -186,7 +185,7 @@ def build_model(
     # Interaction blocks: characters outside a placed interaction must end
     # up entirely before or entirely after its characters.
     for si, s in enumerate(slots):
-        for it in inst.interactions_at(s.time):
+        for it in inst.by_time[s.time]:
             placed, unplaced = y[(si, it.id)], neg_y[(si, it.id)]
             members = sorted(it.characters)
             outside = sorted(potential[si] - it.characters)
@@ -208,7 +207,7 @@ def build_model(
     # Activity: forced where an interaction is placed, contiguous otherwise.
     if kind.family == "ilp2":
         for si, s in enumerate(slots):
-            for it in inst.interactions_at(s.time):
+            for it in inst.by_time[s.time]:
                 for c in it.characters:
                     add((act[(c, si)], neg_y[(si, it.id)]), ">=", 0)
         by_char: dict[CharId, list[int]] = {}

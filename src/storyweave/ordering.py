@@ -56,34 +56,20 @@ class RandCounts:
         )
 
 
-def _together_pairs(layer: LayerGroups) -> set[frozenset[CharId]]:
-    pairs: set[frozenset[CharId]] = set()
-    for group in layer:
-        for a, b in itertools.combinations(sorted(group), 2):
-            pairs.add(frozenset((a, b)))
-    return pairs
+def _together_pairs(layer: LayerGroups, shared: set[CharId]) -> set[frozenset[CharId]]:
+    """Pairs of ``shared`` characters inside one group of ``layer``."""
+    return {frozenset(p) for g in layer for p in itertools.combinations(g & shared, 2)}
 
 
 def rand_counts(a: LayerGroups, b: LayerGroups) -> RandCounts:
-    chars_a = set().union(*a) if a else set()
-    chars_b = set().union(*b) if b else set()
-    shared = chars_a & chars_b
-    together_a = _together_pairs(a)
-    together_b = _together_pairs(b)
-    n1 = n2 = n3 = n4 = 0
-    for u, v in itertools.combinations(sorted(shared), 2):
-        pair = frozenset((u, v))
-        in_a = pair in together_a
-        in_b = pair in together_b
-        if in_a and in_b:
-            n1 += 1
-        elif not in_a and not in_b:
-            n2 += 1
-        elif not in_a:
-            n3 += 1
-        else:
-            n4 += 1
-    return RandCounts(n1, n2, n3, n4)
+    shared = set().union(*a) & set().union(*b)
+    together_a = _together_pairs(a, shared)
+    together_b = _together_pairs(b, shared)
+    both = len(together_a & together_b)
+    a_only = len(together_a - together_b)
+    b_only = len(together_b - together_a)
+    apart = math.comb(len(shared), 2) - both - a_only - b_only
+    return RandCounts(both, apart, b_only, a_only)
 
 
 def rand_index(a: LayerGroups, b: LayerGroups) -> Fraction:
@@ -160,19 +146,17 @@ def layer_weight(a: LayerGroups, b: LayerGroups, heuristic: str) -> Fraction | i
 def min_path_order(w: Weights, deadline: float = math.inf) -> list[int] | None:
     """Minimum-weight Hamiltonian path over the weight matrix ``w``, exactly.
 
-    Subset dynamic programming, limited to :data:`MAX_EXACT_PATH_NODES`
-    nodes.  Among all optimal paths the lexicographically smallest index
-    sequence is returned, which also fixes the orientation of the path.
-    The ``time.monotonic`` clock is read once per subset; None is returned
-    as soon as it has passed ``deadline``.
+    Subset dynamic programming.  Among all optimal paths the
+    lexicographically smallest index sequence is returned, which also fixes
+    the orientation of the path.  None is returned for more than
+    :data:`MAX_EXACT_PATH_NODES` nodes, and as soon as the
+    ``time.monotonic`` clock, read once per subset, has passed ``deadline``.
     """
     n = len(w)
     if n == 0:
         raise ValueError("slice has no layers")
     if n > MAX_EXACT_PATH_NODES:
-        raise ValueError(
-            f"slice too large for exact path ordering ({n} > {MAX_EXACT_PATH_NODES} layers)"
-        )
+        return None
     if n == 1:
         return [0]
 
@@ -221,14 +205,17 @@ def min_path_order(w: Weights, deadline: float = math.inf) -> list[int] | None:
     return path
 
 
-def approx_path_order(w: Weights) -> list[int]:
-    """A cheap Hamiltonian path for slices too large for :func:`min_path_order`.
+def approx_path_order(w: Weights, deadline: float = math.inf) -> list[int]:
+    """A cheap Hamiltonian path for slices :func:`min_path_order` cannot order.
 
     Nearest neighbour from every start node (ties to the smaller index),
     keeping the cheapest path and the earliest start among equals, then
     2-opt: reverse the first segment, in index order, whose reversal makes
-    the path strictly cheaper, until no reversal does.  Weights are exact, so
-    the result is deterministic; it is not optimal in general.
+    the path strictly cheaper, until no reversal does.  Start 0 always runs;
+    each further start and each 2-opt pass runs only while the
+    ``time.monotonic`` clock has not passed ``deadline``.  Weights are
+    exact, so a run that ends within ``deadline`` is deterministic; the
+    result is not optimal in general.
     """
     n = len(w)
     if n == 0:
@@ -246,12 +233,13 @@ def approx_path_order(w: Weights) -> list[int]:
             left.remove(nxt)
         return path
 
-    best = min((nearest_neighbour(s) for s in range(n)), key=cost)
+    starts = itertools.takewhile(lambda s: s == 0 or time.monotonic() <= deadline, range(n))
+    best = min(map(nearest_neighbour, starts), key=cost)
 
     # Reversing best[i..j] swaps edge (best[i-1], best[i]) for (best[i-1], best[j])
     # and edge (best[j], best[j+1]) for (best[i], best[j+1]); path ends have no edge.
     improved = True
-    while improved:
+    while improved and time.monotonic() <= deadline:
         improved = False
         for i, j in itertools.combinations(range(n), 2):
             a, b = best[i], best[j]

@@ -4,12 +4,12 @@ Three stages: (i) assign each timestamp's interactions to layers through
 exact conflict-graph coloring, (ii) order the layers of every slice along a
 minimum-weight Hamiltonian path under the chosen crossing estimate (exactly
 up to ``ordering.MAX_EXACT_PATH_NODES`` layers while the budget lasts, by
-nearest neighbour plus 2-opt otherwise) and orient each path against the
-slice before it, then (iii) order the characters of the now fixed layers
-with :func:`core.order_fixed_layers`, a min-plus DP over every layer's
-candidate orders when they are few enough.  The two variants differ only
-in the stage (ii) edge weights: partition similarity ("rand") or
-unavoidable-pattern counts ("pattern").
+nearest neighbour plus 2-opt, cut at the budget, otherwise) and orient each
+path against the slice before it, then (iii) order the characters of the
+now fixed layers with :func:`core.order_fixed_layers`, a min-plus DP over
+every layer's candidate orders when they are few enough.  The two variants
+differ only in the stage (ii) edge weights: partition similarity ("rand")
+or unavoidable-pattern counts ("pattern").
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .core import (
     TimeId,
     count_crossings,
     order_fixed_layers,
-    potential_characters,
 )
 
 log = logging.getLogger(__name__)
@@ -62,13 +61,16 @@ def orient_slice_paths(
     greedy: a slice is reversed when its last layer scores a strictly
     smaller weight than its first against the previous slice's last layer,
     as that slice is drawn.  Ties, and the first slice, keep the canonical
-    direction, so a slice whose end layers are equal is never reversed.
+    direction, so a slice whose end layers are equal is never reversed; a
+    one-layer slice is not scored at all.
     """
     flips = [False] * len(slices)
     for k, (prev, s) in enumerate(itertools.pairwise(slices), 1):
         last = prev[0] if flips[k - 1] else prev[-1]
-        keep = ordering.layer_weight(last, s[0], heuristic)
-        flips[k] = ordering.layer_weight(last, s[-1], heuristic) < keep
+        flips[k] = len(s) > 1 and (
+            ordering.layer_weight(last, s[-1], heuristic)
+            < ordering.layer_weight(last, s[0], heuristic)
+        )
     return flips
 
 
@@ -77,8 +79,9 @@ def run_pipeline(
 ) -> tuple[CombinatorialStoryline, LayoutReport]:
     """Run coloring, slice ordering and fixed-layer crossing minimization.
 
-    A slice whose exact path outlasts ``cfg.timeout`` takes the approximate
-    path, and the last stage gets what remains.  Orders it cannot prove
+    A slice too large for the exact path, or whose exact path outlasts
+    ``cfg.timeout``, takes the approximate path, which also stops at the
+    budget, and the last stage gets what remains.  Orders it cannot prove
     optimal are reported as ``feasible-timeout`` with a 100 % gap.
     Crossings are recounted with the oracle.  ``stage_seconds`` splits
     ``runtime`` into ``coloring``, ``ordering`` and ``crossing``.
@@ -100,12 +103,10 @@ def run_pipeline(
 
     for t, layers in slices:
         weights = ordering.build_slice_graph([groups_of(ids) for ids in layers], cfg.heuristic)
-        path = None
-        if len(layers) <= ordering.MAX_EXACT_PATH_NODES:
-            path = ordering.min_path_order(weights, deadline)
+        path = ordering.min_path_order(weights, deadline)
         if path is None:
             log.info("timestamp %d: %d layers, ordered heuristically", t, len(layers))
-            path = ordering.approx_path_order(weights)
+            path = ordering.approx_path_order(weights, deadline)
         layers[:] = [layers[i] for i in path]
     flips = orient_slice_paths(
         [[groups_of(ids) for ids in layers] for _t, layers in slices], cfg.heuristic
@@ -114,7 +115,7 @@ def run_pipeline(
 
     # Stage (iii): character orders within the fixed layers.
     fixed = [
-        (t, tuple(ids), potential_characters(inst, t))
+        (t, tuple(ids), inst.potential[t])
         for (t, layers), flip in zip(slices, flips)
         for ids in (layers[::-1] if flip else layers)
     ]

@@ -112,6 +112,18 @@ def wide_instances(count: int = 4, chars: int = 24, times: int = 2) -> list[Stor
     return out
 
 
+def matching_instance(chars: int, times: int, seed: int) -> StorylineInstance:
+    """Every timestamp a random perfect matching of ``chars`` characters
+    (one left over when ``chars`` is odd): disjoint pairs, so one layer per
+    timestamp, each holding every character."""
+    rng = random.Random(seed)
+    drawn = []
+    for t in range(times):
+        perm = rng.sample(range(chars), chars)
+        drawn.extend((perm[k : k + 2], t) for k in range(0, chars - 1, 2))
+    return _drawn_instance(drawn, times)
+
+
 def _drawn_instance(drawn: list[tuple[list[int], int]], times: int) -> StorylineInstance:
     """Instance from (member indices, time index) pairs; characters that end
     up unused are dropped and the rest renumbered, every timestamp is kept."""
@@ -167,7 +179,7 @@ def random_storyline(
     """
     slots: list[tuple[int, list]] = []  # (time, interactions)
     for t in range(inst.num_timestamps):
-        items = list(inst.interactions_at(t))
+        items = list(inst.by_time[t])
         rng.shuffle(items)
         packed: list[list] = []
         for it in items:
@@ -221,6 +233,26 @@ def naive_gap_crossings(left: Layer, right: Layer) -> int:
         if before_l != before_r:
             total += 1
     return total
+
+
+def reference_rand_counts(a, b) -> tuple[int, int, int, int]:
+    """Rand-index buckets by classifying every shared character pair:
+    (together in both, apart in both, apart then together, together then apart)."""
+    chars_a = set().union(*a)
+    chars_b = set().union(*b)
+    n1 = n2 = n3 = n4 = 0
+    for u, v in itertools.combinations(sorted(chars_a & chars_b), 2):
+        in_a = any(u in g and v in g for g in a)
+        in_b = any(u in g and v in g for g in b)
+        if in_a and in_b:
+            n1 += 1
+        elif not in_a and not in_b:
+            n2 += 1
+        elif not in_a:
+            n3 += 1
+        else:
+            n4 += 1
+    return n1, n2, n3, n4
 
 
 def brute_chromatic(nodes: list[int], edges: set[frozenset[int]], cap: int | None = None) -> int:

@@ -663,6 +663,25 @@ class TestLpFormat:
         with pytest.raises(ValueError, match="duplicate variable name"):
             bip.parse_lp(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Minimize\n obj: x\nSubject To\n c0: x + ? >= 1\nBinary\n x\nEnd\n",
+             "cannot parse linear expression at '+ ? '"),
+            ("x + y >= 1\nMinimize\n obj: x\nEnd\n",
+             "statement before any section: 'x + y >= 1'"),
+            ("Minimize\n obj: x\nSubject To\n c0: x + y >= 1\nBinary\n x\nEnd\n",
+             "variable 'y' missing from Binary section"),
+            ("Minimize\n obj: x\nSubject To\n c0: x + y\nBinary\n x y\nEnd\n",
+             "constraint without comparison: 'c0: x + y'"),
+        ],
+        ids=["bad-term", "before-section", "unknown-variable", "no-comparison"],
+    )
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ValueError) as err:
+            bip.parse_lp(text)
+        assert str(err.value) == message
+
     def test_workshop_model_golden(self):
         inst = files.load_instance(WORKSHOP)
         budgets = sw.layer_budget(inst, minimize=True)

@@ -11,6 +11,7 @@ import pytest
 import storyweave as sw
 from storyweave import files
 from storyweave.cli import main
+from helpers import cit_rung
 from test_core import PATTERN_PAIR, make_instance
 
 
@@ -59,6 +60,15 @@ class TestStats:
 
 
 class TestSolve:
+    def test_exact_run_without_layout_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "rung.json"
+        files.save_instance(path, cit_rung(12, 25, 8, 1))
+        out = tmp_path / "story.json"
+        argv = ["solve", str(path), "--algorithm", "ilp1ml", "--timeout", "0.05", "-o", str(out)]
+        assert main(argv) == 1
+        assert "no feasible storyline" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_storyline_and_row(self, tmp_path, capsys):
         path, inst = write_instance(tmp_path, "one", [("ab", "t0")])
         out = tmp_path / "story.json"

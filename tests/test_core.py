@@ -1,10 +1,13 @@
+import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 import storyweave as sw
 from helpers import (
+    cit_rung,
     naive_gap_crossings,
     random_fixed_layers,
     random_instance,
@@ -86,6 +89,62 @@ class TestValidateInstance:
                 }
             )
         assert len(err.value.violations) >= 3
+
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "document must be a mapping"),
+            ({"characters": "ab", "timestamps": [], "interactions": []},
+             "characters: missing or not a list"),
+            ({"characters": [], "timestamps": None, "interactions": []},
+             "timestamps: missing or not a list"),
+            ({"characters": [], "timestamps": [], "interactions": {}},
+             "interactions: missing or not a list"),
+            ({"characters": ["a", ""], "timestamps": [], "interactions": []},
+             "characters[1]: name must be a non-empty string"),
+            ({"characters": [7], "timestamps": [], "interactions": []},
+             "characters[0]: name must be a non-empty string"),
+            ({"characters": [], "timestamps": ["t0", ""], "interactions": []},
+             "timestamps[1]: label must be a non-empty string"),
+            ({"characters": [], "timestamps": [None], "interactions": []},
+             "timestamps[0]: label must be a non-empty string"),
+            ({"characters": ["a"], "timestamps": ["t0"], "interactions": ["a"]},
+             "interactions[0]: must be a mapping"),
+            ({"characters": ["a"], "timestamps": ["t0"],
+              "interactions": [{"characters": ["a", "a"], "time": "t0"}]},
+             "interactions[0].characters: duplicate character 'a'"),
+        ],
+        ids=[
+            "not-mapping", "characters-not-list", "timestamps-not-list",
+            "interactions-not-list", "empty-name", "non-string-name", "empty-label",
+            "non-string-label", "interaction-not-mapping", "repeated-member",
+        ],
+    )
+    def test_malformed_document(self, doc, message):
+        with pytest.raises(sw.InstanceError) as err:
+            sw.validate_instance(doc)
+        assert message in err.value.violations
+
+
+class TestInstanceTables:
+    def test_match_first_to_last_span_definition(self):
+        rng = random.Random(12)
+        draws = [random_instance(rng, 6, 8, 5) for _ in range(40)]
+        # cit_rung keeps timestamps that no interaction uses
+        draws += [cit_rung(6, k, 6, seed) for k in (2, 4, 9) for seed in (1, 2, 3)]
+        for k, inst in enumerate(draws):
+            times_of = {c: [] for c in range(inst.num_characters)}
+            for it in inst.interactions:
+                for c in it.characters:
+                    times_of[c].append(it.time)
+            assert len(inst.by_time) == len(inst.potential) == inst.num_timestamps
+            for t in range(inst.num_timestamps):
+                at_t = tuple(it for it in inst.interactions if it.time == t)
+                spanning = {c for c, ts in times_of.items() if min(ts) <= t <= max(ts)}
+                assert inst.by_time[t] == at_t, f"draw {k}, t{t}"
+                assert inst.potential[t] == spanning, f"draw {k}, t{t}"
+            assert inst.by_time is inst.by_time and inst.potential is inst.potential
 
 
 class TestValidateStoryline:
@@ -172,6 +231,27 @@ def layer(order, time=0, interactions=(), active=None):
         order=tuple(order),
         active=frozenset(active if active is not None else order),
     )
+
+
+    @pytest.mark.parametrize(
+        "layer, message",
+        [
+            (sw.Layer(5, (0,), (0, 1), frozenset({0, 1})),
+             "layers[0]: unknown timestamp index 5"),
+            (sw.Layer(0, (0,), (0, 0), frozenset({0, 1})),
+             "layers[0]: order is not a permutation of the active set"),
+            (sw.Layer(0, (0, 7), (0, 1), frozenset({0, 1})),
+             "layers[0]: unknown interaction id 7"),
+            (sw.Layer(0, (1,), (1, 2), frozenset({1, 2})),
+             "layers[0]: interaction 1 not at the layer timestamp"),
+            (sw.Layer(0, (0,), (0,), frozenset({0})),
+             "layers[0]: interaction 0 characters missing from active set"),
+        ],
+        ids=["unknown-time", "not-permutation", "unknown-id", "other-time", "missing-member"],
+    )
+    def test_malformed_layer(self, layer, message):
+        inst = make_instance([("ab", "t0"), ("bc", "t1")])
+        assert message in sw.validate_storyline(inst, sw.CombinatorialStoryline((layer,)))
 
 
 class TestCountCrossings:
@@ -282,6 +362,16 @@ class TestBruteForceOptimum:
         with pytest.raises(ValueError, match="below the chromatic number"):
             sw.brute_force_optimum(inst, budgets={0: 1})
 
+    def test_empty_instance(self):
+        empty = sw.validate_instance({"characters": [], "timestamps": [], "interactions": []})
+        assert sw.brute_force_optimum(empty) == 0
+
+    def test_layer_sequence_guard_raises(self):
+        # three disjoint interactions have 13 ordered layer plans
+        inst = make_instance([("a", "t0"), ("b", "t0"), ("c", "t0")])
+        with pytest.raises(sw.SearchSpaceError, match="13 layer sequences exceed guard 12"):
+            sw.brute_force_optimum(inst, guard=12)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="activity mode"):
             sw.brute_force_optimum(make_instance([("ab", "t0")]), "weird")
@@ -325,6 +415,35 @@ class TestOrderFixedLayers:
         assert sw.order_fixed_layers(layers, guard=0) == (start, 1, False)
         assert sw.order_fixed_layers(layers, deadline=0.0) == (start, 1, False)
         assert sw.order_fixed_layers(layers) == (start, 1, True)
+
+    def test_guard_returns_oracle_cost_of_start(self):
+        rng = random.Random(32)
+        draws = [random_fixed_layers(rng) for _ in range(100)]
+        inst = cit_rung(30, 100, 20, 1)
+        draws.append([([it.characters for it in inst.by_time[t]], inst.potential[t])
+                      for t in range(inst.num_timestamps) if inst.by_time[t]])
+        for k, layers in enumerate(draws):
+            orders, cost, proven = sw.order_fixed_layers(layers, guard=0)
+            story = sw.CombinatorialStoryline(tuple(
+                sw.Layer(li, (), order, act)
+                for li, (order, (_g, act)) in enumerate(zip(orders, layers))
+            ))
+            assert cost == sw.count_crossings(story).total, f"draw {k}"
+            assert proven == (cost == 0), f"draw {k}"
+
+    def test_deadline_inside_dp_returns_start(self, monkeypatch):
+        # Building the DP's tables reads the clock once per candidate order,
+        # 8 per layer here; a counting clock passes the deadline at the
+        # first read after them, inside the DP.
+        layers = [
+            ([frozenset({0, 1}), frozenset({2, 3})], frozenset(range(4))),
+            ([frozenset({0, 2}), frozenset({1, 3})], frozenset(range(4))),
+        ]
+        ticks = itertools.count(1)
+        monkeypatch.setattr(sw.core, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        result = sw.order_fixed_layers(layers, deadline=16)
+        assert result == ([(3, 2, 1, 0), (3, 1, 2, 0)], 1, False)
+        assert next(ticks) == 18
 
     def test_optimal_start_is_kept(self):
         # The start flips pair (1, 2) in the first gap; flipping it in the

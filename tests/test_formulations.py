@@ -20,18 +20,23 @@ def small_corpus(seed=0, count=40):
 class TestPotentialCharacters:
     def test_outside_span(self):
         inst = make_instance([("a", "t0"), ("b", "t1")])
-        assert 0 not in sw.potential_characters(inst, 1)
+        assert 0 not in inst.potential[1]
 
     def test_span_is_inclusive(self):
         inst = make_instance([("ab", "t0"), ("b", "t1"), ("ab", "t2")])
-        assert sw.potential_characters(inst, 1) == frozenset({0, 1})
+        assert inst.potential[1] == frozenset({0, 1})
 
     def test_interacting_characters_always_present(self):
         inst = make_instance([("abc", "t0")])
-        assert sw.potential_characters(inst, 0) == frozenset({0, 1, 2})
+        assert inst.potential[0] == frozenset({0, 1, 2})
 
 
 class TestBuildModel:
+    def test_zero_slot_budget_rejected(self):
+        inst = make_instance([("ab", "t0"), ("ab", "t1")])
+        with pytest.raises(ValueError, match="timestamp 1 has interactions but a zero slot budget"):
+            sw.build_model(inst, sw.ILP1, {0: 1, 1: 0})
+
     def test_single_interaction_shape(self):
         inst = make_instance([("ab", "t0")])
         program, cat = sw.build_model(inst, sw.ILP1, {0: 1})

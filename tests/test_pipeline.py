@@ -5,7 +5,7 @@ import time
 import pytest
 
 import storyweave as sw
-from helpers import cit_rung, dense_instance, oracle_corpus, random_instance
+from helpers import cit_rung, dense_instance, matching_instance, oracle_corpus, random_instance
 from test_core import PATTERN_PAIR, make_instance
 
 
@@ -134,6 +134,19 @@ class TestRunPipeline:
             ("optimal", None),
             ("feasible-timeout", 100.0),
         }
+
+    @pytest.mark.parametrize("heuristic", ["rand", "pattern"])
+    def test_wide_layers_keep_budget(self, heuristic):
+        # 200 characters over 50 one-layer timestamps: every stage works on
+        # wide layers, and every slice is too small to be scored or reversed.
+        inst = matching_instance(200, 50, 1)
+        t0 = time.monotonic()
+        story, report = sw.run_pipeline(
+            inst, sw.PipelineConfig(heuristic=heuristic, timeout=0.5)
+        )
+        assert time.monotonic() - t0 <= 0.75
+        assert sw.validate_storyline(inst, story) == []
+        assert report.crossings == sw.count_crossings(story).total
 
     @pytest.mark.parametrize("heuristic", ["rand", "pattern"])
     def test_exact_slice_path_keeps_budget(self, heuristic):
