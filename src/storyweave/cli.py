@@ -78,7 +78,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             inst, kind, budgets, symmetry_breaking=False
         )
         text = bip.export_lp(program, name=f"{dataset} {args.algorithm}")
-        Path(args.export_lp).write_text(text, encoding="utf-8")
+        files.write_text(args.export_lp, text)
         print(f"wrote {args.export_lp} ({len(program.variables)} variables, unsolved)")
         return 0
 
@@ -99,7 +99,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     inst = files.load_instance(args.instance)
     story = files.load_storyline(args.storyline, inst)
     geometry = render.pad_short_curves(render.assign_coordinates(story, inst))
-    Path(args.output).write_text(render.emit_svg(geometry, inst), encoding="utf-8")
+    files.write_text(args.output, render.emit_svg(geometry, inst))
     print(f"wrote {args.output}")
     return 0
 

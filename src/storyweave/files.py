@@ -16,13 +16,22 @@ input-order id::
 The stored crossing count is verified against a recount on load, so stale
 or hand-edited files are rejected.  Benchmark results are written as one
 CSV row per (dataset, algorithm) cell.
+
+Every file the package writes goes through :func:`write_text`, which
+overwrites an existing file in place and cuts it only when the new text is
+shorter.  Truncating to zero first would cost more: on ext4 (the default
+``auto_da_alloc``), closing a file truncated to zero forces block allocation
+and starts writeback, so re-running a solve into the same output would pay
+for a flush on every file.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -186,14 +195,28 @@ def save_storyline(
 
 def write_bench_csv(path: str | Path, rows: Sequence[BenchRow]) -> None:
     ordered = sorted(rows, key=lambda r: (r.dataset, r.algorithm))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_COLUMNS)
-        for row in ordered:
-            writer.writerow(row.as_csv())
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(BENCH_COLUMNS)
+    for row in ordered:
+        writer.writerow(row.as_csv())
+    write_text(path, buf.getvalue())
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, overwriting the file in place.
+
+    A new file gets the mode ``open(path, "w")`` would give it.
+    """
+    data = text.encode("utf-8")
+    # No O_TRUNC: closing a file truncated to zero makes ext4 (auto_da_alloc)
+    # allocate and start writeback at once; cutting only a longer tail does not.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if os.fstat(fd).st_size > len(data):
+            fh.truncate()  # flushes, then cuts at the end of data
 
 
 def _dump(path: str | Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")

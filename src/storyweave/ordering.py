@@ -143,6 +143,17 @@ def layer_weight(a: LayerGroups, b: LayerGroups, heuristic: str) -> Fraction | i
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
+def integer_weights(w: Weights) -> Weights:
+    """``w`` times the least common denominator of its entries, as ints.
+
+    A positive scale keeps every comparison and tie, so both path solvers
+    return the same paths on the result, and int sums are several times
+    cheaper than :class:`Fraction` sums.  An int matrix keeps its values.
+    """
+    scale = math.lcm(*(x.denominator for row in w for x in row))
+    return tuple(tuple(int(x * scale) for x in row) for row in w)
+
+
 def min_path_order(w: Weights, deadline: float = math.inf) -> list[int] | None:
     """Minimum-weight Hamiltonian path over the weight matrix ``w``, exactly.
 

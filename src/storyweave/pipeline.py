@@ -102,7 +102,9 @@ def run_pipeline(
         return tuple(inst.interactions[iid].characters for iid in ids)
 
     for t, layers in slices:
-        weights = ordering.build_slice_graph([groups_of(ids) for ids in layers], cfg.heuristic)
+        weights = ordering.integer_weights(
+            ordering.build_slice_graph([groups_of(ids) for ids in layers], cfg.heuristic)
+        )
         path = ordering.min_path_order(weights, deadline)
         if path is None:
             log.info("timestamp %d: %d layers, ordered heuristically", t, len(layers))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from .core import (
     CharId,
@@ -62,45 +63,22 @@ def _layer_gaps(inst: StorylineInstance, layer) -> list[float]:
     return gaps
 
 
-def _project(targets: list[float], gaps: list[float]) -> list[float]:
-    """Closest order-preserving fit: y[i] >= y[i-1] + gaps[i] for all i.
-
-    Pool-adjacent-violators on the gap-shifted values (least-squares fit
-    under monotonicity), then shift back.
-    """
-    offsets = list(itertools.accumulate(gaps))
-    shifted = [t - o for t, o in zip(targets, offsets)]
-    # Each pool: [sum, count]; merge while the means decrease.
-    pools: list[list[float]] = []
-    for v in shifted:
-        pools.append([v, 1.0])
-        while len(pools) > 1 and pools[-2][0] / pools[-2][1] >= pools[-1][0] / pools[-1][1]:
-            s, c = pools.pop()
-            pools[-1][0] += s
-            pools[-1][1] += c
-    fit: list[float] = []
-    for s, c in pools:
-        fit.extend([s / c] * int(c))
-    return [f + o for f, o in zip(fit, offsets)]
-
-
-def _activity_ranges(s: CombinatorialStoryline) -> dict[CharId, tuple[int, int]]:
+def _outline(
+    s: CombinatorialStoryline, xs: Sequence[float]
+) -> tuple[dict[CharId, tuple[int, int]], list[float]]:
+    """Each character's first and last layer, in order of first appearance,
+    and the x of every slice separator (midway between two layers whose
+    timestamps differ)."""
     lo: dict[CharId, int] = {}
     hi: dict[CharId, int] = {}
+    seps: list[float] = []
     for li, layer in enumerate(s.layers):
+        if li and layer.time != s.layers[li - 1].time:
+            seps.append((xs[li - 1] + xs[li]) / 2.0)
         for c in layer.active:
             lo.setdefault(c, li)
             hi[c] = li
-    return {c: (lo[c], hi[c]) for c in lo}
-
-
-def total_wiggle(ys: dict[tuple[CharId, int], float], ranges) -> float:
-    """Sum of vertical movement of every curve between consecutive layers."""
-    w = 0.0
-    for c, (a, b) in ranges.items():
-        for li in range(a, b):
-            w += abs(ys[(c, li + 1)] - ys[(c, li)])
-    return w
+    return {c: (lo[c], hi[c]) for c in lo}, seps
 
 
 def assign_coordinates(
@@ -116,6 +94,7 @@ def assign_coordinates(
     that would worsen it is discarded), as does the :data:`SWEEP_PAIRS`-th.
     """
     layers = s.layers
+    n = len(layers)
     xs: list[float] = []
     x = MARGIN + LABEL_SPACE
     for li, layer in enumerate(layers):
@@ -125,60 +104,97 @@ def assign_coordinates(
                 x += BOUNDARY_GAP
         xs.append(x)
 
-    ranges = _activity_ranges(s)
-    ys: dict[tuple[CharId, int], float] = {}
-    for li, layer in enumerate(layers):
-        for rank, c in enumerate(layer.order):
-            ys[(c, li)] = MARGIN + rank * GAP_BETWEEN
+    # rows[li][k] is the y of the k-th character of layer li's order.  Activity
+    # is contiguous, so a character's neighbours are its positions in the
+    # layers before and after, where present (-1 where not).
+    pos = [{c: k for k, c in enumerate(layer.order)} for layer in layers]
+    links = [
+        [(k, before.get(c, -1), after.get(c, -1)) for k, c in enumerate(layer.order)]
+        for layer, before, after in zip(layers, [{}, *pos], [*pos[1:], {}])
+    ]
+    offsets = [list(itertools.accumulate(_layer_gaps(inst, layer))) for layer in layers]
+    rows = [[MARGIN + rank * GAP_BETWEEN for rank in range(len(layer.order))] for layer in layers]
 
-    gaps_per_layer = [_layer_gaps(inst, layer) for layer in layers]
+    # Every (layer, position, position in the next layer) step of every
+    # curve, curves in _outline order, so wiggle sums as it always has.
+    steps = [
+        (li, pos[li][c], pos[li + 1][c])
+        for c, (a, b) in _outline(s, xs)[0].items()
+        for li in range(a, b)
+    ]
+    sweeps = [*range(n), *range(n - 1, -1, -1)]  # left to right, then back
 
-    def sweep(direction: int) -> None:
-        todo = range(len(layers)) if direction > 0 else range(len(layers) - 1, -1, -1)
-        for li in todo:
-            layer = layers[li]
-            targets: list[float] = []
-            for c in layer.order:
-                a, b = ranges[c]
-                neighbors = []
-                if li - 1 >= a:
-                    neighbors.append(ys[(c, li - 1)])
-                if li + 1 <= b:
-                    neighbors.append(ys[(c, li + 1)])
-                targets.append(
-                    sum(neighbors) / len(neighbors) if neighbors else ys[(c, li)]
-                )
-            fitted = _project(targets, gaps_per_layer[li])
-            for c, y in zip(layer.order, fitted):
-                ys[(c, li)] = y
-
-    wiggle = total_wiggle(ys, ranges)
+    w = _wiggle(rows, steps)
     for _ in range(SWEEP_PAIRS):
-        snapshot = dict(ys)
-        sweep(+1)
-        sweep(-1)
-        new_wiggle = total_wiggle(ys, ranges)
-        if new_wiggle > wiggle:
-            ys = snapshot
+        snapshot = rows[:]
+        for li in sweeps:
+            row = rows[li]
+            rows[li] = _fit(
+                row,
+                rows[li - 1] if li > 0 else row,
+                rows[li + 1] if li + 1 < n else row,
+                links[li],
+                offsets[li],
+            )
+        new_w = _wiggle(rows, steps)
+        if new_w > w:
+            rows = snapshot
             break
-        if wiggle - new_wiggle < MIN_IMPROVEMENT:
-            wiggle = new_wiggle
+        if w - new_w < MIN_IMPROVEMENT:
             break
-        wiggle = new_wiggle
+        w = new_w
 
+    ys = {(c, li): y for li, layer in enumerate(layers) for c, y in zip(layer.order, rows[li])}
     extents: dict[tuple[int, InteractionId], tuple[float, float]] = {}
     for li, layer in enumerate(layers):
         for iid in layer.interactions:
-            members = inst.interactions[iid].characters
-            vals = [ys[(c, li)] for c in members]
+            vals = [rows[li][pos[li][c]] for c in inst.interactions[iid].characters]
             extents[(li, iid)] = (min(vals), max(vals))
 
-    return GeometricStoryline(
-        storyline=s,
-        xs=tuple(xs),
-        ys=dict(ys),
-        extents=extents,
-    )
+    return GeometricStoryline(storyline=s, xs=tuple(xs), ys=ys, extents=extents)
+
+
+def _fit(
+    row: list[float],
+    above: list[float],
+    below: list[float],
+    link: list[tuple[int, int, int]],
+    offsets: list[float],
+) -> list[float]:
+    """One layer moved toward its neighbours, then its order and gaps restored.
+
+    Each character's target is the mean of its y in the layers ``above`` and
+    ``below`` where ``link`` gives a position there (-1 where not), else its
+    own y in ``row``.  The fit is the closest order-preserving one with
+    y[k] >= y[k-1] + gap: pool-adjacent-violators on the targets minus the
+    running gap sums ``offsets`` (least squares under monotonicity), shifted
+    back.
+    """
+    # Each pool: (mean, sum, size); merge while the means decrease.
+    pools: list[tuple[float, float, int]] = []
+    for k, u, d in link:
+        if u >= 0:
+            t = (above[u] + below[d]) / 2 if d >= 0 else above[u]
+        else:
+            t = below[d] if d >= 0 else row[k]
+        mean = total = t - offsets[k]
+        size = 1
+        while pools and pools[-1][0] >= mean:
+            _, prev, count = pools.pop()
+            total = prev + total
+            size += count
+            mean = total / size
+        pools.append((mean, total, size))
+    fitted = [mean for mean, _, size in pools for _ in range(size)]
+    return [f + o for f, o in zip(fitted, offsets)]
+
+
+def _wiggle(rows: list[list[float]], steps: list[tuple[int, int, int]]) -> float:
+    """Total vertical movement over ``(layer, position, next position)`` steps."""
+    w = 0.0
+    for li, k, j in steps:
+        w += abs(rows[li + 1][j] - rows[li][k])
+    return w
 
 
 def pad_short_curves(g: GeometricStoryline) -> GeometricStoryline:
@@ -187,8 +203,7 @@ def pad_short_curves(g: GeometricStoryline) -> GeometricStoryline:
     The stub extends the curve by :data:`SHORT_CURVE_PAD` on both sides at
     constant y, clipped so it never reaches a slice separator line.
     """
-    seps = _separator_xs(g)
-    ranges = _activity_ranges(g.storyline)
+    ranges, seps = _outline(g.storyline, g.xs)
     pads: dict[CharId, tuple[float, float]] = {}
     for c, (a, b) in ranges.items():
         if a != b:
@@ -205,29 +220,16 @@ def pad_short_curves(g: GeometricStoryline) -> GeometricStoryline:
     return replace(g, pads=pads)
 
 
-def _separator_xs(g: GeometricStoryline) -> list[float]:
-    layers = g.storyline.layers
-    return [
-        (g.xs[li] + g.xs[li + 1]) / 2.0
-        for li in range(len(layers) - 1)
-        if layers[li].time != layers[li + 1].time
-    ]
-
-
 _PALETTE = (
     "#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2",
     "#b279a2", "#9d755d", "#eeca3b", "#4f8de0", "#637939",
 )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
-    """Serialize the geometry as standalone SVG 1.1 text."""
+    """Serialize the geometry as standalone SVG 1.1 text (lengths to 2 decimals)."""
     layers = g.storyline.layers
-    ranges = _activity_ranges(g.storyline)
+    ranges, seps = _outline(g.storyline, g.xs)
     all_y = list(g.ys.values()) or [MARGIN]
     bottom = max(all_y) + MARGIN
     width = (g.xs[-1] if g.xs else MARGIN) + MARGIN
@@ -237,17 +239,17 @@ def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'width="{width:.2f}" height="{height:.2f}" '
+        f'viewBox="0 0 {width:.2f} {height:.2f}">'
     )
     out.append(
         '<style>text { font-family: sans-serif; font-size: 11px; }</style>'
     )
 
-    for sep in _separator_xs(g):
+    for sep in seps:
         out.append(
-            f'<line class="separator" x1="{_fmt(sep)}" y1="{_fmt(MARGIN / 2)}" '
-            f'x2="{_fmt(sep)}" y2="{_fmt(bottom)}" stroke="#999999" '
+            f'<line class="separator" x1="{sep:.2f}" y1="{MARGIN / 2:.2f}" '
+            f'x2="{sep:.2f}" y2="{bottom:.2f}" stroke="#999999" '
             f'stroke-dasharray="6,4" stroke-width="1"/>'
         )
 
@@ -257,11 +259,12 @@ def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
         cx = (g.xs[idxs[0]] + g.xs[idxs[-1]]) / 2.0
         label = inst.timestamps[time]
         out.append(
-            f'<text class="timestamp" x="{_fmt(cx)}" y="{_fmt(bottom + 18.0)}" '
+            f'<text class="timestamp" x="{cx:.2f}" y="{bottom + 18.0:.2f}" '
             f'text-anchor="middle">{_escape(label)}</text>'
         )
 
-    for c in sorted(ranges):
+    chars = sorted(ranges)
+    for c in chars:
         a, b = ranges[c]
         color = _PALETTE[c % len(_PALETTE)]
         path = _curve_path(g, c, a, b)
@@ -273,15 +276,15 @@ def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
     for (li, iid), (y0, y1) in sorted(g.extents.items()):
         x = g.xs[li] - BAR_WIDTH / 2.0
         out.append(
-            f'<rect class="interaction" x="{_fmt(x)}" y="{_fmt(y0 - 4.0)}" '
-            f'width="{_fmt(BAR_WIDTH)}" height="{_fmt(y1 - y0 + 8.0)}" fill="#000000"/>'
+            f'<rect class="interaction" x="{x:.2f}" y="{y0 - 4.0:.2f}" '
+            f'width="{BAR_WIDTH:.2f}" height="{y1 - y0 + 8.0:.2f}" fill="#000000"/>'
         )
 
-    for c in sorted(ranges):
+    for c in chars:
         a, _b = ranges[c]
         x = g.pads[c][0] if c in g.pads else g.xs[a]
         out.append(
-            f'<text class="label" x="{_fmt(x - 5.0)}" y="{_fmt(g.ys[(c, a)] + 4.0)}" '
+            f'<text class="label" x="{x - 5.0:.2f}" y="{g.ys[(c, a)] + 4.0:.2f}" '
             f'text-anchor="end">{_escape(inst.characters[c])}</text>'
         )
 
@@ -290,22 +293,16 @@ def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
 
 
 def _curve_path(g: GeometricStoryline, c: CharId, first: int, last: int) -> str:
-    parts: list[str] = []
-    x0 = g.xs[first]
     y0 = g.ys[(c, first)]
     if c in g.pads:
         left, right = g.pads[c]
-        return (
-            f"M {_fmt(left)} {_fmt(y0)} L {_fmt(right)} {_fmt(y0)}"
-        )
-    parts.append(f"M {_fmt(x0)} {_fmt(y0)}")
+        return f"M {left:.2f} {y0:.2f} L {right:.2f} {y0:.2f}"
+    parts = [f"M {g.xs[first]:.2f} {y0:.2f}"]
     for li in range(first, last):
         xa, ya = g.xs[li], g.ys[(c, li)]
         xb, yb = g.xs[li + 1], g.ys[(c, li + 1)]
         dx = (xb - xa) * 0.4
-        parts.append(
-            f"C {_fmt(xa + dx)} {_fmt(ya)} {_fmt(xb - dx)} {_fmt(yb)} {_fmt(xb)} {_fmt(yb)}"
-        )
+        parts.append(f"C {xa + dx:.2f} {ya:.2f} {xb - dx:.2f} {yb:.2f} {xb:.2f} {yb:.2f}")
     return " ".join(parts)
 
 

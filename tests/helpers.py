@@ -235,6 +235,16 @@ def naive_gap_crossings(left: Layer, right: Layer) -> int:
     return total
 
 
+def total_wiggle(ys, story: CombinatorialStoryline) -> float:
+    """Vertical movement of every curve between consecutive layers, read from
+    a ``(character, layer index) -> y`` map."""
+    total = 0.0
+    for li, (left, right) in enumerate(itertools.pairwise(story.layers)):
+        for c in left.active & right.active:
+            total += abs(ys[(c, li + 1)] - ys[(c, li)])
+    return total
+
+
 def reference_rand_counts(a, b) -> tuple[int, int, int, int]:
     """Rand-index buckets by classifying every shared character pair:
     (together in both, apart in both, apart then together, together then apart)."""

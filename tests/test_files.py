@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -128,6 +129,47 @@ class TestStorylineFiles:
             files.storyline_from_doc(inst, {"layers": [item]})
 
 
+class TestWriteText:
+    def solved(self):
+        # A non-ASCII name makes the UTF-8 length differ from the text length.
+        inst = make_instance([(["zoë", "b"], "t0"), (["b", "zoë"], "t1")])
+        story, _ = sw.run_pipeline(inst, sw.PipelineConfig())
+        return inst, story
+
+    def test_shorter_document_overwrites_longer_file_exactly(self, tmp_path):
+        inst, story = self.solved()
+        path = tmp_path / "story.json"
+        path.write_text("x" * 10_000)
+        files.save_storyline(path, inst, story)
+        doc = files.storyline_to_doc(inst, story)
+        expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_second_save_is_byte_equal(self, tmp_path):
+        inst, story = self.solved()
+        path = tmp_path / "story.json"
+        files.save_storyline(path, inst, story)
+        first = path.read_bytes()
+        files.save_storyline(path, inst, story)
+        assert path.read_bytes() == first
+
+    def test_new_file_mode_matches_open_for_writing(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            files.write_text(tmp_path / "written", "text")
+        finally:
+            os.umask(old)
+        reference = os.stat(tmp_path / "reference").st_mode
+        assert os.stat(tmp_path / "written").st_mode == reference
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_save_to_dev_null(self):
+        inst, story = self.solved()
+        files.save_storyline("/dev/null", inst, story)
+
+
 class TestBenchRows:
     def test_csv_sorted_with_header(self, tmp_path):
         rows = [
@@ -137,6 +179,7 @@ class TestBenchRows:
         ]
         out = tmp_path / "bench.csv"
         files.write_bench_csv(out, rows)
+        assert out.read_bytes().count(b"\r\n") == 4
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(files.BENCH_COLUMNS)
         firsts = [line.split(",")[:2] for line in lines[1:]]

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import storyweave as sw
-from storyweave.ordering import MAX_EXACT_PATH_NODES, layer_weight
+from storyweave.ordering import MAX_EXACT_PATH_NODES, integer_weights, layer_weight
 from helpers import brute_best_path, reference_rand_counts
 
 
@@ -262,3 +263,26 @@ class TestApproxPathOrder:
             left.remove(nxt)
         assert sw.approx_path_order(weight_graph(matrix), deadline=0.0) == path
         assert sw.approx_path_order(weight_graph(matrix)) != path
+
+
+class TestIntegerWeights:
+    def test_same_paths_as_fraction_weights(self):
+        # Few distinct values, so ties between paths are common.
+        rng = random.Random(14)
+        values = [Fraction(k, d) for d in (1, 2, 3, 4, 6) for k in range(d + 1)]
+        for k in range(60):
+            n = rng.randint(1, 9)
+            matrix = [[Fraction(0)] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                matrix[i][j] = matrix[j][i] = rng.choice(values)
+            scale = math.prod({x.denominator for row in matrix for x in row})
+            hand = weight_graph([[int(x * scale) for x in row] for row in matrix])
+            fractions = weight_graph(matrix)
+            scaled = integer_weights(fractions)
+            assert all(type(x) is int for row in scaled for x in row)
+            for solve in (sw.min_path_order, sw.approx_path_order):
+                assert solve(fractions) == solve(hand) == solve(scaled), f"matrix {k}"
+
+    def test_int_weights_keep_their_values(self):
+        g = weight_graph([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+        assert integer_weights(g) == g
