@@ -170,25 +170,8 @@ def validate_instance(raw: Mapping) -> StorylineInstance:
         bad.append("interactions: missing or not a list")
         inters = []
 
-    char_index: dict[str, int] = {}
-    for i, name in enumerate(chars):
-        if not isinstance(name, str) or not name:
-            bad.append(f"characters[{i}]: name must be a non-empty string")
-            continue
-        if name in char_index:
-            bad.append(f"characters[{i}]: duplicate name {name!r}")
-            continue
-        char_index[name] = i
-
-    time_index: dict[str, int] = {}
-    for i, label in enumerate(times):
-        if not isinstance(label, str) or not label:
-            bad.append(f"timestamps[{i}]: label must be a non-empty string")
-            continue
-        if label in time_index:
-            bad.append(f"timestamps[{i}]: duplicate label {label!r}")
-            continue
-        time_index[label] = i
+    char_index = _index_names("characters", "name", chars, bad)
+    time_index = _index_names("timestamps", "label", times, bad)
 
     normalized: list[Interaction] = []
     used: set[CharId] = set()
@@ -237,6 +220,19 @@ def validate_instance(raw: Mapping) -> StorylineInstance:
     )
 
 
+def _index_names(key: str, noun: str, names: Sequence, bad: list[str]) -> dict[str, int]:
+    """Index of every valid, first-seen entry of ``names``; violations go to ``bad``."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or not name:
+            bad.append(f"{key}[{i}]: {noun} must be a non-empty string")
+        elif name in index:
+            bad.append(f"{key}[{i}]: duplicate {noun} {name!r}")
+        else:
+            index[name] = i
+    return index
+
+
 def validate_storyline(
     inst: StorylineInstance, s: CombinatorialStoryline
 ) -> list[str]:
@@ -263,6 +259,9 @@ def validate_storyline(
         if len(set(layer.order)) != len(layer.order) or set(layer.order) != layer.active:
             out.append(f"{path}: order is not a permutation of the active set")
             continue
+        if layer.order and (min(layer.order) < 0 or max(layer.order) >= inst.num_characters):
+            unknown = sorted(c for c in layer.order if not 0 <= c < inst.num_characters)
+            out.append(f"{path}: unknown character id {', '.join(map(str, unknown))}")
         pos = {c: k for k, c in enumerate(layer.order)}
 
         charsets: list[tuple[InteractionId, frozenset[CharId]]] = []
@@ -305,7 +304,7 @@ def validate_storyline(
             active_at.setdefault(c, []).append(li)
     for c, idxs in sorted(active_at.items()):
         if idxs[-1] - idxs[0] + 1 != len(idxs):
-            name = inst.characters[c] if c < inst.num_characters else str(c)
+            name = inst.characters[c] if 0 <= c < inst.num_characters else str(c)
             out.append(f"character {name!r}: activity not contiguous")
 
     return out

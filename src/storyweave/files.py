@@ -162,6 +162,8 @@ def storyline_from_doc(
                 raise ValueError(f"{path}: interaction ids must be integers")
             order = tuple(name_to_id[n] for n in fields["order"])
             active = frozenset(name_to_id[n] for n in fields["active"])
+            if len(active) != len(fields["active"]):
+                raise ValueError(f"{path}: 'active' names a character twice")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed layer ({exc})") from exc
         interactions = tuple(fields["interactions"])

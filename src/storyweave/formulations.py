@@ -18,6 +18,11 @@ built from the same machinery:
               pairs.
 * ``ilp2ml``  ``ilp2`` with minimized slot budgets.
 
+Both families link a crossing indicator to its pair's two ordering
+variables by the same pair of rows; ``ilp2`` only adds the four activity
+terms of the pair on both sides, which relax the rows while either
+character is inactive.
+
 Solver assignments are decoded back into storylines; empty slots are
 dropped and the reported crossing number is always recomputed with the
 counting oracle rather than read off the objective.
@@ -52,13 +57,9 @@ Term = tuple[int, bip.VarId]
 
 @dataclass(frozen=True)
 class LayerSlot:
-    """One reserved column: ``position`` within the slice of ``time``.
-
-    Global slot order is lexicographic in (time, position).
-    """
+    """One reserved column in the slice of ``time``."""
 
     time: TimeId
-    position: int
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,7 @@ ILP1ML = ModelKind("ilp1", True)
 ILP2 = ModelKind("ilp2", False)
 ILP2ML = ModelKind("ilp2", True)
 
-EXACT_KINDS: dict[str, ModelKind] = {
-    "ilp1": ILP1,
-    "ilp1ml": ILP1ML,
-    "ilp2": ILP2,
-    "ilp2ml": ILP2ML,
-}
+EXACT_KINDS: dict[str, ModelKind] = {k.name: k for k in (ILP1, ILP1ML, ILP2, ILP2ML)}
 
 
 @dataclass
@@ -90,21 +86,10 @@ class VariableCatalog:
 
     kind: ModelKind
     slots: tuple[LayerSlot, ...]
-    potential: tuple[frozenset[CharId], ...]
     placement: dict[tuple[int, InteractionId], bip.VarId] = field(default_factory=dict)
     order: dict[tuple[int, CharId, CharId], bip.VarId] = field(default_factory=dict)
     crossing: dict[tuple[int, CharId, CharId], bip.VarId] = field(default_factory=dict)
     active: dict[tuple[CharId, int], bip.VarId] = field(default_factory=dict)
-
-
-def build_slots(
-    inst: StorylineInstance, budgets: Mapping[TimeId, int]
-) -> tuple[LayerSlot, ...]:
-    slots: list[LayerSlot] = []
-    for t in range(inst.num_timestamps):
-        for k in range(budgets.get(t, 0)):
-            slots.append(LayerSlot(t, k))
-    return tuple(slots)
 
 
 def build_model(
@@ -120,9 +105,12 @@ def build_model(
     the restriction is still reachable with it, at equal cost, by shifting
     its occupied slots to the front of the slice.
     """
-    slots = build_slots(inst, budgets)
-    potential = tuple(inst.potential[s.time] for s in slots)
-    cat = VariableCatalog(kind=kind, slots=slots, potential=potential)
+    slots = tuple(
+        LayerSlot(t) for t in range(inst.num_timestamps) for _ in range(budgets.get(t, 0))
+    )
+    potential = [inst.potential[s.time] for s in slots]
+    free = kind.family == "ilp2"  # activity is a variable
+    cat = VariableCatalog(kind=kind, slots=slots)
 
     mb = bip.ModelBuilder()
     add = mb.add
@@ -167,9 +155,9 @@ def build_model(
     for gi in range(len(slots) - 1):
         for ci, cj in itertools.combinations(sorted(potential[gi] & potential[gi + 1]), 2):
             cat.crossing[(gi, ci, cj)] = mb.new_var(f"z_g{gi}_c{ci}_c{cj}")
-    z, _ = _signed(cat.crossing)
+    z = {key: (1, v) for key, v in cat.crossing.items()}
 
-    if kind.family == "ilp2":
+    if free:
         for si in range(len(slots)):
             for c in sorted(potential[si]):
                 cat.active[(c, si)] = mb.new_var(f"a_c{c}_s{si}")
@@ -205,7 +193,7 @@ def build_model(
                         add((x[right], neg_x[left], placed), "<=", 1)
 
     # Activity: forced where an interaction is placed, contiguous otherwise.
-    if kind.family == "ilp2":
+    if free:
         for si, s in enumerate(slots):
             for it in inst.by_time[s.time]:
                 for c in it.characters:
@@ -224,18 +212,14 @@ def build_model(
     for gi, ci, cj in cat.crossing:
         left = (gi, ci, cj)
         right = (gi + 1, ci, cj)
-        if kind.family == "ilp2":
-            inactive = (
-                neg_act[(ci, gi)],
-                neg_act[(ci, gi + 1)],
-                neg_act[(cj, gi)],
-                neg_act[(cj, gi + 1)],
-            )
-            add((z[left], neg_x[left], x[right]) + inactive, ">=", -4)
-            add((z[left], x[left], neg_x[right]) + inactive, ">=", -4)
-        else:
-            add((z[left], neg_x[left], x[right]), ">=", 0)
-            add((z[left], x[left], neg_x[right]), ">=", 0)
+        inactive = (
+            neg_act[(ci, gi)],
+            neg_act[(ci, gi + 1)],
+            neg_act[(cj, gi)],
+            neg_act[(cj, gi + 1)],
+        ) if free else ()
+        add((z[left], neg_x[left], x[right]) + inactive, ">=", -len(inactive))
+        add((z[left], x[left], neg_x[right]) + inactive, ">=", -len(inactive))
 
     mb.minimize(z.values())
     return mb.build(), cat
@@ -273,7 +257,7 @@ def decode(
         ids = sorted(placed_at[si])
         if not ids:
             continue
-        chars = sorted(cat.potential[si])
+        chars = sorted(inst.potential[slot.time])
         wins = {c: 0 for c in chars}
         for ci, cj in itertools.combinations(chars, 2):
             if result.value(cat.order[(si, ci, cj)]) == 1:

@@ -89,21 +89,23 @@ def run_pipeline(
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout
 
-    # Stage (i): one color class per layer, per timestamp.
-    slices: list[tuple[TimeId, list[list[InteractionId]]]] = []
+    # Stage (i): one color class per layer, per timestamp, with the character
+    # groups of its interactions.
+    slices: list[tuple[TimeId, list[tuple[tuple[InteractionId, ...], ordering.LayerGroups]]]] = []
     for t in range(inst.num_timestamps):
         graph = coloring.build_conflict_graph(inst, t)
         if graph.nodes:
-            slices.append((t, coloring.min_coloring(graph, cfg.cap).classes()))
+            layers = [
+                (tuple(ids), tuple(inst.interactions[iid].characters for iid in ids))
+                for ids in coloring.min_coloring(graph, cfg.cap).classes()
+            ]
+            slices.append((t, layers))
     t_color = time.monotonic()
 
     # Stage (ii): order each slice's layers along a cheapest path, then orient it.
-    def groups_of(ids: list[InteractionId]) -> tuple[frozenset[CharId], ...]:
-        return tuple(inst.interactions[iid].characters for iid in ids)
-
     for t, layers in slices:
         weights = ordering.integer_weights(
-            ordering.build_slice_graph([groups_of(ids) for ids in layers], cfg.heuristic)
+            ordering.build_slice_graph([groups for _ids, groups in layers], cfg.heuristic)
         )
         path = ordering.min_path_order(weights, deadline)
         if path is None:
@@ -111,21 +113,21 @@ def run_pipeline(
             path = ordering.approx_path_order(weights, deadline)
         layers[:] = [layers[i] for i in path]
     flips = orient_slice_paths(
-        [[groups_of(ids) for ids in layers] for _t, layers in slices], cfg.heuristic
+        [[groups for _ids, groups in layers] for _t, layers in slices], cfg.heuristic
     )
     t_order = time.monotonic()
 
     # Stage (iii): character orders within the fixed layers.
     fixed = [
-        (t, tuple(ids), inst.potential[t])
+        (t, ids, groups, inst.potential[t])
         for (t, layers), flip in zip(slices, flips)
-        for ids in (layers[::-1] if flip else layers)
+        for ids, groups in (layers[::-1] if flip else layers)
     ]
     orders, _cost, proven = order_fixed_layers(
-        [(groups_of(ids), act) for _t, ids, act in fixed], deadline=deadline
+        [(groups, act) for _t, _ids, groups, act in fixed], deadline=deadline
     )
     story = CombinatorialStoryline(
-        tuple(Layer(t, ids, order, act) for (t, ids, act), order in zip(fixed, orders))
+        tuple(Layer(t, ids, order, act) for (t, ids, _g, act), order in zip(fixed, orders))
     )
     crossings = count_crossings(story).total
     runtime = time.monotonic() - t0

@@ -714,6 +714,10 @@ class TestLpFormat:
     @pytest.mark.parametrize(
         "kind, symmetry_breaking, digest",
         [
+            ("ilp1", True, "334d4fded1b54e560848c7120a89e64499149d825655155e889180d6ffe8575d"),
+            ("ilp1", False, "4dbefab1388fabfb16e7d281d19cc62352a4fc1bcbe70e8b79750d8b2637fc6d"),
+            ("ilp2", True, "8a549f9d43ed0141109baef233203257a7ec44a2b1f409f0fb7183d3f38fdf99"),
+            ("ilp2", False, "2700e6f5a01de66ab833aac5fd6323b077a14125459d93c3165e9c6ce4a5bf61"),
             ("ilp1ml", True, "40f99e41dbc835f214b52b34e82c11866bae2d5732eef94443282904d2bc45a5"),
             ("ilp1ml", False, "c838d7a570a975c24865775478a4197754366a35520e5bdbfbddeb9df4f07e19"),
             ("ilp2ml", True, "158339fafb326d33fbdec533ea571600550c4d0234d8bc2222f0cc4fe6bd9690"),

@@ -223,16 +223,6 @@ class TestValidateStoryline:
             story = random_storyline(rng, inst)
             assert sw.validate_storyline(inst, story) == []
 
-
-def layer(order, time=0, interactions=(), active=None):
-    return sw.Layer(
-        time=time,
-        interactions=tuple(interactions),
-        order=tuple(order),
-        active=frozenset(active if active is not None else order),
-    )
-
-
     @pytest.mark.parametrize(
         "layer, message",
         [
@@ -246,12 +236,28 @@ def layer(order, time=0, interactions=(), active=None):
              "layers[0]: interaction 1 not at the layer timestamp"),
             (sw.Layer(0, (0,), (0,), frozenset({0})),
              "layers[0]: interaction 0 characters missing from active set"),
+            (sw.Layer(0, (0,), (0, 1, 99), frozenset({0, 1, 99})),
+             "layers[0]: unknown character id 99"),
+            (sw.Layer(0, (0,), (-1, 0, 1), frozenset({-1, 0, 1})),
+             "layers[0]: unknown character id -1"),
+            (sw.Layer(0, (0,), (-1, 0, 1, 3), frozenset({-1, 0, 1, 3})),
+             "layers[0]: unknown character id -1, 3"),
         ],
-        ids=["unknown-time", "not-permutation", "unknown-id", "other-time", "missing-member"],
+        ids=["unknown-time", "not-permutation", "unknown-id", "other-time", "missing-member",
+             "character-above", "character-below", "characters-both"],
     )
     def test_malformed_layer(self, layer, message):
         inst = make_instance([("ab", "t0"), ("bc", "t1")])
         assert message in sw.validate_storyline(inst, sw.CombinatorialStoryline((layer,)))
+
+
+def layer(order, time=0, interactions=(), active=None):
+    return sw.Layer(
+        time=time,
+        interactions=tuple(interactions),
+        order=tuple(order),
+        active=frozenset(active if active is not None else order),
+    )
 
 
 class TestCountCrossings:

@@ -118,6 +118,7 @@ class TestStorylineFiles:
             ("interactions", 0, "'interactions' must be a list"),
             ("order", "ab", "'order' must be a list"),
             ("active", "ab", "'active' must be a list"),
+            ("active", ["a", "a", "b"], "'active' names a character twice"),
         ],
     )
     def test_ill_typed_fields_rejected(self, key, value, message):

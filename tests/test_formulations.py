@@ -56,7 +56,7 @@ class TestBuildModel:
             budgets = sw.layer_budget(inst, minimize=False)
             _, cat = sw.build_model(inst, sw.ILP1, budgets)
             expected = sum(
-                math.comb(len(chars), 2) for chars in cat.potential
+                math.comb(len(inst.potential[s.time]), 2) for s in cat.slots
             )
             assert len(cat.order) == expected
 
@@ -68,7 +68,7 @@ class TestBuildModel:
             _, cat = sw.build_model(inst, sw.ILP2, budgets)
             expected = sum(
                 math.comb(len(a & b), 2)
-                for a, b in itertools.pairwise(cat.potential)
+                for a, b in itertools.pairwise(inst.potential[s.time] for s in cat.slots)
             )
             assert len(cat.crossing) == expected
 
