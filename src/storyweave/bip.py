@@ -7,6 +7,10 @@ an external solver.
 
 A row is a ``LinearConstraint`` named tuple.  Consecutive rows may share one
 terms tuple, which validation checks and the LP writer formats only once.
+A program is validated in one scan when it is built: every term passes one
+combined test (the very ``VarId`` stored at its index, an exact ``int``
+coefficient, a variable new to its row), and only a term that fails it is
+classified, so the first defect is reported in a fixed order.
 
 The solver works in exact integer arithmetic: coefficients, right-hand
 sides and objective weights are integers (scale rationals while building
@@ -20,6 +24,7 @@ right-hand side to force a variable or to fail.
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import dataclass
@@ -89,6 +94,9 @@ def gap_percent(upper: int, lower: int) -> float:
     return 100.0 * (upper - lower) / upper
 
 
+_new_row = functools.partial(tuple.__new__, LinearConstraint)
+
+
 class ModelBuilder:
     """Incremental construction of a :class:`BinaryProgram`."""
 
@@ -104,10 +112,14 @@ class ModelBuilder:
         return var
 
     def add(self, terms: Iterable[tuple[int, VarId]], op: Op, rhs: int) -> None:
-        """Append a constraint; a tuple of terms is kept as given, not copied.
+        """Append one constraint; a tuple of terms is kept as given, not copied."""
+        self.extend(((tuple(terms), op, rhs),))
 
-        Builds the row as ``LinearConstraint.__new__`` would, minus its frame."""
-        self._constraints.append(tuple.__new__(LinearConstraint, (tuple(terms), op, rhs)))
+    def extend(self, rows: Iterable[tuple[tuple[tuple[int, VarId], ...], Op, int]]) -> None:
+        """Append constraints given as ``(terms, op, rhs)`` with a tuple of terms.
+
+        Builds each row as ``LinearConstraint.__new__`` would, minus its frame."""
+        self._constraints.extend(map(_new_row, rows))
 
     def minimize(self, terms: Iterable[tuple[int, VarId]]) -> None:
         self._objective = list(terms)
@@ -128,8 +140,11 @@ def validate_program(p: BinaryProgram) -> None:
     side); the objective last (per term the reference, a non-negative
     integer coefficient and a repeated variable).  A term may refer to an
     equal but distinct ``VarId``, and numbers may be ``int`` subclasses
-    other than ``bool``; the common case, the very ``VarId`` object stored
-    at its index and exact ``int`` numbers, is decided inline.
+    other than ``bool``.  Each term is tested by one combined condition
+    that holds for the common case, the very ``VarId`` object stored at its
+    index, an exact ``int`` coefficient and a variable new to its row; only
+    a term that fails it is classified, in the order above, and may still
+    pass.
     """
     variables = p.variables
     names: set[str] = set()
@@ -143,10 +158,6 @@ def validate_program(p: BinaryProgram) -> None:
         names.add(v.name)
     n = len(variables)
 
-    def check_ref(v: VarId) -> None:
-        if not (0 <= v.index < n) or variables[v.index] != v:
-            raise ValueError(f"unknown variable {v.name!r}")
-
     # used_in[i] is the last row whose terms included variable i, so a term
     # finding its own row's number there repeats a variable of that row.
     used_in = [-1] * n
@@ -156,28 +167,51 @@ def validate_program(p: BinaryProgram) -> None:
             raise ValueError(f"constraint {k} has no terms")
         if op not in _OPS:
             raise ValueError(f"constraint {k} has unknown operator {op!r}")
-        for coef, v in () if terms is seen else terms:
-            i = v.index
-            if i < 0 or i >= n or variables[i] is not v:
-                check_ref(v)
-            if type(coef) is not int and not _integral(coef):
-                raise ValueError(f"constraint {k}: coefficient {coef!r} is not an integer")
-            if used_in[i] == k:
-                raise ValueError(f"constraint {k}: duplicate variable {v.name!r}")
-            used_in[i] = k
-        seen = terms
+        if terms is not seen:
+            for coef, v in terms:
+                i = v.index
+                if (
+                    i < 0 or i >= n or variables[i] is not v
+                    or type(coef) is not int or used_in[i] == k
+                ):
+                    _check_term(variables, used_in, k, coef, v, objective=False)
+                used_in[i] = k
+            seen = terms
         if type(rhs) is not int and not _integral(rhs):
             raise ValueError(f"constraint {k}: right-hand side must be an integer")
     k = len(p.constraints)  # the objective's row number
     for coef, v in p.objective:
         i = v.index
-        if i < 0 or i >= n or variables[i] is not v:
-            check_ref(v)
-        if (type(coef) is not int and not _integral(coef)) or coef < 0:
-            raise ValueError("objective coefficients must be non-negative integers")
-        if used_in[i] == k:
-            raise ValueError(f"objective lists variable {v.name!r} twice")
+        if (
+            i < 0 or i >= n or variables[i] is not v
+            or type(coef) is not int or coef < 0 or used_in[i] == k
+        ):
+            _check_term(variables, used_in, k, coef, v, objective=True)
         used_in[i] = k
+
+
+def _check_term(
+    variables: tuple[VarId, ...],
+    used_in: list[int],
+    k: int,
+    coef: object,
+    v: VarId,
+    objective: bool,
+) -> None:
+    """Raise for the first defect of a term of row ``k``, if it has one:
+    an unknown variable, then a bad coefficient, then a repeated variable."""
+    if not (0 <= v.index < len(variables)) or variables[v.index] != v:
+        raise ValueError(f"unknown variable {v.name!r}")
+    if objective:
+        if not _integral(coef) or coef < 0:  # type: ignore[operator]
+            raise ValueError("objective coefficients must be non-negative integers")
+        if used_in[v.index] == k:
+            raise ValueError(f"objective lists variable {v.name!r} twice")
+    else:
+        if not _integral(coef):
+            raise ValueError(f"constraint {k}: coefficient {coef!r} is not an integer")
+        if used_in[v.index] == k:
+            raise ValueError(f"constraint {k}: duplicate variable {v.name!r}")
 
 
 def _integral(x: object) -> bool:

@@ -247,6 +247,13 @@ def validate_storyline(
 
     for li, layer in enumerate(s.layers):
         path = f"layers[{li}]"
+        # A layer's known interactions count as placed even when the layer
+        # itself is rejected below, so they are not also reported unplaced.
+        for iid in layer.interactions:
+            if 0 <= iid < inst.num_interactions:
+                if iid in placed:
+                    out.append(f"{path}: interaction {iid} placed twice")
+                placed[iid] = li
         if not (0 <= layer.time < inst.num_timestamps):
             out.append(f"{path}: unknown timestamp index {layer.time}")
             continue
@@ -272,9 +279,6 @@ def validate_storyline(
             it = inst.interactions[iid]
             if it.time != layer.time:
                 out.append(f"{path}: interaction {iid} not at the layer timestamp")
-            if iid in placed:
-                out.append(f"{path}: interaction {iid} placed twice")
-            placed[iid] = li
             charsets.append((iid, it.characters))
 
         for (ia, ca), (ib, cb) in itertools.combinations(charsets, 2):

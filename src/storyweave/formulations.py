@@ -23,6 +23,18 @@ variables by the same pair of rows; ``ilp2`` only adds the four activity
 terms of the pair on both sides, which relax the rows while either
 character is inactive.
 
+Variables are numbered placement, ordering, crossing, then activity; rows
+come placement (with the conflict and symmetry-breaking rows), then
+transitivity, interaction blocks, activity, and crossing linking last.
+Both orders fix the exported LP text, which tests pin byte for byte.  A
+slot with n present characters has C(n, 2) ordering variables and
+2·C(n, 3) transitivity rows, so the models grow with the cube of the
+characters per timestamp.  While building, each slot keeps one table of
+its ordering terms indexed by character position, the ``(1, x)`` term of a
+pair above the diagonal and its ``(-1, x)`` term below; the transitivity,
+block and linking rows are read from these tables and emitted straight
+into the builder.
+
 Solver assignments are decoded back into storylines; empty slots are
 dropped and the reported crossing number is always recomputed with the
 counting oracle rather than read off the objective.
@@ -30,11 +42,12 @@ counting oracle rather than read off the objective.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, TypeVar
+from typing import Iterator, Mapping, TypeVar
 
 from . import bip, coloring
 from .core import (
@@ -108,121 +121,220 @@ def build_model(
     slots = tuple(
         LayerSlot(t) for t in range(inst.num_timestamps) for _ in range(budgets.get(t, 0))
     )
-    potential = [inst.potential[s.time] for s in slots]
     free = kind.family == "ilp2"  # activity is a variable
     cat = VariableCatalog(kind=kind, slots=slots)
 
     mb = bip.ModelBuilder()
-    add = mb.add
+    extend, new_var = mb.extend, mb.new_var
     slots_at: dict[TimeId, list[int]] = {}
     for si, s in enumerate(slots):
         slots_at.setdefault(s.time, []).append(si)
+    # The characters present at each slotted timestamp, in increasing order;
+    # a character's index in this list is its position in the slot tables.
+    chars_at = {t: sorted(inst.potential[t]) for t in slots_at}
 
-    # Rows are tuples of the (1, v) and (-1, v) terms that _signed makes once
-    # per variable, so the many rows of a large model share their terms.
+    # Rows are tuples of the (1, v) and (-1, v) terms made once per variable,
+    # so the many rows of a large model share their terms.
 
     # Placement variables and constraints.
     for si, s in enumerate(slots):
         for it in inst.by_time[s.time]:
-            cat.placement[(si, it.id)] = mb.new_var(f"y_s{si}_i{it.id}")
+            cat.placement[(si, it.id)] = new_var(f"y_s{si}_i{it.id}")
     y, neg_y = _signed(cat.placement)
+    rows: list[Row] = []
     for it in inst.interactions:
         row = tuple(y[(si, it.id)] for si in slots_at.get(it.time, []))
         if not row:
             raise ValueError(
                 f"timestamp {it.time} has interactions but a zero slot budget"
             )
-        add(row, "=", 1)
+        rows.append((row, "=", 1))
     for t, sis in slots_at.items():
         items = inst.by_time[t]
         for a, b in itertools.combinations(items, 2):
             if a.characters & b.characters:
                 for si in sis:
-                    add((y[(si, a.id)], y[(si, b.id)]), "<=", 1)
+                    rows.append(((y[(si, a.id)], y[(si, b.id)]), "<=", 1))
         if symmetry_breaking:
             for earlier, later in itertools.pairwise(sis):
                 fill = tuple(neg_y[(earlier, it.id)] for it in items)
                 for it in items:
-                    add((y[(later, it.id)],) + fill, "<=", 0)
+                    rows.append(((y[(later, it.id)],) + fill, "<=", 0))
+    extend(rows)
 
-    # Ordering variables: one per slot and character pair, smaller index first.
-    for si in range(len(slots)):
-        for ci, cj in itertools.combinations(sorted(potential[si]), 2):
-            cat.order[(si, ci, cj)] = mb.new_var(f"x_s{si}_c{ci}_c{cj}")
-    x, neg_x = _signed(cat.order)
+    # Ordering variables: one per slot and character pair, smaller index
+    # first.  before[si][p][q] is the (1, x) term of the pair at positions
+    # p < q of slot si, and before[si][q][p] its (-1, x) term; up to a
+    # constant, each reads "the character at the first position comes first".
+    before: list[TermTable] = []
+    for si, s in enumerate(slots):
+        cs = chars_at[s.time]
+        n = len(cs)
+        blank = [_NO_TERM] * n
+        table = [blank.copy() for _ in cs]
+        for p, cp in enumerate(cs):
+            row = table[p]
+            for q in range(p + 1, n):
+                cq = cs[q]
+                v = cat.order[(si, cp, cq)] = new_var(f"x_s{si}_c{cp}_c{cq}")
+                row[q] = (1, v)
+                table[q][p] = (-1, v)
+        before.append(table)
 
-    # Crossing indicators per gap between consecutive slots.
-    for gi in range(len(slots) - 1):
-        for ci, cj in itertools.combinations(sorted(potential[gi] & potential[gi + 1]), 2):
-            cat.crossing[(gi, ci, cj)] = mb.new_var(f"z_g{gi}_c{ci}_c{cj}")
-    z = {key: (1, v) for key, v in cat.crossing.items()}
+    # Crossing indicators per gap between consecutive slots, in the order of
+    # their pairs of shared characters.
+    shared = [
+        sorted(inst.potential[a.time] & inst.potential[b.time])
+        for a, b in itertools.pairwise(slots)
+    ]
+    z: list[list[Term]] = []
+    for gi, common in enumerate(shared):
+        gap: list[Term] = []
+        for ci, cj in itertools.combinations(common, 2):
+            v = cat.crossing[(gi, ci, cj)] = new_var(f"z_g{gi}_c{ci}_c{cj}")
+            gap.append((1, v))
+        z.append(gap)
 
+    # Activity terms by slot and position, like the ordering terms.
+    act: list[list[Term]] = []
+    neg_act: list[list[Term]] = []
     if free:
-        for si in range(len(slots)):
-            for c in sorted(potential[si]):
-                cat.active[(c, si)] = mb.new_var(f"a_c{c}_s{si}")
-    act, neg_act = _signed(cat.active)
+        for si, s in enumerate(slots):
+            terms = []
+            for c in chars_at[s.time]:
+                cat.active[(c, si)] = v = new_var(f"a_c{c}_s{si}")
+                terms.append((1, v))
+            act.append(terms)
+            neg_act.append([(-1, v) for _, v in terms])
 
     # Orders must be transitive, hence total.
-    for si in range(len(slots)):
-        for u, v, w in itertools.combinations(sorted(potential[si]), 3):
-            row = (x[(si, u, v)], x[(si, v, w)], neg_x[(si, u, w)])
-            add(row, "<=", 1)
-            add(row, ">=", 0)
+    extend(_transitivity_rows(before))
 
     # Interaction blocks: characters outside a placed interaction must end
-    # up entirely before or entirely after its characters.
-    for si, s in enumerate(slots):
-        for it in inst.by_time[s.time]:
-            placed, unplaced = y[(si, it.id)], neg_y[(si, it.id)]
-            members = sorted(it.characters)
-            outside = sorted(potential[si] - it.characters)
-            for ci, cj in itertools.combinations(members, 2):
-                for ck in outside:
-                    if ci < ck < cj:
-                        pair = (x[(si, ci, ck)], x[(si, ck, cj)])
-                        add(pair + (placed,), "<=", 2)
-                        add(pair + (unplaced,), ">=", 0)
-                    else:
-                        # ck is beyond both members, on the same side of each pair key.
-                        if ck > cj:
-                            left, right = (si, ci, ck), (si, cj, ck)
-                        else:
-                            left, right = (si, ck, ci), (si, ck, cj)
-                        add((x[left], neg_x[right], placed), "<=", 1)
-                        add((x[right], neg_x[left], placed), "<=", 1)
+    # up entirely before or entirely after its characters.  Per timestamp,
+    # the member and outsider positions of each interaction that has a
+    # member pair and an outsider.
+    blocks_at: dict[TimeId, list[tuple[InteractionId, list[int], list[int]]]] = {}
+    for t, cs in chars_at.items():
+        blocks_at[t] = blocks = []
+        for it in inst.by_time[t]:
+            members = sorted(map(cs.index, it.characters))
+            if 1 < len(members) < len(cs):
+                outside = [p for p in range(len(cs)) if p not in members]
+                blocks.append((it.id, members, outside))
+    extend(_block_rows(before, [blocks_at[s.time] for s in slots], y, neg_y))
 
     # Activity: forced where an interaction is placed, contiguous otherwise.
     if free:
+        rows = []
         for si, s in enumerate(slots):
+            cs, terms = chars_at[s.time], act[si]
             for it in inst.by_time[s.time]:
+                unplaced = neg_y[(si, it.id)]
                 for c in it.characters:
-                    add((act[(c, si)], neg_y[(si, it.id)]), ">=", 0)
-        by_char: dict[CharId, list[int]] = {}
-        for si in range(len(slots)):
-            for c in potential[si]:
-                by_char.setdefault(c, []).append(si)
-        for c, sis in sorted(by_char.items()):
-            for s1, s2, s3 in itertools.combinations(sis, 3):
-                add((act[(c, s2)], neg_act[(c, s1)], neg_act[(c, s3)]), ">=", -1)
+                    rows.append(((terms[cs.index(c)], unplaced), ">=", 0))
+        by_char: dict[CharId, list[tuple[int, int]]] = {}
+        for si, s in enumerate(slots):
+            for p, c in enumerate(chars_at[s.time]):
+                by_char.setdefault(c, []).append((si, p))
+        for c, places in sorted(by_char.items()):
+            for (s1, p1), (s2, p2), (s3, p3) in itertools.combinations(places, 3):
+                rows.append(((act[s2][p2], neg_act[s1][p1], neg_act[s3][p3]), ">=", -1))
+        extend(rows)
 
     # Crossing linking: z is forced to 1 when the pair order flips between
     # the two slots (and, for ilp2, only while both characters are active
     # on both sides).
-    for gi, ci, cj in cat.crossing:
-        left = (gi, ci, cj)
-        right = (gi + 1, ci, cj)
-        inactive = (
-            neg_act[(ci, gi)],
-            neg_act[(ci, gi + 1)],
-            neg_act[(cj, gi)],
-            neg_act[(cj, gi + 1)],
-        ) if free else ()
-        add((z[left], neg_x[left], x[right]) + inactive, ">=", -len(inactive))
-        add((z[left], x[left], neg_x[right]) + inactive, ">=", -len(inactive))
+    chars = [chars_at[s.time] for s in slots]
+    extend(_linking_rows(z, shared, chars, before, neg_act if free else None))
 
-    mb.minimize(z.values())
+    mb.minimize(itertools.chain.from_iterable(z))
     return mb.build(), cat
+
+
+Row = tuple[tuple[Term, ...], bip.Op, int]
+TermTable = list[list[Term]]
+_NO_TERM: Term = (0, bip.VarId(-1, "none"))  # fills the diagonal of a term table
+
+
+def _transitivity_rows(before: list[TermTable]) -> Iterator[Row]:
+    """x_uv + x_vw - x_uw in [0, 1] for every slot and position triple
+    u < v < w; the two rows of a triple share its terms tuple."""
+    for table in before:
+        n = len(table)
+        for u in range(n - 2):
+            row_u = table[u]
+            for v in range(u + 1, n - 1):
+                uv, row_v = row_u[v], table[v]
+                for w in range(v + 1, n):
+                    terms = (uv, row_v[w], table[w][u])
+                    yield terms, "<=", 1
+                    yield terms, ">=", 0
+
+
+def _block_rows(
+    before: list[TermTable],
+    blocks: list[list[tuple[InteractionId, list[int], list[int]]]],
+    y: dict[tuple[int, InteractionId], Term],
+    neg_y: dict[tuple[int, InteractionId], Term],
+) -> Iterator[Row]:
+    """The block rows of every slot.  A block of a slot is an interaction
+    with its member and its outsider positions, both increasing; ``y`` and
+    ``neg_y`` hold the placement terms by slot and interaction.  For each
+    member pair i < j and each outsider k in increasing order: k between
+    the two may not sit inside the pair while the interaction is placed,
+    and k before or after both must see the two members on the same side.
+
+    ``bisect`` splits the outsiders of a pair into the runs before, between
+    and after it; every outsider of a run gets the same rows.
+    """
+    for si, (table, slot_blocks) in enumerate(zip(before, blocks)):
+        for iid, members, outside in slot_blocks:
+            placed, unplaced = y[(si, iid)], neg_y[(si, iid)]
+            for i, j in itertools.combinations(members, 2):
+                row_i, row_j = table[i], table[j]
+                lo = bisect.bisect(outside, i)
+                hi = bisect.bisect(outside, j, lo)
+                for k in outside[:lo]:
+                    row_k = table[k]
+                    yield (row_k[i], row_j[k], placed), "<=", 1
+                    yield (row_k[j], row_i[k], placed), "<=", 1
+                for k in outside[lo:hi]:
+                    ik, kj = row_i[k], table[k][j]
+                    yield (ik, kj, placed), "<=", 2
+                    yield (ik, kj, unplaced), ">=", 0
+                for k in outside[hi:]:
+                    row_k = table[k]
+                    yield (row_i[k], row_k[j], placed), "<=", 1
+                    yield (row_j[k], row_k[i], placed), "<=", 1
+
+
+def _linking_rows(
+    z: list[list[Term]],
+    shared: list[list[CharId]],
+    chars: list[list[CharId]],
+    before: list[TermTable],
+    neg_act: list[list[Term]] | None,
+) -> Iterator[Row]:
+    """The two rows tying each crossing indicator of gap gi to its pair's
+    ordering terms in slots gi and gi + 1.  ``z[gi]`` follows the pairs of
+    ``shared[gi]``, the gap's common characters; for ilp2 the pair's four
+    ``(-1, a)`` activity terms join both rows."""
+    for gi, (gap, common) in enumerate(zip(z, shared)):
+        if not gap:
+            continue
+        left, right = before[gi], before[gi + 1]
+        chars_l, chars_r = chars[gi], chars[gi + 1]
+        places = list(zip(map(chars_l.index, common), map(chars_r.index, common)))
+        for zt, ((la, ra), (lb, rb)) in zip(gap, itertools.combinations(places, 2)):
+            if neg_act is None:
+                inactive: tuple[Term, ...] = ()
+            else:
+                idle_l, idle_r = neg_act[gi], neg_act[gi + 1]
+                inactive = (idle_l[la], idle_r[ra], idle_l[lb], idle_r[rb])
+            rhs = -len(inactive)
+            yield (zt, left[lb][la], right[ra][rb]) + inactive, ">=", rhs
+            yield (zt, left[la][lb], right[rb][ra]) + inactive, ">=", rhs
 
 
 def _signed(variables: Mapping[K, bip.VarId]) -> tuple[dict[K, Term], dict[K, Term]]:

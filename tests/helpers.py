@@ -10,12 +10,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 from storyweave import (
+    BinaryProgram,
     CombinatorialStoryline,
     Layer,
     SearchSpaceError,
     StorylineInstance,
+    VarId,
     brute_force_optimum,
     validate_instance,
 )
@@ -416,3 +419,79 @@ def reference_fixed_orders(layers) -> tuple[list[tuple[int, ...]], int]:
     if key(best)[0] == start_cost:
         return start, start_cost
     return list(best), key(best)[0]
+
+
+# The rules of ``bip.validate_program`` as they stood before its per-term
+# test became one combined condition, kept verbatim (with the module
+# constants it reads) as the reference for the differential test.
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_OPS = ("<=", ">=", "=")
+
+
+def reference_validate_program(p: BinaryProgram) -> None:
+    """Raise ValueError on the first defect of a malformed program.
+
+    One scan, in this order: the variables (index, name, repeated name);
+    each constraint in turn (no terms, operator, then per term the
+    reference, the coefficient and a repeated variable, then the right-hand
+    side); the objective last (per term the reference, a non-negative
+    integer coefficient and a repeated variable).  A term may refer to an
+    equal but distinct ``VarId``, and numbers may be ``int`` subclasses
+    other than ``bool``; the common case, the very ``VarId`` object stored
+    at its index and exact ``int`` numbers, is decided inline.
+    """
+    variables = p.variables
+    names: set[str] = set()
+    for i, v in enumerate(variables):
+        if v.index != i:
+            raise ValueError(f"variable {v.name!r} has index {v.index}, expected {i}")
+        if not _NAME_RE.match(v.name):
+            raise ValueError(f"variable name {v.name!r} must match [A-Za-z0-9_]+")
+        if v.name in names:
+            raise ValueError(f"duplicate variable name {v.name!r}")
+        names.add(v.name)
+    n = len(variables)
+
+    def check_ref(v: VarId) -> None:
+        if not (0 <= v.index < n) or variables[v.index] != v:
+            raise ValueError(f"unknown variable {v.name!r}")
+
+    # used_in[i] is the last row whose terms included variable i, so a term
+    # finding its own row's number there repeats a variable of that row.
+    used_in = [-1] * n
+    seen = None  # the previous row's terms tuple, whose terms passed
+    for k, (terms, op, rhs) in enumerate(p.constraints):
+        if not terms:
+            raise ValueError(f"constraint {k} has no terms")
+        if op not in _OPS:
+            raise ValueError(f"constraint {k} has unknown operator {op!r}")
+        for coef, v in () if terms is seen else terms:
+            i = v.index
+            if i < 0 or i >= n or variables[i] is not v:
+                check_ref(v)
+            if type(coef) is not int and not _integral(coef):
+                raise ValueError(f"constraint {k}: coefficient {coef!r} is not an integer")
+            if used_in[i] == k:
+                raise ValueError(f"constraint {k}: duplicate variable {v.name!r}")
+            used_in[i] = k
+        seen = terms
+        if type(rhs) is not int and not _integral(rhs):
+            raise ValueError(f"constraint {k}: right-hand side must be an integer")
+    k = len(p.constraints)  # the objective's row number
+    for coef, v in p.objective:
+        i = v.index
+        if i < 0 or i >= n or variables[i] is not v:
+            check_ref(v)
+        if (type(coef) is not int and not _integral(coef)) or coef < 0:
+            raise ValueError("objective coefficients must be non-negative integers")
+        if used_in[i] == k:
+            raise ValueError(f"objective lists variable {v.name!r} twice")
+        used_in[i] = k
+
+
+def _integral(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integral(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)

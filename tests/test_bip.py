@@ -2,14 +2,16 @@ import hashlib
 import itertools
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import storyweave as sw
 import storyweave.bip as bip
 from storyweave import files, formulations
-from helpers import cit_rung, enumerate_binary_optimum
+from helpers import cit_rung, enumerate_binary_optimum, reference_validate_program
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden.lp"
@@ -496,6 +498,108 @@ def program_parts(**overrides):
     return parts
 
 
+class Parts(NamedTuple):
+    """The three fields validation reads, without BinaryProgram's check."""
+
+    variables: tuple
+    constraints: tuple
+    objective: tuple
+
+
+class Weight(int):
+    """An int subclass: a legal coefficient or right-hand side."""
+
+
+# Defects the validator documents, each injected into a valid program.
+DEFECT_KINDS = (
+    "bad_index", "bad_name", "repeated_name", "empty_row", "unknown_op",
+    "foreign_var", "bad_coefficient", "repeated_var", "bad_rhs",
+    "negative_objective", "repeated_objective",
+)
+
+
+def defective_program(rng: random.Random) -> tuple[Parts, list[str]]:
+    """A small valid program with 0-2 defects drawn from ``DEFECT_KINDS``.
+
+    Consecutive rows sometimes share one terms list, which becomes one
+    terms tuple, so a defect in it reaches both rows.  Terms sometimes
+    refer to an equal but distinct ``VarId`` and coefficients are sometimes
+    ``int`` subclasses, which are legal.
+    """
+    n = rng.randint(1, 6)
+    variables = [bip.VarId(i, f"v{i}") for i in range(n)]
+    rows: list[list] = []  # [terms list, op, rhs]
+    for _ in range(rng.randint(0, 6)):
+        if rows and rng.random() < 0.3:
+            rows.append([rows[-1][0], rng.choice(("<=", ">=", "=")), rng.randint(-2, 3)])
+            continue
+        chosen = rng.sample(range(n), rng.randint(1, min(3, n)))
+        terms = [(rng.choice((-2, -1, 1, 3)), variables[i]) for i in chosen]
+        rows.append([terms, rng.choice(("<=", ">=", "=")), rng.randint(-2, 3)])
+    objective = [(rng.randint(0, 3), v) for v in variables if rng.random() < 0.6]
+
+    def some_row() -> list:
+        if not rows:
+            rows.append([[(1, rng.choice(variables))], "<=", 1])
+        return rng.choice(rows)
+
+    injected = [rng.choice(DEFECT_KINDS) for _ in range(rng.randint(0, 2))]
+    for kind in injected:
+        j = rng.randrange(n)
+        if kind == "bad_index":
+            variables[j] = bip.VarId(j + rng.choice((1, -1, 5)), variables[j].name)
+        elif kind == "bad_name":
+            variables[j] = bip.VarId(j, rng.choice(("", "no space", "a-b", "\u00e9")))
+        elif kind == "repeated_name":
+            variables[j] = bip.VarId(j, variables[rng.randrange(n)].name)
+        elif kind == "empty_row":
+            some_row()[0] = []
+        elif kind == "unknown_op":
+            some_row()[1] = rng.choice(("<", "==", "=>", "", None))
+        elif kind == "foreign_var":
+            terms = some_row()[0] if rng.random() < 0.7 else objective
+            foreign = rng.choice((
+                bip.VarId(n + rng.randint(0, 3), "w"),
+                bip.VarId(-1, variables[-1].name),
+                bip.VarId(-n - 2, "q"),
+                bip.VarId(j, "other"),
+                bip.VarId(j, variables[j].name),  # equal but distinct: legal
+            ))
+            terms.insert(rng.randint(0, len(terms)), (1, foreign))
+        elif kind == "bad_coefficient":
+            terms = some_row()[0] if rng.random() < 0.7 else objective
+            coef = rng.choice((1.0, True, False, Fraction(1, 2), "1", None, Weight(2)))
+            if terms:
+                k = rng.randrange(len(terms))
+                terms[k] = (coef, terms[k][1])
+        elif kind == "repeated_var":
+            terms = some_row()[0]
+            if terms:
+                terms.insert(rng.randint(0, len(terms)), rng.choice(terms))
+        elif kind == "bad_rhs":
+            some_row()[2] = rng.choice((1.5, True, None, "0", Weight(1)))
+        elif kind == "negative_objective":
+            objective.insert(rng.randint(0, len(objective)), (rng.choice((-1, -3)), variables[j]))
+        else:  # repeated_objective
+            if objective:
+                objective.append(rng.choice(objective))
+
+    tuples: dict[int, tuple] = {}  # one tuple per terms list, so sharing survives
+    constraints = tuple(
+        bip.LinearConstraint(tuples.setdefault(id(terms), tuple(terms)), op, rhs)
+        for terms, op, rhs in rows
+    )
+    return Parts(tuple(variables), constraints, tuple(objective)), injected
+
+
+def validation_outcome(validate, parts: Parts) -> str | None:
+    try:
+        validate(parts)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
 class TestLinearConstraint:
     def test_fields_are_read_only(self):
         row = bip.LinearConstraint(((1, X),), "<=", 1)
@@ -520,18 +624,21 @@ class TestLinearConstraint:
         mb.add(listed, ">=", 0)
         mb.add(shared, "<=", 1)
         mb.add(iter(shared), "=", 1)
+        mb.extend(iter([(shared, ">=", 1), (((1, y),), "<=", 0)]))
         rows = mb.build().constraints
         expected = [
             bip.LinearConstraint(tuple(listed), ">=", 0),
             bip.LinearConstraint(shared, "<=", 1),
             bip.LinearConstraint(shared, "=", 1),
+            bip.LinearConstraint(shared, ">=", 1),
+            bip.LinearConstraint(((1, y),), "<=", 0),
         ]
         for row, twin in zip(rows, expected, strict=True):
             assert type(row) is bip.LinearConstraint
             assert row == twin and hash(row) == hash(twin)
             assert (row.terms, row.op, row.rhs) == tuple(twin)
         assert type(rows[0].terms) is tuple and rows[0].terms == tuple(listed)
-        assert rows[1].terms is shared
+        assert rows[1].terms is shared and rows[3].terms is shared
 
 
 class TestValidation:
@@ -548,6 +655,21 @@ class TestValidation:
         with pytest.raises(ValueError) as err:
             bip.BinaryProgram(**program_parts(**overrides))
         assert str(err.value) == message
+
+    def test_matches_reference_validator(self):
+        # The combined per-term condition must reject exactly what the
+        # rule-by-rule reference rejects, with the same first message.
+        rng = random.Random(2024)
+        kinds_seen: set[str] = set()
+        outcomes = {"accepted": 0, "rejected": 0}
+        for _ in range(500):
+            parts, injected = defective_program(rng)
+            kinds_seen.update(injected)
+            expected = validation_outcome(reference_validate_program, parts)
+            assert validation_outcome(bip.validate_program, parts) == expected, parts
+            outcomes["accepted" if expected is None else "rejected"] += 1
+        assert kinds_seen == set(DEFECT_KINDS)
+        assert min(outcomes.values()) >= 100
 
     def test_equal_but_distinct_var_accepted(self):
         twin = bip.VarId(0, "x")

@@ -188,6 +188,24 @@ class TestValidateStoryline:
         assert any("placed twice" in p for p in problems)
         assert any("interaction 1 not placed" in p for p in problems)
 
+    def test_rejected_layer_still_places_its_interactions(self):
+        inst = make_instance([("ab", "t0")])
+        layer = sw.Layer(0, (0,), (0, 0), frozenset({0, 1}))
+        assert sw.validate_storyline(inst, sw.CombinatorialStoryline((layer,))) == [
+            "layers[0]: order is not a permutation of the active set"
+        ]
+
+    def test_unknown_timestamp_layer_still_places_its_interactions(self):
+        inst = make_instance([("ab", "t0"), ("ab", "t1")])
+        layers = (
+            sw.Layer(0, (0,), (0, 1), frozenset({0, 1})),
+            sw.Layer(7, (1, 0), (0, 1), frozenset({0, 1})),
+        )
+        assert sw.validate_storyline(inst, sw.CombinatorialStoryline(layers)) == [
+            "layers[1]: interaction 0 placed twice",
+            "layers[1]: unknown timestamp index 7",
+        ]
+
     def test_activity_gap_detected(self):
         inst = make_instance([("ab", "t0"), ("b", "t1"), ("ab", "t2")])
         layers = (

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 import storyweave as sw
 import storyweave.bip as bip
 from storyweave import formulations, pipeline
-from helpers import cit_rung, oracle_corpus, random_instance
+from helpers import cit_rung, oracle_corpus, random_instance, wide_instances
 from test_core import PATTERN_PAIR, make_instance
 
 
@@ -71,6 +72,34 @@ class TestBuildModel:
                 for a, b in itertools.pairwise(inst.potential[s.time] for s in cat.slots)
             )
             assert len(cat.crossing) == expected
+
+    @pytest.mark.parametrize(
+        "kind, symmetry_breaking, digest",
+        [
+            ("ilp1ml", True, "748ec42341ce9b3110538d56ee5a500fb5a4768302ea5f1e403a22639cfa2776"),
+            ("ilp1ml", False, "da93ce94a185c3686776256cf26e14096b21c4ad078f5a2c326c9c6ae4436fb8"),
+            ("ilp2ml", True, "7dc346ea6fca8df9253c4fbd15e8eedee76cc9f41ab9ab1c32b47f74da6dc3fb"),
+            ("ilp2ml", False, "1ebab6349083c5d2cf89dde7b82354071972f916c829228c795f4136f9389c47"),
+        ],
+    )
+    def test_wide_instance_models_pinned(self, kind, symmetry_breaking, digest):
+        # SHA-256 over the LP text and every catalog entry (key, variable
+        # index and name, in insertion order) of the four wide benchmark
+        # instances, whose slots hold 18-21 characters, so every block-row
+        # case (outsider before, between and after a member pair) occurs.
+        model = formulations.EXACT_KINDS[kind]
+        h = hashlib.sha256()
+        for inst in wide_instances():
+            assert max(map(len, inst.potential)) >= 20
+            budgets = sw.layer_budget(inst, minimize=model.minimize_layers)
+            program, cat = sw.build_model(
+                inst, model, budgets, symmetry_breaking=symmetry_breaking
+            )
+            h.update(bip.export_lp(program).encode("utf-8"))
+            for table in ("placement", "order", "crossing", "active"):
+                for key, var in getattr(cat, table).items():
+                    h.update(f"{table} {key} {var.index} {var.name}\n".encode("utf-8"))
+        assert h.hexdigest() == digest
 
     def test_activity_vars_only_for_ilp2(self):
         inst = make_instance(PATTERN_PAIR)
