@@ -32,7 +32,6 @@ from .core import (
 )
 from .bip import (
     BinaryProgram,
-    LinearConstraint,
     ModelBuilder,
     SolveResult,
     VarId,
@@ -92,7 +91,6 @@ __all__ = [
     "Layer",
     "LayerSlot",
     "LayoutReport",
-    "LinearConstraint",
     "ModelBuilder",
     "ModelKind",
     "PipelineConfig",

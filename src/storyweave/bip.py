@@ -5,12 +5,16 @@ a deterministic depth-first branch-and-bound solver with timeout and bound
 reporting, and CPLEX-style LP text export so large models can be handed to
 an external solver.
 
-A row is a ``LinearConstraint`` named tuple.  Consecutive rows may share one
-terms tuple, which validation checks and the LP writer formats only once.
-A program is validated in one scan when it is built: every term passes one
-combined test (the very ``VarId`` stored at its index, an exact ``int``
-coefficient, a variable new to its row), and only a term that fails it is
-classified, so the first defect is reported in a fixed order.
+A row is a plain ``(terms, op, rhs)`` tuple whose terms are ``(coef, index)``
+pairs of ints, the index being the variable's position in the program.
+``VarId`` appears only in the program's ``variables`` and ``objective``.  A
+row holds no object reference, so once the cyclic garbage collector has
+seen it, it stops tracking it.  Consecutive rows may share one terms tuple,
+which validation checks and the LP writer formats only once.  A program is
+validated in one scan when it is built: every term passes one combined
+test (an index in range, an exact ``int`` coefficient, a variable new to
+its row), and only a term that fails it is classified, so the first defect
+is reported in a fixed order.
 
 The solver works in exact integer arithmetic: coefficients, right-hand
 sides and objective weights are integers (scale rationals while building
@@ -24,11 +28,10 @@ right-hand side to force a variable or to fail.
 
 from __future__ import annotations
 
-import functools
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Literal
 
 Op = Literal["<=", ">=", "="]
 
@@ -48,10 +51,8 @@ class VarId:
     name: str
 
 
-class LinearConstraint(NamedTuple):
-    terms: tuple[tuple[int, VarId], ...]
-    op: Op
-    rhs: int
+Term = tuple[int, int]  # (coefficient, variable index)
+Row = tuple[tuple[Term, ...], Op, int]  # (terms, op, rhs)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class BinaryProgram:
     """A validated 0/1 program; construction raises ValueError if malformed."""
 
     variables: tuple[VarId, ...]
-    constraints: tuple[LinearConstraint, ...]
+    constraints: tuple[Row, ...]
     objective: tuple[tuple[int, VarId], ...]
 
     def __post_init__(self) -> None:
@@ -94,15 +95,12 @@ def gap_percent(upper: int, lower: int) -> float:
     return 100.0 * (upper - lower) / upper
 
 
-_new_row = functools.partial(tuple.__new__, LinearConstraint)
-
-
 class ModelBuilder:
     """Incremental construction of a :class:`BinaryProgram`."""
 
     def __init__(self) -> None:
         self._vars: list[VarId] = []
-        self._constraints: list[LinearConstraint] = []
+        self._constraints: list[Row] = []
         self._objective: list[tuple[int, VarId]] = []
 
     def new_var(self, name: str) -> VarId:
@@ -111,17 +109,18 @@ class ModelBuilder:
         self._vars.append(var)
         return var
 
-    def add(self, terms: Iterable[tuple[int, VarId]], op: Op, rhs: int) -> None:
-        """Append one constraint; a tuple of terms is kept as given, not copied."""
-        self.extend(((tuple(terms), op, rhs),))
+    def add(self, terms: Iterable[Term], op: Op, rhs: int) -> None:
+        """Append one constraint over ``(coef, var.index)`` terms; a tuple of
+        terms is kept as given, not copied."""
+        self._constraints.append((tuple(terms), op, rhs))
 
-    def extend(self, rows: Iterable[tuple[tuple[tuple[int, VarId], ...], Op, int]]) -> None:
-        """Append constraints given as ``(terms, op, rhs)`` with a tuple of terms.
-
-        Builds each row as ``LinearConstraint.__new__`` would, minus its frame."""
-        self._constraints.extend(map(_new_row, rows))
+    def extend(self, rows: Iterable[Row]) -> None:
+        """Append constraints given as ``(terms, op, rhs)`` tuples with a tuple
+        of terms; each row is stored as given."""
+        self._constraints.extend(rows)
 
     def minimize(self, terms: Iterable[tuple[int, VarId]]) -> None:
+        """Set the objective, given as ``(coef, VarId)`` terms."""
         self._objective = list(terms)
 
     def build(self) -> BinaryProgram:
@@ -136,15 +135,19 @@ def validate_program(p: BinaryProgram) -> None:
 
     One scan, in this order: the variables (index, name, repeated name);
     each constraint in turn (no terms, operator, then per term the
-    reference, the coefficient and a repeated variable, then the right-hand
-    side); the objective last (per term the reference, a non-negative
-    integer coefficient and a repeated variable).  A term may refer to an
-    equal but distinct ``VarId``, and numbers may be ``int`` subclasses
-    other than ``bool``.  Each term is tested by one combined condition
-    that holds for the common case, the very ``VarId`` object stored at its
-    index, an exact ``int`` coefficient and a variable new to its row; only
-    a term that fails it is classified, in the order above, and may still
-    pass.
+    variable index, the coefficient and a repeated variable, then the
+    right-hand side); the objective last (per term the reference, a
+    non-negative integer coefficient and a repeated variable).
+
+    A row term is ``(coef, index)``: the index must be an ``int`` other than
+    ``bool`` in ``range(len(p.variables))``, so a negative index never wraps
+    round to a variable at the end.  An objective term is ``(coef, VarId)``
+    and may refer to an equal but distinct ``VarId``.  Numbers may be
+    ``int`` subclasses other than ``bool``.  Each term is tested by one
+    combined condition that holds for the common case, exact ``int``
+    numbers, an index in range (for the objective, the very ``VarId``
+    object stored at its index) and a variable new to its row; only a term
+    that fails it is classified, in the order above, and may still pass.
     """
     variables = p.variables
     names: set[str] = set()
@@ -168,13 +171,12 @@ def validate_program(p: BinaryProgram) -> None:
         if op not in _OPS:
             raise ValueError(f"constraint {k} has unknown operator {op!r}")
         if terms is not seen:
-            for coef, v in terms:
-                i = v.index
+            for coef, i in terms:
                 if (
-                    i < 0 or i >= n or variables[i] is not v
+                    type(i) is not int or i < 0 or i >= n
                     or type(coef) is not int or used_in[i] == k
                 ):
-                    _check_term(variables, used_in, k, coef, v, objective=False)
+                    _check_row_term(variables, used_in, k, coef, i)
                 used_in[i] = k
             seen = terms
         if type(rhs) is not int and not _integral(rhs):
@@ -186,32 +188,37 @@ def validate_program(p: BinaryProgram) -> None:
             i < 0 or i >= n or variables[i] is not v
             or type(coef) is not int or coef < 0 or used_in[i] == k
         ):
-            _check_term(variables, used_in, k, coef, v, objective=True)
+            _check_objective_term(variables, used_in, k, coef, v)
         used_in[i] = k
 
 
-def _check_term(
-    variables: tuple[VarId, ...],
-    used_in: list[int],
-    k: int,
-    coef: object,
-    v: VarId,
-    objective: bool,
+def _check_row_term(
+    variables: tuple[VarId, ...], used_in: list[int], k: int, coef: object, i: object
 ) -> None:
     """Raise for the first defect of a term of row ``k``, if it has one:
-    an unknown variable, then a bad coefficient, then a repeated variable."""
+    an index out of range or not an int, then a bad coefficient, then a
+    repeated variable."""
+    if not (_integral(i) and 0 <= i < len(variables)):  # type: ignore[operator]
+        raise ValueError(f"constraint {k}: unknown variable index {i!r}")
+    if not _integral(coef):
+        raise ValueError(f"constraint {k}: coefficient {coef!r} is not an integer")
+    if used_in[i] == k:  # type: ignore[index]
+        name = variables[i].name  # type: ignore[index]
+        raise ValueError(f"constraint {k}: duplicate variable {name!r}")
+
+
+def _check_objective_term(
+    variables: tuple[VarId, ...], used_in: list[int], k: int, coef: object, v: VarId
+) -> None:
+    """Raise for the first defect of an objective term, if it has one: an
+    unknown variable, then a coefficient that is not a non-negative
+    integer, then a repeated variable."""
     if not (0 <= v.index < len(variables)) or variables[v.index] != v:
         raise ValueError(f"unknown variable {v.name!r}")
-    if objective:
-        if not _integral(coef) or coef < 0:  # type: ignore[operator]
-            raise ValueError("objective coefficients must be non-negative integers")
-        if used_in[v.index] == k:
-            raise ValueError(f"objective lists variable {v.name!r} twice")
-    else:
-        if not _integral(coef):
-            raise ValueError(f"constraint {k}: coefficient {coef!r} is not an integer")
-        if used_in[v.index] == k:
-            raise ValueError(f"constraint {k}: duplicate variable {v.name!r}")
+    if not _integral(coef) or coef < 0:  # type: ignore[operator]
+        raise ValueError("objective coefficients must be non-negative integers")
+    if used_in[v.index] == k:
+        raise ValueError(f"objective lists variable {v.name!r} twice")
 
 
 def _integral(x: object) -> bool:
@@ -260,9 +267,8 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
             k = len(cons_rhs)
             terms = []
             rlo = reach = 0
-            for coef, v in row:
+            for coef, vi in row:
                 coef *= sign
-                vi = v.index
                 terms.append((coef, vi))
                 if coef > 0:
                     raise1[vi].append((k, coef))
@@ -464,25 +470,27 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
     Output is deterministic; :func:`parse_lp` reads it back into an
     equivalent program.  Lines longer than 240 characters are wrapped.
     """
+    names = [v.name for v in p.variables]
     # Unit terms, the common case, reuse one string per variable and sign.
-    plus = [f"+ {v.name}" for v in p.variables]
-    minus = [f"- {v.name}" for v in p.variables]
+    plus = [f"+ {nm}" for nm in names]
+    minus = [f"- {nm}" for nm in names]
 
-    def expression(terms: Iterable[tuple[int, VarId]]) -> str:
+    def expression(terms: Iterable[Term]) -> str:
         parts = []
-        for coef, v in terms:
+        for coef, i in terms:
             if coef == 1:
-                parts.append(plus[v.index])
+                parts.append(plus[i])
             elif coef == -1:
-                parts.append(minus[v.index])
+                parts.append(minus[i])
             else:
-                parts.append(f"{'+' if coef >= 0 else '-'} {abs(coef)} {v.name}")
+                parts.append(f"{'+' if coef >= 0 else '-'} {abs(coef)} {names[i]}")
         text = " ".join(parts)
         # The leading term carries no "+".
         return text[2:] if text.startswith("+") else text
 
-    out: list[str] = [f"\\ {name}", "Minimize"]
-    obj_terms = [(coef, v) for coef, v in p.objective if coef != 0]
+    # The name is folded onto the comment line, split where parse_lp splits.
+    out: list[str] = ["\\ " + " ".join(name.splitlines()), "Minimize"]
+    obj_terms = [(coef, v.index) for coef, v in p.objective if coef != 0]
     out.extend(_wrap(" obj: " + expression(obj_terms) if obj_terms else " obj:"))
     out.append("Subject To")
     shared = expr = None
@@ -496,8 +504,7 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
         else:
             out.append(line)
     out.append("Binary")
-    for v in p.variables:
-        out.append(f" {v.name}")
+    out.extend(f" {nm}" for nm in names)
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -555,24 +562,23 @@ def parse_lp(text: str) -> BinaryProgram:
         else:
             bucket.append(stripped)
 
-    names = statements["binary"]
     builder = ModelBuilder()
-    by_name: dict[str, VarId] = {}
-    for nm in names:
-        by_name[nm] = builder.new_var(nm)
+    variables = [builder.new_var(nm) for nm in statements["binary"]]
+    # A repeated name maps to its last variable; validation rejects it.
+    index = {v.name: v.index for v in variables}
 
-    def resolve(terms: list[tuple[int, str]]) -> list[tuple[int, VarId]]:
+    def resolve(terms: list[tuple[int, str]]) -> list[Term]:
         out = []
         for coef, nm in terms:
-            if nm not in by_name:
+            if nm not in index:
                 raise ValueError(f"variable {nm!r} missing from Binary section")
-            out.append((coef, by_name[nm]))
+            out.append((coef, index[nm]))
         return out
 
     if statements["objective"]:
         body = statements["objective"][0].split(":", 1)[1].strip()
         if body:
-            builder.minimize(resolve(_parse_terms(body)))
+            builder.minimize((coef, variables[i]) for coef, i in resolve(_parse_terms(body)))
     for stmt in statements["constraints"]:
         body = stmt.split(":", 1)[1].strip()
         m = re.search(r"(<=|>=|=)\s*(-?\d+)\s*$", body)

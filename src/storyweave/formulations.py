@@ -29,11 +29,12 @@ transitivity, interaction blocks, activity, and crossing linking last.
 Both orders fix the exported LP text, which tests pin byte for byte.  A
 slot with n present characters has C(n, 2) ordering variables and
 2·C(n, 3) transitivity rows, so the models grow with the cube of the
-characters per timestamp.  While building, each slot keeps one table of
-its ordering terms indexed by character position, the ``(1, x)`` term of a
-pair above the diagonal and its ``(-1, x)`` term below; the transitivity,
-block and linking rows are read from these tables and emitted straight
-into the builder.
+characters per timestamp.  A row term is a ``(coef, index)`` pair of
+ints (see :mod:`storyweave.bip`).  While building, each slot keeps one
+table of its ordering terms indexed by character position: for the pair's
+ordering variable x, the ``(1, x.index)`` term above the diagonal and the
+``(-1, x.index)`` term below; the transitivity, block and linking rows are
+read from these tables and emitted straight into the builder.
 
 Solver assignments are decoded back into storylines; empty slots are
 dropped and the reported crossing number is always recomputed with the
@@ -65,7 +66,7 @@ from .core import (
 log = logging.getLogger(__name__)
 
 K = TypeVar("K")
-Term = tuple[int, bip.VarId]
+Term = bip.Term
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ def build_model(
     # a character's index in this list is its position in the slot tables.
     chars_at = {t: sorted(inst.potential[t]) for t in slots_at}
 
-    # Rows are tuples of the (1, v) and (-1, v) terms made once per variable,
-    # so the many rows of a large model share their terms.
+    # Rows are tuples of the (1, i) and (-1, i) terms made once per variable
+    # index i, so the many rows of a large model share their terms.
 
     # Placement variables and constraints.
     for si, s in enumerate(slots):
@@ -163,9 +164,10 @@ def build_model(
     extend(rows)
 
     # Ordering variables: one per slot and character pair, smaller index
-    # first.  before[si][p][q] is the (1, x) term of the pair at positions
-    # p < q of slot si, and before[si][q][p] its (-1, x) term; up to a
-    # constant, each reads "the character at the first position comes first".
+    # first.  before[si][p][q] is the (1, x.index) term of the pair at
+    # positions p < q of slot si, and before[si][q][p] its (-1, x.index)
+    # term; up to a constant, each reads "the character at the first
+    # position comes first".
     before: list[TermTable] = []
     for si, s in enumerate(slots):
         cs = chars_at[s.time]
@@ -177,8 +179,8 @@ def build_model(
             for q in range(p + 1, n):
                 cq = cs[q]
                 v = cat.order[(si, cp, cq)] = new_var(f"x_s{si}_c{cp}_c{cq}")
-                row[q] = (1, v)
-                table[q][p] = (-1, v)
+                row[q] = (1, v.index)
+                table[q][p] = (-1, v.index)
         before.append(table)
 
     # Crossing indicators per gap between consecutive slots, in the order of
@@ -192,7 +194,7 @@ def build_model(
         gap: list[Term] = []
         for ci, cj in itertools.combinations(common, 2):
             v = cat.crossing[(gi, ci, cj)] = new_var(f"z_g{gi}_c{ci}_c{cj}")
-            gap.append((1, v))
+            gap.append((1, v.index))
         z.append(gap)
 
     # Activity terms by slot and position, like the ordering terms.
@@ -203,9 +205,9 @@ def build_model(
             terms = []
             for c in chars_at[s.time]:
                 cat.active[(c, si)] = v = new_var(f"a_c{c}_s{si}")
-                terms.append((1, v))
+                terms.append((1, v.index))
             act.append(terms)
-            neg_act.append([(-1, v) for _, v in terms])
+            neg_act.append([(-1, i) for _, i in terms])
 
     # Orders must be transitive, hence total.
     extend(_transitivity_rows(before))
@@ -248,13 +250,13 @@ def build_model(
     chars = [chars_at[s.time] for s in slots]
     extend(_linking_rows(z, shared, chars, before, neg_act if free else None))
 
-    mb.minimize(itertools.chain.from_iterable(z))
+    mb.minimize((1, v) for v in cat.crossing.values())
     return mb.build(), cat
 
 
-Row = tuple[tuple[Term, ...], bip.Op, int]
+Row = bip.Row
 TermTable = list[list[Term]]
-_NO_TERM: Term = (0, bip.VarId(-1, "none"))  # fills the diagonal of a term table
+_NO_TERM: Term = (0, -1)  # fills the diagonal of a term table
 
 
 def _transitivity_rows(before: list[TermTable]) -> Iterator[Row]:
@@ -319,7 +321,7 @@ def _linking_rows(
     """The two rows tying each crossing indicator of gap gi to its pair's
     ordering terms in slots gi and gi + 1.  ``z[gi]`` follows the pairs of
     ``shared[gi]``, the gap's common characters; for ilp2 the pair's four
-    ``(-1, a)`` activity terms join both rows."""
+    ``(-1, a.index)`` activity terms join both rows."""
     for gi, (gap, common) in enumerate(zip(z, shared)):
         if not gap:
             continue
@@ -338,10 +340,11 @@ def _linking_rows(
 
 
 def _signed(variables: Mapping[K, bip.VarId]) -> tuple[dict[K, Term], dict[K, Term]]:
-    """The ``(1, v)`` and the ``(-1, v)`` term of every variable, by key."""
+    """The ``(1, v.index)`` and the ``(-1, v.index)`` term of every variable
+    ``v``, by key."""
     return (
-        {key: (1, v) for key, v in variables.items()},
-        {key: (-1, v) for key, v in variables.items()},
+        {key: (1, v.index) for key, v in variables.items()},
+        {key: (-1, v.index) for key, v in variables.items()},
     )
 
 

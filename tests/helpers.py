@@ -325,13 +325,13 @@ def enumerate_binary_optimum(program) -> int | None:
     best = None
     for bits in itertools.product((0, 1), repeat=n):
         ok = True
-        for c in program.constraints:
-            lhs = sum(coef * bits[v.index] for coef, v in c.terms)
-            if c.op == "<=" and lhs > c.rhs:
+        for terms, op, rhs in program.constraints:
+            lhs = sum(coef * bits[i] for coef, i in terms)
+            if op == "<=" and lhs > rhs:
                 ok = False
-            elif c.op == ">=" and lhs < c.rhs:
+            elif op == ">=" and lhs < rhs:
                 ok = False
-            elif c.op == "=" and lhs != c.rhs:
+            elif op == "=" and lhs != rhs:
                 ok = False
             if not ok:
                 break
@@ -421,9 +421,9 @@ def reference_fixed_orders(layers) -> tuple[list[tuple[int, ...]], int]:
     return list(best), key(best)[0]
 
 
-# The rules of ``bip.validate_program`` as they stood before its per-term
-# test became one combined condition, kept verbatim (with the module
-# constants it reads) as the reference for the differential test.
+# The rules of ``bip.validate_program`` checked one at a time, without its
+# combined per-term condition (with the module constants it reads), as the
+# reference for the differential test.
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _OPS = ("<=", ">=", "=")
 
@@ -433,12 +433,13 @@ def reference_validate_program(p: BinaryProgram) -> None:
 
     One scan, in this order: the variables (index, name, repeated name);
     each constraint in turn (no terms, operator, then per term the
-    reference, the coefficient and a repeated variable, then the right-hand
-    side); the objective last (per term the reference, a non-negative
-    integer coefficient and a repeated variable).  A term may refer to an
-    equal but distinct ``VarId``, and numbers may be ``int`` subclasses
-    other than ``bool``; the common case, the very ``VarId`` object stored
-    at its index and exact ``int`` numbers, is decided inline.
+    variable index, the coefficient and a repeated variable, then the
+    right-hand side); the objective last (per term the reference, a
+    non-negative integer coefficient and a repeated variable).  A row term
+    is ``(coef, index)`` with an in-range index that is an ``int`` other
+    than ``bool``; an objective term is ``(coef, VarId)`` and may refer to
+    an equal but distinct ``VarId``.  Numbers may be ``int`` subclasses
+    other than ``bool``.
     """
     variables = p.variables
     names: set[str] = set()
@@ -456,6 +457,10 @@ def reference_validate_program(p: BinaryProgram) -> None:
         if not (0 <= v.index < n) or variables[v.index] != v:
             raise ValueError(f"unknown variable {v.name!r}")
 
+    def check_index(k: int, i: object) -> None:
+        if not _integral(i) or not 0 <= i < n:
+            raise ValueError(f"constraint {k}: unknown variable index {i!r}")
+
     # used_in[i] is the last row whose terms included variable i, so a term
     # finding its own row's number there repeats a variable of that row.
     used_in = [-1] * n
@@ -465,32 +470,25 @@ def reference_validate_program(p: BinaryProgram) -> None:
             raise ValueError(f"constraint {k} has no terms")
         if op not in _OPS:
             raise ValueError(f"constraint {k} has unknown operator {op!r}")
-        for coef, v in () if terms is seen else terms:
-            i = v.index
-            if i < 0 or i >= n or variables[i] is not v:
-                check_ref(v)
-            if type(coef) is not int and not _integral(coef):
+        for coef, i in () if terms is seen else terms:
+            check_index(k, i)
+            if not _integral(coef):
                 raise ValueError(f"constraint {k}: coefficient {coef!r} is not an integer")
             if used_in[i] == k:
-                raise ValueError(f"constraint {k}: duplicate variable {v.name!r}")
+                raise ValueError(f"constraint {k}: duplicate variable {variables[i].name!r}")
             used_in[i] = k
         seen = terms
-        if type(rhs) is not int and not _integral(rhs):
+        if not _integral(rhs):
             raise ValueError(f"constraint {k}: right-hand side must be an integer")
     k = len(p.constraints)  # the objective's row number
     for coef, v in p.objective:
+        check_ref(v)
         i = v.index
-        if i < 0 or i >= n or variables[i] is not v:
-            check_ref(v)
-        if (type(coef) is not int and not _integral(coef)) or coef < 0:
+        if not _integral(coef) or coef < 0:
             raise ValueError("objective coefficients must be non-negative integers")
         if used_in[i] == k:
             raise ValueError(f"objective lists variable {v.name!r} twice")
         used_in[i] = k
-
-
-def _integral(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _integral(x: object) -> bool:

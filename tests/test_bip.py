@@ -22,7 +22,7 @@ def tiny(objective, constraints, n):
     mb = bip.ModelBuilder()
     xs = [mb.new_var(f"x{i+1}") for i in range(n)]
     for terms, op, rhs in constraints:
-        mb.add([(c, xs[i]) for c, i in terms], op, rhs)
+        mb.add([(c, xs[i].index) for c, i in terms], op, rhs)
     mb.minimize([(c, xs[i]) for c, i in objective])
     return mb.build(), xs
 
@@ -34,7 +34,7 @@ def random_program(rng, max_vars=12):
     for _ in range(rng.randint(0, 2 * n)):
         size = rng.randint(1, min(4, n))
         chosen = rng.sample(range(n), size)
-        terms = [(rng.randint(-3, 3) or 1, xs[i]) for i in chosen]
+        terms = [(rng.randint(-3, 3) or 1, xs[i].index) for i in chosen]
         op = rng.choice(["<=", ">=", "="])
         rhs = rng.randint(-3, 4)
         mb.add(terms, op, rhs)
@@ -62,7 +62,7 @@ def wide_coefficient_program(rng, max_vars=10):
         # A slack of -1, now and then, cuts the hidden point off.
         slack = -1 if rng.random() < 0.04 else 0 if op == "=" else rng.choice((0, 1, 2, 4))
         rhs = at_hidden - slack if op == ">=" else at_hidden + slack
-        mb.add([(c, xs[i]) for c, i in zip(coefs, chosen)], op, rhs)
+        mb.add([(c, xs[i].index) for c, i in zip(coefs, chosen)], op, rhs)
     mb.minimize([(rng.randint(0, 5), x) for x in xs])
     return mb.build()
 
@@ -75,7 +75,7 @@ def mixed_row_program(rng):
     for _ in range(rng.randint(0, 8)):
         chosen = rng.sample(range(n), rng.randint(1, min(4, n)))
         op = rng.choice(["<=", ">=", "="])
-        mb.add([(rng.randint(-3, 3), xs[i]) for i in chosen], op, rng.randint(-1, 2))
+        mb.add([(rng.randint(-3, 3), xs[i].index) for i in chosen], op, rng.randint(-1, 2))
     mb.minimize([(rng.randint(0, 4), x) for x in xs])
     return mb.build()
 
@@ -102,7 +102,7 @@ def hard_cover_program(n_vars=40, n_rows=70, seed=4):
     xs = [mb.new_var(f"x{i}") for i in range(n_vars)]
     for _ in range(n_rows):
         chosen = rng.sample(range(n_vars), 8)
-        mb.add([(1, xs[i]) for i in chosen], ">=", 2)
+        mb.add([(1, xs[i].index) for i in chosen], ">=", 2)
     mb.minimize([(1, x) for x in xs])
     return mb.build()
 
@@ -226,12 +226,12 @@ class TestSolve:
             res = bip.solve(p, timeout=60)
             if res.assignment is None:
                 continue
-            for c in p.constraints:
-                lhs = sum(coef * res.assignment[v.index] for coef, v in c.terms)
+            for terms, op, rhs in p.constraints:
+                lhs = sum(coef * res.assignment[i] for coef, i in terms)
                 assert (
-                    (c.op == "<=" and lhs <= c.rhs)
-                    or (c.op == ">=" and lhs >= c.rhs)
-                    or (c.op == "=" and lhs == c.rhs)
+                    (op == "<=" and lhs <= rhs)
+                    or (op == ">=" and lhs >= rhs)
+                    or (op == "=" and lhs == rhs)
                 )
             obj = sum(coef * res.assignment[v.index] for coef, v in p.objective)
             assert obj == res.objective_value
@@ -322,6 +322,8 @@ class TestGap:
 
 X = bip.VarId(0, "x")
 Y = bip.VarId(1, "y")
+# Row terms refer to variables by index.
+IX, IY = X.index, Y.index
 
 
 def only_vars(*variables):
@@ -329,14 +331,14 @@ def only_vars(*variables):
     last = variables[-1]
     return dict(
         variables=variables,
-        constraints=(bip.LinearConstraint(((1, last),), "<=", 1),),
+        constraints=((((1, last.index),), "<=", 1),),
         objective=((1, last),),
     )
 
 
 # One hand-built program per rejection of validate_program, with its message.
 # Each breaks one rule and keeps every other, so a scan that skips a rule
-# lets its case through.
+# lets its case through.  The default program has the two variables x and y.
 MALFORMED = {
     "index_mismatch": (
         only_vars(bip.VarId(1, "x"), Y),
@@ -351,50 +353,69 @@ MALFORMED = {
         "duplicate variable name 'x'",
     ),
     "foreign_var_out_of_range": (
-        dict(constraints=(bip.LinearConstraint(((1, bip.VarId(5, "w")),), "<=", 1),)),
-        "unknown variable 'w'",
+        dict(constraints=((((1, 5),), "<=", 1),)),
+        "constraint 0: unknown variable index 5",
     ),
+    "index_equal_to_count": (
+        dict(constraints=((((1, 2),), "<=", 1),)),
+        "constraint 0: unknown variable index 2",
+    ),
+    # A negative index must not wrap round to the last variable ('y').
+    "negative_index": (
+        dict(constraints=((((1, -1),), "<=", 1),)),
+        "constraint 0: unknown variable index -1",
+    ),
+    # True == 1, but a bool is not an index, as it is not a coefficient.
+    "bool_index": (
+        dict(constraints=((((1, True),), "<=", 1),)),
+        "constraint 0: unknown variable index True",
+    ),
+    "non_int_index": (
+        dict(constraints=((((1, 1.0),), "<=", 1),)),
+        "constraint 0: unknown variable index 1.0",
+    ),
+    # A VarId in a row term, in place of its index.
     "foreign_var_other_name": (
-        dict(constraints=(bip.LinearConstraint(((1, bip.VarId(0, "w")),), "<=", 1),)),
-        "unknown variable 'w'",
+        dict(constraints=((((1, bip.VarId(0, "w")),), "<=", 1),)),
+        "constraint 0: unknown variable index VarId(index=0, name='w')",
     ),
     "foreign_var_in_objective": (
         dict(objective=((1, bip.VarId(2, "w")),)),
         "unknown variable 'w'",
     ),
     "empty_constraint": (
-        dict(constraints=(bip.LinearConstraint((), "<=", 1),)),
+        dict(constraints=(((), "<=", 1),)),
         "constraint 0 has no terms",
     ),
     "bool_coefficient": (
-        dict(constraints=(bip.LinearConstraint(((True, X),), "<=", 1),)),
+        dict(constraints=((((True, IX),), "<=", 1),)),
         "constraint 0: coefficient True is not an integer",
     ),
     "float_coefficient": (
-        dict(constraints=(bip.LinearConstraint(((1.0, X),), "<=", 1),)),
+        dict(constraints=((((1.0, IX),), "<=", 1),)),
         "constraint 0: coefficient 1.0 is not an integer",
     ),
     "unknown_operator": (
-        dict(constraints=(bip.LinearConstraint(((1, X),), "<", 1),)),
+        dict(constraints=((((1, IX),), "<", 1),)),
         "constraint 0 has unknown operator '<'",
     ),
     "duplicate_var_in_constraint": (
-        dict(constraints=(bip.LinearConstraint(((1, X), (1, Y), (1, X)), "<=", 1),)),
+        dict(constraints=((((1, IX), (1, IY), (1, IX)), "<=", 1),)),
         "constraint 0: duplicate variable 'x'",
     ),
     "bool_rhs": (
-        dict(constraints=(bip.LinearConstraint(((1, X),), "<=", True),)),
+        dict(constraints=((((1, IX),), "<=", True),)),
         "constraint 0: right-hand side must be an integer",
     ),
     "float_rhs": (
-        dict(constraints=(bip.LinearConstraint(((1, X),), "<=", 1.5),)),
+        dict(constraints=((((1, IX),), "<=", 1.5),)),
         "constraint 0: right-hand side must be an integer",
     ),
     "second_constraint_numbered": (
         dict(
             constraints=(
-                bip.LinearConstraint(((1, X),), "<=", 1),
-                bip.LinearConstraint(((1, Y),), "=>", 1),
+                (((1, IX),), "<=", 1),
+                (((1, IY),), "=>", 1),
             )
         ),
         "constraint 1 has unknown operator '=>'",
@@ -415,55 +436,60 @@ MALFORMED = {
 
 
 W = bip.VarId(5, "w")  # index out of range of every table program
+IW = W.index
 
 # Programs with two defects, and the one validate_program reports: variables
 # before rows, rows by index; inside a row no terms, then the operator, then
-# per term the reference, the coefficient and a repeat, then the right-hand
+# per term the index, the coefficient and a repeat, then the right-hand
 # side; the objective after every row, per term in the same order.
 FIRST_DEFECT = {
     "variables_before_rows": (
         dict(
             variables=(bip.VarId(1, "x"), Y),
-            constraints=(bip.LinearConstraint((), "<=", 1),),
+            constraints=(((), "<=", 1),),
         ),
         "variable 'x' has index 1, expected 0",
     ),
     "rows_by_index": (
         dict(
             constraints=(
-                bip.LinearConstraint(((1, X),), "<=", 1.5),
-                bip.LinearConstraint((), "<=", 1),
+                (((1, IX),), "<=", 1.5),
+                ((), "<=", 1),
             )
         ),
         "constraint 0: right-hand side must be an integer",
     ),
     "no_terms_before_operator": (
-        dict(constraints=(bip.LinearConstraint((), "<", 1),)),
+        dict(constraints=(((), "<", 1),)),
         "constraint 0 has no terms",
     ),
     "operator_before_terms": (
-        dict(constraints=(bip.LinearConstraint(((1.0, W),), "<", 1),)),
+        dict(constraints=((((1.0, IW),), "<", 1),)),
         "constraint 0 has unknown operator '<'",
     ),
     "reference_before_coefficient": (
-        dict(constraints=(bip.LinearConstraint(((1.0, W),), "<=", 1),)),
-        "unknown variable 'w'",
+        dict(constraints=((((1.0, IW),), "<=", 1),)),
+        "constraint 0: unknown variable index 5",
+    ),
+    "bool_index_before_coefficient": (
+        dict(constraints=((((1.0, False),), "<=", 1),)),
+        "constraint 0: unknown variable index False",
     ),
     "coefficient_before_duplicate": (
-        dict(constraints=(bip.LinearConstraint(((1, X), (1.0, X)), "<=", 1),)),
+        dict(constraints=((((1, IX), (1.0, IX)), "<=", 1),)),
         "constraint 0: coefficient 1.0 is not an integer",
     ),
     "duplicate_before_later_term": (
-        dict(constraints=(bip.LinearConstraint(((1, X), (1, X), (1.0, Y)), "<=", 1),)),
+        dict(constraints=((((1, IX), (1, IX), (1.0, IY)), "<=", 1),)),
         "constraint 0: duplicate variable 'x'",
     ),
     "terms_before_rhs": (
-        dict(constraints=(bip.LinearConstraint(((1, X), (1, W)), "<=", 1.5),)),
-        "unknown variable 'w'",
+        dict(constraints=((((1, IX), (1, IW)), "<=", 1.5),)),
+        "constraint 0: unknown variable index 5",
     ),
     "objective_after_rows": (
         dict(
-            constraints=(bip.LinearConstraint(((1, X),), "<=", True),),
+            constraints=((((1, IX),), "<=", True),),
             objective=((-1, W),),
         ),
         "constraint 0: right-hand side must be an integer",
@@ -476,10 +502,11 @@ FIRST_DEFECT = {
         dict(objective=((1, X), (-1, X))),
         "objective coefficients must be non-negative integers",
     ),
-    # A negative index must not wrap round to the last variable ('y').
+    # A negative index must not wrap round to the last variable ('y'), even
+    # behind a term that passes.
     "foreign_negative_index": (
-        dict(constraints=(bip.LinearConstraint(((1, bip.VarId(-1, "y")),), "<=", 1),)),
-        "unknown variable 'y'",
+        dict(constraints=((((1, IX), (1, -1)), "<=", 1),)),
+        "constraint 0: unknown variable index -1",
     ),
     "foreign_negative_index_in_objective": (
         dict(objective=((1, bip.VarId(-1, "y")),)),
@@ -491,7 +518,7 @@ FIRST_DEFECT = {
 def program_parts(**overrides):
     parts = dict(
         variables=(X, Y),
-        constraints=(bip.LinearConstraint(((1, X), (-1, Y)), ">=", 0),),
+        constraints=((((1, IX), (-1, IY)), ">=", 0),),
         objective=((1, X), (1, Y)),
     )
     parts.update(overrides)
@@ -507,7 +534,7 @@ class Parts(NamedTuple):
 
 
 class Weight(int):
-    """An int subclass: a legal coefficient or right-hand side."""
+    """An int subclass: a legal coefficient, right-hand side or index."""
 
 
 # Defects the validator documents, each injected into a valid program.
@@ -522,9 +549,12 @@ def defective_program(rng: random.Random) -> tuple[Parts, list[str]]:
     """A small valid program with 0-2 defects drawn from ``DEFECT_KINDS``.
 
     Consecutive rows sometimes share one terms list, which becomes one
-    terms tuple, so a defect in it reaches both rows.  Terms sometimes
-    refer to an equal but distinct ``VarId`` and coefficients are sometimes
-    ``int`` subclasses, which are legal.
+    terms tuple, so a defect in it reaches both rows.  A foreign reference
+    is, in a row, an index out of range, negative, a bool or not an int,
+    and in the objective a ``VarId`` that is not the program's.  Objective
+    terms sometimes refer to an equal but distinct ``VarId``, and row
+    indices and coefficients are sometimes ``int`` subclasses, which are
+    legal.
     """
     n = rng.randint(1, 6)
     variables = [bip.VarId(i, f"v{i}") for i in range(n)]
@@ -534,13 +564,13 @@ def defective_program(rng: random.Random) -> tuple[Parts, list[str]]:
             rows.append([rows[-1][0], rng.choice(("<=", ">=", "=")), rng.randint(-2, 3)])
             continue
         chosen = rng.sample(range(n), rng.randint(1, min(3, n)))
-        terms = [(rng.choice((-2, -1, 1, 3)), variables[i]) for i in chosen]
+        terms = [(rng.choice((-2, -1, 1, 3)), i) for i in chosen]
         rows.append([terms, rng.choice(("<=", ">=", "=")), rng.randint(-2, 3)])
     objective = [(rng.randint(0, 3), v) for v in variables if rng.random() < 0.6]
 
     def some_row() -> list:
         if not rows:
-            rows.append([[(1, rng.choice(variables))], "<=", 1])
+            rows.append([[(1, rng.randrange(n))], "<=", 1])
         return rng.choice(rows)
 
     injected = [rng.choice(DEFECT_KINDS) for _ in range(rng.randint(0, 2))]
@@ -556,8 +586,22 @@ def defective_program(rng: random.Random) -> tuple[Parts, list[str]]:
             some_row()[0] = []
         elif kind == "unknown_op":
             some_row()[1] = rng.choice(("<", "==", "=>", "", None))
+        elif kind == "foreign_var" and rng.random() < 0.7:
+            terms = some_row()[0]
+            foreign = rng.choice((
+                n + rng.randint(0, 3),
+                -1,
+                -n - 2,
+                j == 1,  # a bool
+                float(j),
+                str(j),
+                variables[j],
+                Weight(j),  # an int subclass in range: legal
+            ))
+            # Half with a bad coefficient too, which must be reported second.
+            coef = rng.choice((1, 1.0))
+            terms.insert(rng.randint(0, len(terms)), (coef, foreign))
         elif kind == "foreign_var":
-            terms = some_row()[0] if rng.random() < 0.7 else objective
             foreign = rng.choice((
                 bip.VarId(n + rng.randint(0, 3), "w"),
                 bip.VarId(-1, variables[-1].name),
@@ -565,7 +609,8 @@ def defective_program(rng: random.Random) -> tuple[Parts, list[str]]:
                 bip.VarId(j, "other"),
                 bip.VarId(j, variables[j].name),  # equal but distinct: legal
             ))
-            terms.insert(rng.randint(0, len(terms)), (1, foreign))
+            coef = rng.choice((1, -1))  # a negative one is reported second
+            objective.insert(rng.randint(0, len(objective)), (coef, foreign))
         elif kind == "bad_coefficient":
             terms = some_row()[0] if rng.random() < 0.7 else objective
             coef = rng.choice((1.0, True, False, Fraction(1, 2), "1", None, Weight(2)))
@@ -586,8 +631,7 @@ def defective_program(rng: random.Random) -> tuple[Parts, list[str]]:
 
     tuples: dict[int, tuple] = {}  # one tuple per terms list, so sharing survives
     constraints = tuple(
-        bip.LinearConstraint(tuples.setdefault(id(terms), tuple(terms)), op, rhs)
-        for terms, op, rhs in rows
+        (tuples.setdefault(id(terms), tuple(terms)), op, rhs) for terms, op, rhs in rows
     )
     return Parts(tuple(variables), constraints, tuple(objective)), injected
 
@@ -600,45 +644,27 @@ def validation_outcome(validate, parts: Parts) -> str | None:
     return None
 
 
-class TestLinearConstraint:
-    def test_fields_are_read_only(self):
-        row = bip.LinearConstraint(((1, X),), "<=", 1)
-        for name in ("terms", "op", "rhs"):
-            with pytest.raises(AttributeError):
-                setattr(row, name, None)
-        assert row == bip.LinearConstraint(((1, X),), "<=", 1)
-
-    def test_equal_fields_equal_and_hash_equal(self):
-        row = bip.LinearConstraint(((1, X), (-1, Y)), ">=", 0)
-        twin = bip.LinearConstraint(((1, bip.VarId(0, "x")), (-1, Y)), ">=", 0)
-        assert twin is not row and twin == row and hash(twin) == hash(row)
-        assert len({row, twin}) == 1
-        assert bip.LinearConstraint(row.terms, "<=", 0) != row
-        assert bip.LinearConstraint(row.terms, ">=", 1) != row
-
-    def test_builder_rows_match_constructed_rows(self):
+class TestModelBuilder:
+    def test_builder_rows_stored_as_given(self):
         mb = bip.ModelBuilder()
-        x, y = mb.new_var("x"), mb.new_var("y")
+        x, y = mb.new_var("x").index, mb.new_var("y").index
         listed = [(1, x), (-1, y)]
         shared = ((1, x), (1, y))
+        given = (((1, y),), "<=", 0)
         mb.add(listed, ">=", 0)
         mb.add(shared, "<=", 1)
         mb.add(iter(shared), "=", 1)
-        mb.extend(iter([(shared, ">=", 1), (((1, y),), "<=", 0)]))
+        mb.extend(iter([(shared, ">=", 1), given]))
         rows = mb.build().constraints
-        expected = [
-            bip.LinearConstraint(tuple(listed), ">=", 0),
-            bip.LinearConstraint(shared, "<=", 1),
-            bip.LinearConstraint(shared, "=", 1),
-            bip.LinearConstraint(shared, ">=", 1),
-            bip.LinearConstraint(((1, y),), "<=", 0),
-        ]
-        for row, twin in zip(rows, expected, strict=True):
-            assert type(row) is bip.LinearConstraint
-            assert row == twin and hash(row) == hash(twin)
-            assert (row.terms, row.op, row.rhs) == tuple(twin)
-        assert type(rows[0].terms) is tuple and rows[0].terms == tuple(listed)
-        assert rows[1].terms is shared and rows[3].terms is shared
+        assert rows == (
+            (tuple(listed), ">=", 0),
+            (shared, "<=", 1),
+            (shared, "=", 1),
+            (shared, ">=", 1),
+            given,
+        )
+        assert all(type(row) is tuple and type(row[0]) is tuple for row in rows)
+        assert rows[1][0] is shared and rows[3][0] is shared and rows[4] is given
 
 
 class TestValidation:
@@ -672,10 +698,11 @@ class TestValidation:
         assert min(outcomes.values()) >= 100
 
     def test_equal_but_distinct_var_accepted(self):
+        # In the objective, where terms hold a VarId; row terms hold indices.
         twin = bip.VarId(0, "x")
         assert twin == X and twin is not X
         parts = program_parts(
-            constraints=(bip.LinearConstraint(((1, twin), (1, Y)), "<=", 1),),
+            constraints=((((1, IX), (1, IY)), "<=", 1),),
             objective=((2, twin),),
         )
         p = bip.BinaryProgram(**parts)
@@ -691,11 +718,11 @@ class TestValidation:
     def test_row_sharing_checked_terms_still_checked(self, op, rhs, message):
         # The second row reuses the first row's terms tuple, whose terms were
         # checked once; its own operator and right-hand side are still checked.
-        terms = ((1, X), (-1, Y))
+        terms = ((1, IX), (-1, IY))
         parts = program_parts(
             constraints=(
-                bip.LinearConstraint(terms, "<=", 1),
-                bip.LinearConstraint(terms, op, rhs),
+                (terms, "<=", 1),
+                (terms, op, rhs),
             )
         )
         with pytest.raises(ValueError) as err:
@@ -703,17 +730,18 @@ class TestValidation:
         assert str(err.value) == message
 
     def test_int_subclass_coefficient_accepted(self):
-        class Weight(int):
-            pass
-
         parts = program_parts(
-            constraints=(bip.LinearConstraint(((Weight(2), X),), "<=", Weight(1)),),
+            constraints=((((Weight(2), Weight(IX)),), "<=", Weight(1)),),
         )
-        assert bip.BinaryProgram(**parts).constraints[0].terms[0][0] == 2
+        p = bip.BinaryProgram(**parts)
+        assert p.constraints[0][0][0] == (2, IX)
+        assert bip.export_lp(p) == bip.export_lp(
+            bip.BinaryProgram(**program_parts(constraints=((((2, IX),), "<=", 1),)))
+        )
 
     def test_duplicate_var_in_constraint(self):
         mb = bip.ModelBuilder()
-        x = mb.new_var("x")
+        x = mb.new_var("x").index
         mb.add([(1, x), (1, x)], "<=", 1)
         mb.minimize([])
         with pytest.raises(ValueError, match="duplicate variable"):
@@ -722,7 +750,7 @@ class TestValidation:
     def test_negative_objective_rejected(self):
         mb = bip.ModelBuilder()
         x = mb.new_var("x")
-        mb.add([(1, x)], "<=", 1)
+        mb.add([(1, x.index)], "<=", 1)
         mb.minimize([(-1, x)])
         with pytest.raises(ValueError, match="non-negative"):
             mb.build()
@@ -762,10 +790,11 @@ class TestLpFormat:
         c = mb.new_var("gamma")
         d = mb.new_var("delta")
         e = mb.new_var("eps")
-        mb.add([(1, a), (1, b), (1, c)], ">=", 2)
-        mb.add([(1, c), (-1, d)], "<=", 0)
-        mb.add([(2, a), (3, e)], "=", 3)
-        mb.add([(1, b), (1, d), (1, e)], "<=", 2)
+        ia, ib, ic, id_, ie = (v.index for v in (a, b, c, d, e))
+        mb.add([(1, ia), (1, ib), (1, ic)], ">=", 2)
+        mb.add([(1, ic), (-1, id_)], "<=", 0)
+        mb.add([(2, ia), (3, ie)], "=", 3)
+        mb.add([(1, ib), (1, id_), (1, ie)], "<=", 2)
         mb.minimize([(1, a), (2, b), (1, c), (3, d), (1, e)])
         assert bip.export_lp(mb.build()) == GOLDEN.read_text(encoding="utf-8")
 
@@ -779,6 +808,19 @@ class TestLpFormat:
             # zero-coefficient objective terms are dropped by the writer
             kept = tuple((c, v) for c, v in p.objective if c != 0)
             assert back.objective == kept
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\u2028"], ids=["lf", "crlf", "ls"])
+    def test_name_cannot_inject_statements(self, newline):
+        # The name is folded onto the comment line wherever parse_lp would
+        # split it, so a line break in it cannot start an LP statement.
+        p, _ = tiny([(1, 0)], [([(1, 0), (1, 1)], ">=", 1)], 2)
+        name = newline.join(["inst", "Subject To", " c9: x1 >= 1", ""])
+        text = bip.export_lp(p, name=name)
+        lines = text.splitlines()
+        assert [ln for ln in lines if ln.lstrip().startswith("\\")] == [lines[0]]
+        assert lines[0] == "\\ inst Subject To  c9: x1 >= 1"
+        assert lines[1:] == bip.export_lp(p).splitlines()[1:]
+        assert bip.parse_lp(text).constraints == p.constraints
 
     def test_repeated_binary_name_rejected(self):
         text = "Minimize\n obj: x\nSubject To\n c0: x + y >= 1\nBinary\n x y x\nEnd\n"
@@ -813,16 +855,16 @@ class TestLpFormat:
 
     def test_shared_terms_tuple_reuses_its_expression(self):
         mb = bip.ModelBuilder()
-        a, b, c = (mb.new_var(name) for name in "abc")
+        a, b, c = (mb.new_var(name).index for name in "abc")
         shared = ((1, a), (-1, b))
         mb.add(shared, "<=", 1)
         mb.add(shared, ">=", -1)
         mb.add(((1, a), (-1, b)), "=", 0)  # equal terms, distinct tuple
         mb.add(((2, b), (1, c)), ">=", 1)
         p = mb.build()
-        rows = p.constraints
-        assert rows[0].terms is rows[1].terms
-        assert rows[2].terms == shared and rows[2].terms is not shared
+        terms = [row[0] for row in p.constraints]
+        assert terms[0] is terms[1]
+        assert terms[2] == shared and terms[2] is not shared
         text = bip.export_lp(p)
         lines = text.splitlines()
         assert lines[lines.index("Subject To") + 1 : lines.index("Binary")] == [
@@ -859,7 +901,7 @@ class TestLpFormat:
     def test_long_rows_wrap_and_parse(self):
         mb = bip.ModelBuilder()
         xs = [mb.new_var(f"verylongname_{i:03d}") for i in range(60)]
-        mb.add([(1, x) for x in xs], "<=", 30)
+        mb.add([(1, x.index) for x in xs], "<=", 30)
         mb.minimize([(1, x) for x in xs])
         p = mb.build()
         text = bip.export_lp(p)

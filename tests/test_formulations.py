@@ -1,17 +1,23 @@
+import gc
 import hashlib
 import itertools
 import math
+import platform
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import storyweave as sw
 import storyweave.bip as bip
-from storyweave import formulations, pipeline
+from storyweave import files, formulations, pipeline
 from helpers import cit_rung, oracle_corpus, random_instance, wide_instances
 from test_core import PATTERN_PAIR, make_instance
+
+
+WORKSHOP = Path(__file__).parents[1] / "demos" / "data" / "workshop.json"
 
 
 def small_corpus(seed=0, count=40):
@@ -107,6 +113,37 @@ class TestBuildModel:
         _, cat2 = sw.build_model(inst, sw.ILP2, {0: 4})
         assert not cat1.active
         assert len(cat2.active) == 4 * 4
+
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython",
+        reason="untracking tuples of atoms is a CPython collector detail",
+    )
+    @pytest.mark.parametrize("kind", ["ilp1", "ilp2ml"])
+    def test_rows_leave_the_collector(self, kind):
+        # A row holds only ints and strs, so CPython's cyclic collector stops
+        # tracking it once it has seen it: one nesting level per collection,
+        # the term, then the terms tuple, then the row.  A row holding an
+        # object reference stays tracked, and every full collection walks it.
+        inst = files.load_instance(WORKSHOP)
+        model = formulations.EXACT_KINDS[kind]
+        budgets = sw.layer_budget(inst, minimize=model.minimize_layers)
+        program, _ = sw.build_model(inst, model, budgets)
+        rows = program.constraints
+        assert rows
+
+        def tracked():
+            terms = {id(row[0]): row[0] for row in rows}.values()
+            return (
+                [row for row in rows if gc.is_tracked(row)]
+                + [t for t in terms if gc.is_tracked(t)]
+                + [term for t in terms for term in t if gc.is_tracked(term)]
+            )
+
+        for _ in range(3):
+            gc.collect()
+            if not tracked():
+                break
+        assert tracked() == []
 
 
 class TestExactness:
