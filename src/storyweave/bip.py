@@ -10,11 +10,18 @@ pairs of ints, the index being the variable's position in the program.
 ``VarId`` appears only in the program's ``variables`` and ``objective``.  A
 row holds no object reference, so once the cyclic garbage collector has
 seen it, it stops tracking it.  Consecutive rows may share one terms tuple,
-which validation checks and the LP writer formats only once.  A program is
-validated in one scan when it is built: every term passes one combined
-test (an index in range, an exact ``int`` coefficient, a variable new to
-its row), and only a term that fails it is classified, so the first defect
-is reported in a fixed order.
+which validation checks only once.  A program is validated in one scan when
+it is built: every term passes one combined test (an index in range, an
+exact ``int`` coefficient, a variable new to its row), and only a term that
+fails it is classified, so the first defect is reported in a fixed order.
+
+LP text: :func:`export_lp` formats a shared terms tuple once and joins the
+lines of each fixed block of rows into one chunk, so at most one block of
+lines is alive next to the chunks and the result, and an export peaks at
+about twice the text it returns.  Validation admits only names that the
+text cannot misread: no leading digit, which would read as a coefficient,
+and no section keyword such as ``End``, which would end a section; so
+:func:`parse_lp` reads the text back into the same program.
 
 The solver works in exact integer arithmetic: coefficients, right-hand
 sides and objective weights are integers (scale rationals while building
@@ -35,7 +42,12 @@ from typing import Iterable, Literal
 
 Op = Literal["<=", ">=", "="]
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_NAME_CHARS_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# An LP-safe name: it does not start with a digit, which parse_lp would read
+# as a coefficient, and is not a section keyword, which would end a section.
+_NAME_RE = re.compile(
+    r"(?!(?i:end|bin|binary|binaries|st|minimi[sz]e)\Z)[A-Za-z_][A-Za-z0-9_]*\Z"
+)
 
 OPTIMAL = "optimal"
 FEASIBLE_TIMEOUT = "feasible-timeout"
@@ -43,6 +55,7 @@ INFEASIBLE = "infeasible"
 
 _OPS = ("<=", ">=", "=")
 _LINE_WIDTH = 240  # LP lines longer than this are wrapped at term boundaries
+_CHUNK_ROWS = 2048  # rows whose LP lines export_lp joins into one chunk
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +152,10 @@ def validate_program(p: BinaryProgram) -> None:
     right-hand side); the objective last (per term the reference, a
     non-negative integer coefficient and a repeated variable).
 
+    A name matches ``[A-Za-z0-9_]+``, does not start with a digit and is
+    not, in any case, one of the LP section keywords ``End``, ``bin``,
+    ``binary``, ``binaries``, ``st``, ``minimize`` and ``minimise``.
+
     A row term is ``(coef, index)``: the index must be an ``int`` other than
     ``bool`` in ``range(len(p.variables))``, so a negative index never wraps
     round to a variable at the end.  An objective term is ``(coef, VarId)``
@@ -155,7 +172,7 @@ def validate_program(p: BinaryProgram) -> None:
         if v.index != i:
             raise ValueError(f"variable {v.name!r} has index {v.index}, expected {i}")
         if not _NAME_RE.match(v.name):
-            raise ValueError(f"variable name {v.name!r} must match [A-Za-z0-9_]+")
+            _check_name(v.name)
         if v.name in names:
             raise ValueError(f"duplicate variable name {v.name!r}")
         names.add(v.name)
@@ -190,6 +207,17 @@ def validate_program(p: BinaryProgram) -> None:
         ):
             _check_objective_term(variables, used_in, k, coef, v)
         used_in[i] = k
+
+
+def _check_name(name: str) -> None:
+    """Raise for a variable name that fails ``_NAME_RE``: a character outside
+    ``[A-Za-z0-9_]`` (or no character), then a leading digit, then a name
+    that is an LP section keyword."""
+    if not _NAME_CHARS_RE.match(name):
+        raise ValueError(f"variable name {name!r} must match [A-Za-z0-9_]+")
+    if name[0].isdigit():
+        raise ValueError(f"variable name {name!r} must not start with a digit")
+    raise ValueError(f"variable name {name!r} is an LP section keyword")
 
 
 def _check_row_term(
@@ -493,20 +521,29 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
     obj_terms = [(coef, v.index) for coef, v in p.objective if coef != 0]
     out.extend(_wrap(" obj: " + expression(obj_terms) if obj_terms else " obj:"))
     out.append("Subject To")
+    # Each block of rows is joined into one chunk and its lines dropped, so
+    # only one block of lines is alive next to the chunks and the result.
+    chunks: list[str] = []
+    rows = p.constraints
     shared = expr = None
-    for k, (terms, op, rhs) in enumerate(p.constraints):
-        # Consecutive rows of one terms tuple (a "<=" and ">=" pair) share its text.
-        if terms is not shared:
-            shared, expr = terms, expression(terms)
-        line = f" c{k}: {expr} {op} {rhs}"
-        if len(line) > _LINE_WIDTH:
-            out.extend(_wrap(line))
-        else:
-            out.append(line)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        for k, (terms, op, rhs) in enumerate(rows[start : start + _CHUNK_ROWS], start):
+            # Consecutive rows of one terms tuple (a "<=" and ">=" pair) share its text.
+            if terms is not shared:
+                shared, expr = terms, expression(terms)
+            line = f" c{k}: {expr} {op} {rhs}"
+            if len(line) > _LINE_WIDTH:
+                out.extend(_wrap(line))
+            else:
+                out.append(line)
+        chunks.append("\n".join(out))
+        out.clear()
     out.append("Binary")
     out.extend(f" {nm}" for nm in names)
     out.append("End")
-    return "\n".join(out) + "\n"
+    chunks.append("\n".join(out))
+    chunks.append("")  # the final newline
+    return "\n".join(chunks)
 
 
 _TERM_RE = re.compile(r"([+-])?\s*(\d+)?\s*([A-Za-z0-9_]+)")

@@ -141,7 +141,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
          "a list of paths"),
         ("algorithms", type(algorithms) is list, "a list"),
         ("timeout", type(timeout) in (int, float) and timeout > 0, "a positive number"),
-        ("cap", cap is None or type(cap) is int, "null or an integer"),
+        ("cap", cap is None or type(cap) is int and cap >= 1,
+         "null or a positive integer"),
         ("jobs", type(jobs) is int and jobs >= 0, "a non-negative integer"),
     ):
         if not ok:

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import re
+from typing import Iterable
 
 from storyweave import (
     BinaryProgram,
@@ -425,21 +426,23 @@ def reference_fixed_orders(layers) -> tuple[list[tuple[int, ...]], int]:
 # combined per-term condition (with the module constants it reads), as the
 # reference for the differential test.
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_LP_KEYWORDS = {"end", "bin", "binary", "binaries", "st", "minimize", "minimise"}
 _OPS = ("<=", ">=", "=")
 
 
 def reference_validate_program(p: BinaryProgram) -> None:
     """Raise ValueError on the first defect of a malformed program.
 
-    One scan, in this order: the variables (index, name, repeated name);
-    each constraint in turn (no terms, operator, then per term the
-    variable index, the coefficient and a repeated variable, then the
-    right-hand side); the objective last (per term the reference, a
-    non-negative integer coefficient and a repeated variable).  A row term
-    is ``(coef, index)`` with an in-range index that is an ``int`` other
-    than ``bool``; an objective term is ``(coef, VarId)`` and may refer to
-    an equal but distinct ``VarId``.  Numbers may be ``int`` subclasses
-    other than ``bool``.
+    One scan, in this order: the variables (index, name characters, a
+    leading digit, an LP section keyword, repeated name); each constraint
+    in turn (no terms, operator, then per term the variable index, the
+    coefficient and a repeated variable, then the right-hand side); the
+    objective last (per term the reference, a non-negative integer
+    coefficient and a repeated variable).  A row term is ``(coef, index)``
+    with an in-range index that is an ``int`` other than ``bool``; an
+    objective term is ``(coef, VarId)`` and may refer to an equal but
+    distinct ``VarId``.  Numbers may be ``int`` subclasses other than
+    ``bool``.
     """
     variables = p.variables
     names: set[str] = set()
@@ -448,6 +451,10 @@ def reference_validate_program(p: BinaryProgram) -> None:
             raise ValueError(f"variable {v.name!r} has index {v.index}, expected {i}")
         if not _NAME_RE.match(v.name):
             raise ValueError(f"variable name {v.name!r} must match [A-Za-z0-9_]+")
+        if v.name[0].isdigit():
+            raise ValueError(f"variable name {v.name!r} must not start with a digit")
+        if v.name.lower() in _LP_KEYWORDS:
+            raise ValueError(f"variable name {v.name!r} is an LP section keyword")
         if v.name in names:
             raise ValueError(f"duplicate variable name {v.name!r}")
         names.add(v.name)
@@ -493,3 +500,72 @@ def reference_validate_program(p: BinaryProgram) -> None:
 
 def _integral(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+# ``bip.export_lp`` as it was before it joined blocks of rows into chunks:
+# every line in one list, joined once.  Its output is the byte-for-byte
+# reference for the chunked writer.
+_LINE_WIDTH = 240
+Term = tuple[int, int]
+
+
+def _wrap(line: str) -> list[str]:
+    if len(line) <= _LINE_WIDTH:
+        return [line]
+    out: list[str] = []
+    words = line.split(" ")
+    cur = words[0]
+    for w in words[1:]:
+        if len(cur) + 1 + len(w) > _LINE_WIDTH:
+            out.append(cur)
+            cur = " " + w
+        else:
+            cur += " " + w
+    out.append(cur)
+    return out
+
+
+def reference_export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
+    """Serialize a program in CPLEX-style LP text.
+
+    Sections emitted: ``Minimize``, ``Subject To``, ``Binary``, ``End``.
+    Output is deterministic; :func:`parse_lp` reads it back into an
+    equivalent program.  Lines longer than 240 characters are wrapped.
+    """
+    names = [v.name for v in p.variables]
+    # Unit terms, the common case, reuse one string per variable and sign.
+    plus = [f"+ {nm}" for nm in names]
+    minus = [f"- {nm}" for nm in names]
+
+    def expression(terms: Iterable[Term]) -> str:
+        parts = []
+        for coef, i in terms:
+            if coef == 1:
+                parts.append(plus[i])
+            elif coef == -1:
+                parts.append(minus[i])
+            else:
+                parts.append(f"{'+' if coef >= 0 else '-'} {abs(coef)} {names[i]}")
+        text = " ".join(parts)
+        # The leading term carries no "+".
+        return text[2:] if text.startswith("+") else text
+
+    # The name is folded onto the comment line, split where parse_lp splits.
+    out: list[str] = ["\\ " + " ".join(name.splitlines()), "Minimize"]
+    obj_terms = [(coef, v.index) for coef, v in p.objective if coef != 0]
+    out.extend(_wrap(" obj: " + expression(obj_terms) if obj_terms else " obj:"))
+    out.append("Subject To")
+    shared = expr = None
+    for k, (terms, op, rhs) in enumerate(p.constraints):
+        # Consecutive rows of one terms tuple (a "<=" and ">=" pair) share its text.
+        if terms is not shared:
+            shared, expr = terms, expression(terms)
+        line = f" c{k}: {expr} {op} {rhs}"
+        if len(line) > _LINE_WIDTH:
+            out.extend(_wrap(line))
+        else:
+            out.append(line)
+    out.append("Binary")
+    out.extend(f" {nm}" for nm in names)
+    out.append("End")
+    return "\n".join(out) + "\n"

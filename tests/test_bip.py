@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -11,7 +12,13 @@ import pytest
 import storyweave as sw
 import storyweave.bip as bip
 from storyweave import files, formulations
-from helpers import cit_rung, enumerate_binary_optimum, reference_validate_program
+from helpers import (
+    cit_rung,
+    enumerate_binary_optimum,
+    reference_export_lp,
+    reference_validate_program,
+    wide_instances,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden.lp"
@@ -347,6 +354,16 @@ MALFORMED = {
     "bad_name": (
         only_vars(bip.VarId(0, "no spaces")),
         "variable name 'no spaces' must match [A-Za-z0-9_]+",
+    ),
+    # parse_lp would read '3x' as the coefficient 3 of a variable 'x'.
+    "digit_name": (
+        only_vars(bip.VarId(0, "3x")),
+        "variable name '3x' must not start with a digit",
+    ),
+    # An 'End' line in the Binary section would end the parse.
+    "keyword_name": (
+        only_vars(bip.VarId(0, "End")),
+        "variable name 'End' is an LP section keyword",
     ),
     "duplicate_name": (
         only_vars(X, bip.VarId(1, "x")),
@@ -761,6 +778,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="A-Za-z0-9_"):
             mb.build()
 
+    @pytest.mark.parametrize(
+        "name",
+        ["3x", "0", "9_a", "End", "end", "END", "bin", "Bin", "binary", "BINARY",
+         "binaries", "st", "ST", "minimize", "Minimise"],
+    )
+    def test_lp_unsafe_name_rejected(self, name):
+        # Such a name would not survive export_lp and parse_lp unchanged.
+        parts = Parts(**program_parts(**only_vars(bip.VarId(0, name))))
+        rule = "must not start with a digit" if name[0].isdigit() else "is an LP section keyword"
+        expected = f"variable name {name!r} {rule}"
+        assert validation_outcome(bip.validate_program, parts) == expected
+        assert validation_outcome(reference_validate_program, parts) == expected
+
+    def test_names_near_lp_keywords_round_trip(self):
+        names = ["x3", "_3x", "End_", "ends", "bins", "st1", "minimizer",
+                 "Subject", "To", "obj", "c0", "s", "_"]
+        mb = bip.ModelBuilder()
+        xs = [mb.new_var(nm) for nm in names]
+        mb.add([(1, x.index) for x in xs], ">=", 1)
+        mb.add([(3, xs[0].index), (-2, xs[-1].index)], "<=", 1)
+        mb.minimize([(1, x) for x in xs])
+        p = mb.build()
+        back = bip.parse_lp(bip.export_lp(p))
+        assert [v.name for v in back.variables] == names
+        assert back.constraints == p.constraints
+        assert back.objective == p.objective
+
     def test_empty_constraint_rejected(self):
         mb = bip.ModelBuilder()
         mb.new_var("x")
@@ -907,3 +951,74 @@ class TestLpFormat:
         text = bip.export_lp(p)
         assert all(len(line) <= 240 for line in text.splitlines())
         assert bip.parse_lp(text).constraints == p.constraints
+
+
+CHUNK = bip._CHUNK_ROWS
+
+
+def block_program(rows: int, long_rows: frozenset[int] = frozenset()) -> bip.BinaryProgram:
+    """``rows`` rows over 60 long-named variables.  Each even row after the
+    first reuses the previous row's terms tuple, so a shared pair straddles
+    every block boundary; a row in ``long_rows`` lists every variable and is
+    wrapped."""
+    mb = bip.ModelBuilder()
+    variables = [mb.new_var(f"verylongname_{i:03d}") for i in range(60)]
+    xs = [v.index for v in variables]
+    rng = random.Random(rows)
+    terms: tuple = ()
+    for k in range(rows):
+        if k in long_rows:
+            terms = tuple((1, x) for x in xs)
+        elif k % 2 or not terms:
+            chosen = rng.sample(xs, rng.randint(1, 4))
+            terms = tuple((rng.choice((-3, -1, 1, 2)), x) for x in chosen)
+        mb.add(terms, rng.choice(("<=", ">=", "=")), rng.randint(-2, 3))
+    mb.minimize([(rng.randint(0, 3), v) for v in variables])
+    return mb.build()
+
+
+class TestChunkedExport:
+    """export_lp joins each block of ``_CHUNK_ROWS`` rows into one chunk; the
+    text must equal the writer's that joined every line at once."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK],
+        ids=["none", "chunk-1", "chunk", "chunk+1", "2chunk"],
+    )
+    def test_text_equals_unchunked_writer(self, rows):
+        p = block_program(rows)
+        text = bip.export_lp(p, name="blocks")
+        assert text == reference_export_lp(p, name="blocks")
+        assert text.endswith("\nEnd\n")
+        assert bip.parse_lp(text).constraints == p.constraints
+
+    def test_wrapped_rows_on_block_boundaries(self):
+        long_rows = frozenset({CHUNK - 1, CHUNK, 2 * CHUNK - 1})
+        p = block_program(2 * CHUNK, long_rows)
+        text = bip.export_lp(p)
+        assert text == reference_export_lp(p)
+        lines = text.splitlines()
+        assert all(len(line) <= 240 for line in lines)
+        # Each long row continues on lines without a label.
+        rows = lines[lines.index("Subject To") + 1 : lines.index("Binary")]
+        starts = [i for i, line in enumerate(rows) if line.startswith(" c")]
+        assert len(starts) == len(p.constraints)
+        for k in long_rows:
+            assert not rows[starts[k] + 1].startswith(" c")
+        assert bip.parse_lp(text).constraints == p.constraints
+
+    def test_export_peaks_below_three_times_its_text(self):
+        # The largest ilp2ml model of the wide benchmark instances.  Keeping
+        # every line in one list and joining it once peaked near 4x the text.
+        inst = wide_instances()[1]
+        budgets = sw.layer_budget(inst, minimize=True)
+        program, _ = sw.build_model(inst, sw.ILP2ML, budgets)
+        assert len(program.constraints) == 41_950
+        tracemalloc.start()
+        try:
+            text = bip.export_lp(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)

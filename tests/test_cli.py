@@ -281,6 +281,8 @@ class TestBench:
             ({"instances": [], "timeout": "60"}, "timeout"),
             ({"instances": [], "cap": 2.5}, "cap"),
             ({"instances": [], "cap": True}, "cap"),
+            ({"instances": [], "cap": 0}, "cap"),
+            ({"instances": [], "cap": -1}, "cap"),
             ({"instances": [], "jobs": -1}, "jobs"),
             ({"instances": [], "jobs": 1.5}, "jobs"),
         ],
@@ -295,6 +297,8 @@ class TestBench:
             "timeout_string",
             "cap_float",
             "cap_bool",
+            "cap_zero",
+            "cap_negative",
             "jobs_negative",
             "jobs_float",
         ],
