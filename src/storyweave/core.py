@@ -11,8 +11,10 @@ A pair of characters present in two consecutive layers whose relative order
 flips between them is a crossing, the quantity every solver in this package
 minimizes.  This module holds the instance/storyline containers, their
 validation, the crossing-counting oracle used to score every algorithm, the
-min-plus DP that orders the characters of fixed layers, and an exhaustive
-optimum finder for small instances built on it.
+min-plus DP that orders the characters of fixed layers, and the exhaustive
+optimum for small instances: one min-plus DP over slices, whose state is the
+order of the characters two consecutive slices share and whose layers take
+their candidate orders from the same per-layer class tables.
 
 Characters and timestamps are dense integer indices into the instance name
 lists.  An instance computes its per-timestamp tables (``by_time``,
@@ -26,6 +28,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +41,11 @@ InteractionId = int
 ActivityMode = Literal["span", "minimal"]
 
 DEFAULT_SEARCH_GUARD = 10_000_000
+EXHAUSTIVE_GUARD = 30_000_000
+
+# What no output can carry: a lone surrogate (no UTF-8 form) or a character
+# XML 1.0 forbids (the C0 controls other than tab, LF and CR, U+FFFE, U+FFFF).
+_UNWRITABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class InstanceError(ValueError):
@@ -146,7 +154,8 @@ def validate_instance(raw: Mapping) -> StorylineInstance:
     """Normalize a decoded instance document into a StorylineInstance.
 
     The document must carry ``characters`` (unique non-empty names),
-    ``timestamps`` (unique labels, list order is the time order) and
+    ``timestamps`` (unique labels, list order is the time order; names and
+    labels hold no lone surrogate and no character XML 1.0 forbids) and
     ``interactions`` (each a mapping with a non-empty duplicate-free
     ``characters`` name list and a known ``time`` label).  Every character
     must take part in at least one interaction.  All violations are
@@ -229,6 +238,10 @@ def _index_names(key: str, noun: str, names: Sequence, bad: list[str]) -> dict[s
         elif name in index:
             bad.append(f"{key}[{i}]: duplicate {noun} {name!r}")
         else:
+            if _UNWRITABLE.search(name):
+                bad.append(
+                    f"{key}[{i}]: {noun} {name!r} has a lone surrogate or a character XML forbids"
+                )
             index[name] = i
     return index
 
@@ -436,6 +449,30 @@ def _order_mask(order: Sequence[CharId], bit: Mapping[tuple[CharId, CharId], int
     return mask
 
 
+def _gate_classes(
+    runs: Sequence[tuple[CharId, ...]],
+    bit: Mapping[tuple[CharId, CharId], int],
+    gated: int,
+    deadline: float = math.inf,
+) -> dict[int, tuple[int, tuple[CharId, ...]]] | None:
+    """One entry per class of a layer's orders (blocks ``runs``) that agree
+    on the bits of ``gated``: the class ``mask & gated`` maps to the least
+    ``(mask, order)`` in it.  None once ``deadline`` passes.
+
+    A layer's flips depend only on its bits in its two gates, so of the
+    orders agreeing there only the least mask can lie on the least key.
+    """
+    least_in: dict[int, tuple[int, tuple[CharId, ...]]] = {}
+    for order in _layer_orders(runs):
+        if time.monotonic() > deadline:
+            return None
+        mask = _order_mask(order, bit)
+        cls = mask & gated
+        if cls not in least_in or mask < least_in[cls][0]:
+            least_in[cls] = (mask, order)
+    return least_in
+
+
 def order_fixed_layers(
     layers: Sequence[tuple[Sequence[Collection[CharId]], frozenset[CharId]]],
     deadline: float = math.inf,
@@ -480,19 +517,12 @@ def order_fixed_layers(
         sum(bit[p] for p in itertools.combinations(sorted(a & b), 2))
         for (_g, a), (_h, b) in itertools.pairwise(layers)
     ]
-    # A layer's flips depend only on its bits in its two gates, so of the
-    # orders agreeing there only the least mask can lie on the least key.
     by_mask: list[dict[int, tuple[CharId, ...]]] = []
     for li, runs in enumerate(blocks):
         gated = (gates[li - 1] if li else 0) | (gates[li] if li < len(gates) else 0)
-        least_in: dict[int, tuple[int, tuple[CharId, ...]]] = {}
-        for order in _layer_orders(runs):
-            if time.monotonic() > deadline:
-                return start, cost, False
-            mask = _order_mask(order, bit)
-            cls = mask & gated
-            if cls not in least_in or mask < least_in[cls][0]:
-                least_in[cls] = (mask, order)
+        least_in = _gate_classes(runs, bit, gated, deadline)
+        if least_in is None:
+            return start, cost, False
         by_mask.append(dict(least_in.values()))
 
     # One integer key per path: crossings above the flip masks of gaps
@@ -546,70 +576,69 @@ def brute_force_optimum(
     inst: StorylineInstance,
     activity: ActivityMode = "span",
     budgets: Mapping[TimeId, int] | None = None,
-    guard: int = DEFAULT_SEARCH_GUARD,
+    guard: int = EXHAUSTIVE_GUARD,
 ) -> int:
-    """Minimum crossing count over every legal storyline, by exhaustion.
+    """Least crossings of any legal storyline, by a min-plus DP over slices.
 
-    Enumerates all assignments of interactions to at most ``budgets[t]``
-    layers per timestamp (default: one potential layer per interaction),
-    all layer orders within each slice, and all character orderings per
-    layer; character activity follows ``activity``: ``span`` makes a
-    character present in every layer of every timestamp between its first
-    and last interaction, ``minimal`` trims presence to the tightest layer
-    range covering its interactions.  Crossing totals decompose over
-    consecutive layer pairs, so each layer sequence's orderings go through
-    the min-plus DP of :func:`order_fixed_layers` instead of materializing
-    full combinations; the candidate count is still bounded by ``guard``
-    and exceeding it raises :class:`SearchSpaceError`.
+    A slice's plan puts its interactions, in order, in at most
+    ``budgets[t]`` conflict-free layers (default one per interaction; 0
+    for a timestamp ``budgets`` lacks).  ``span`` makes a character active
+    from its first to its last interaction timestamp, ``minimal`` from its
+    first to its last interaction layer; either way consecutive slices
+    share ``potential[t] & potential[t']``, and the DP's state is their
+    order as a pair mask.  Each plan runs from the states through its
+    layers, one order per gate class as in :func:`order_fixed_layers`; a
+    slice with one exit state (the last, say) stops once a plan reaches
+    the least incoming cost.  Passing ``guard`` min-plus terms, or a layer
+    with more orders than ``guard``, raises :class:`SearchSpaceError`; so a
+    refused call costs up to ``guard`` terms, seconds at the default.
     """
     if activity not in ("span", "minimal"):
         raise ValueError(f"unknown activity mode {activity!r}")
-    times = sorted({it.time for it in inst.interactions})
-    if not times:
-        return 0
-
-    per_time: list[list[tuple[tuple[Interaction, ...], ...]]] = []
+    times = [t for t, items in enumerate(inst.by_time) if items]
+    per_time = []
     for t in times:
-        items = inst.by_time[t]
-        limit = len(items) if budgets is None else budgets[t]
-        plans = _slice_plans(items, limit)
-        if not plans:
+        limit = len(inst.by_time[t]) if budgets is None else budgets.get(t, 0)
+        per_time.append(_slice_plans(inst.by_time[t], limit))
+        if not per_time[-1]:
             raise ValueError(
                 f"layer budget {limit} is below the chromatic number at timestamp {t}"
             )
-        per_time.append(plans)
+    bit = {p: 1 << k for k, p in enumerate(itertools.combinations(range(inst.num_characters), 2))}
 
-    n_sequences = math.prod(len(p) for p in per_time)
-    if n_sequences > guard:
-        raise SearchSpaceError(
-            f"search space too large: {n_sequences} layer sequences exceed guard {guard}"
-        )
+    def gate(chars: Collection[CharId]) -> int:
+        return sum(bit[p] for p in itertools.combinations(sorted(chars), 2))
 
-    def fixed_layers(combo) -> list[tuple[list[frozenset[CharId]], frozenset[CharId]]]:
-        groups = [[it.characters for it in layer] for plan in combo for layer in plan]
-        if activity == "span":
-            actives = [inst.potential[t] for t, plan in zip(times, combo) for _ in plan]
-        else:
-            actives = _minimal_activity(groups)
-        return list(zip(groups, actives))
-
-    total_candidates = 0
-    for combo in itertools.product(*per_time):
-        total_candidates += math.prod(
-            _order_count(_blocks(groups, act)) for groups, act in fixed_layers(combo)
-        )
-        if total_candidates > guard:
-            raise SearchSpaceError(
-                f"search space too large: more than {guard} candidate storylines"
-            )
-
-    best: int | None = None
-    for combo in itertools.product(*per_time):
-        # The guard above already bounds the work of every sequence.
-        _orders, seq_best, _proven = order_fixed_layers(fixed_layers(combo), guard=math.inf)
-        if best is None or seq_best < best:
-            best = seq_best
-            if best == 0:
+    classes: dict[tuple, list[int]] = {}
+    states, shared_in, terms = {0: 0}, frozenset(), 0
+    for t, plans, nxt in zip(times, per_time, [*times[1:], None]):
+        pot = inst.potential[t]
+        shared = frozenset() if nxt is None else pot & inst.potential[nxt]
+        entry, exit_gate, floor, out = gate(shared_in), gate(shared), min(states.values()), {}
+        for plan in plans:
+            groups = [[it.characters for it in layer] for layer in plan]
+            actives = [pot] * len(plan)
+            if activity == "minimal":
+                actives = _minimal_activity([[shared_in], *groups, [shared]])[1:-1]
+            gates = [entry, *(gate(a & b) for a, b in itertools.pairwise(actives)), exit_gate]
+            costs = states
+            for k, (layer, act) in enumerate(zip(groups, actives)):
+                key = (tuple(it.id for it in plan[k]), act, gates[k] | gates[k + 1])
+                if key not in classes:
+                    runs = _blocks(layer, act)
+                    if _order_count(runs) > guard:
+                        raise SearchSpaceError(f"search space too large: {guard}+ layer orders")
+                    classes[key] = list(_gate_classes(runs, bit, key[2]))
+                terms += len(costs) * len(classes[key])
+                if terms > guard:
+                    raise SearchSpaceError(f"search space too large: over {guard} min-plus terms")
+                costs = {
+                    m2: min(c + ((m1 ^ m2) & gates[k]).bit_count() for m1, c in costs.items())
+                    for m2 in classes[key]
+                }
+            for m, c in costs.items():
+                out[m & exit_gate] = min(c, out.get(m & exit_gate, c))
+            if not exit_gate and out[0] == floor:
                 break
-    assert best is not None
-    return best
+        states, shared_in = out, shared
+    return min(states.values())

@@ -7,7 +7,9 @@ logic with it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -17,10 +19,10 @@ from storyweave import (
     BinaryProgram,
     CombinatorialStoryline,
     Layer,
-    SearchSpaceError,
     StorylineInstance,
     VarId,
     brute_force_optimum,
+    layer_budget,
     validate_instance,
 )
 
@@ -154,8 +156,8 @@ def oracle_corpus(
     """Random instances paired with their exhaustive span-mode optimum.
 
     Mixes plain and dense sampling so a healthy share of instances have a
-    strictly positive optimum.  Instances whose search space exceeds
-    ``guard`` are resampled so the reference value stays cheap to compute.
+    strictly positive optimum.  Instances that :func:`small_enough` refuses
+    at ``guard`` are resampled so the reference value stays cheap to compute.
     """
     rng = random.Random(seed)
     out: list[tuple[StorylineInstance, int]] = []
@@ -164,12 +166,121 @@ def oracle_corpus(
             inst = dense_instance(rng)
         else:
             inst = random_instance(rng, max_chars, max_interactions, max_times)
-        try:
-            opt = brute_force_optimum(inst, "span", guard=guard)
-        except SearchSpaceError:
-            continue
-        out.append((inst, opt))
+        if small_enough(inst, "span", None, guard):
+            out.append((inst, brute_force_optimum(inst, "span")))
     return out
+
+
+def small_draws(
+    seed: int,
+    modes: tuple[str, ...],
+    chromatic: bool = False,
+    count: int | None = None,
+    draws: int | None = None,
+    guard: int = 200_000,
+) -> list[tuple[StorylineInstance, dict[int, int] | None]]:
+    """``random_instance(rng, 4, 4)`` draws from ``random.Random(seed)``, each
+    with its layer budgets (chromatic, or None for one layer per
+    interaction), kept when :func:`small_enough` admits it in every mode of
+    ``modes``: the first ``count`` kept, or those kept among ``draws`` draws.
+    """
+    rng = random.Random(seed)
+    out: list[tuple[StorylineInstance, dict[int, int] | None]] = []
+    drawn = 0
+    while len(out) < count if count is not None else drawn < draws:
+        inst = random_instance(rng, max_chars=4, max_interactions=4)
+        drawn += 1
+        budgets = layer_budget(inst, minimize=True) if chromatic else None
+        if all(small_enough(inst, mode, budgets, guard) for mode in modes):
+            out.append((inst, budgets))
+    return out
+
+
+def small_enough(
+    inst: StorylineInstance, mode: str, budgets: dict[int, int] | None, guard: int
+) -> bool:
+    """Whether full enumeration of ``inst`` stays within ``guard``.
+
+    It counts layer sequences (one layered plan per timestamp) and candidate
+    storylines (per sequence, the product of every layer's order count)
+    under activity ``mode``, and admits ``inst`` when neither count exceeds
+    ``guard``.  The test corpora are drawn with this rule, so they keep
+    their instances whatever the exhaustive search costs.  Under
+    ``minimal`` a character is active in a slice's layers from its first
+    interaction layer (the slice's first layer if it interacted at an
+    earlier timestamp) to its last (the slice's last layer if it interacts
+    later); under ``span`` in every layer of the slice.
+    """
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for it in inst.interactions:
+        for c in it.characters:
+            first[c] = min(first.get(c, it.time), it.time)
+            last[c] = max(last.get(c, it.time), it.time)
+    sequences = candidates = 1
+    for t, items in enumerate(inst.by_time):
+        if not items:
+            continue
+        limit = len(items) if budgets is None else budgets[t]
+        present = [c for c in first if first[c] <= t <= last[c]]
+        plans = orders = 0
+        for part in _disjoint_partitions([it.characters for it in items]):
+            if len(part) > limit:
+                continue
+            for plan in itertools.permutations(part):
+                plans += 1
+                lo: dict[int, int] = {}
+                hi: dict[int, int] = {}
+                for j, groups in enumerate(plan):
+                    for g in groups:
+                        for c in g:
+                            lo.setdefault(c, j)
+                            hi[c] = j
+                product = 1
+                for j, groups in enumerate(plan):
+                    active = sum(
+                        mode == "span"
+                        or ((first[c] < t or lo[c] <= j) and (last[c] > t or hi[c] >= j))
+                        for c in present
+                    )
+                    sizes = [len(g) for g in groups]
+                    blocks = len(groups) + active - sum(sizes)
+                    product *= math.factorial(blocks) * math.prod(map(math.factorial, sizes))
+                orders += product
+        sequences *= plans
+        candidates *= orders
+    return sequences <= guard and candidates <= guard
+
+
+def _disjoint_partitions(groups: list[frozenset[int]]) -> Iterable[list[list[frozenset[int]]]]:
+    """Every set partition of ``groups`` whose blocks hold pairwise disjoint groups."""
+    if not groups:
+        yield []
+        return
+    head, rest = groups[0], groups[1:]
+    for part in _disjoint_partitions(rest):
+        yield [[head], *part]
+        for j, block in enumerate(part):
+            if not any(head & g for g in block):
+                yield [*part[:j], [head, *block], *part[j + 1 :]]
+
+
+def corpus_digest(rows) -> str:
+    """SHA-256 of ``rows`` as canonical JSON: lists and tuples as lists, an
+    instance as its names and its interactions' (sorted ids, time) pairs."""
+
+    def canon(x):
+        if isinstance(x, StorylineInstance):
+            return [
+                list(x.characters),
+                list(x.timestamps),
+                [[sorted(it.characters), it.time] for it in x.interactions],
+            ]
+        if isinstance(x, (list, tuple)):
+            return [canon(y) for y in x]
+        return x
+
+    return hashlib.sha256(json.dumps(canon(rows)).encode()).hexdigest()
 
 
 def random_storyline(

@@ -60,6 +60,19 @@ class TestStats:
 
 
 class TestSolve:
+    def test_unwritable_name_rejected_before_solving(self, tmp_path, capsys):
+        path = tmp_path / "surrogate.json"
+        # json.dumps writes the lone surrogate as the escape \ud800.
+        path.write_text(json.dumps({
+            "characters": ["a\ud800", "b"],
+            "timestamps": ["t0"],
+            "interactions": [{"characters": ["a\ud800", "b"], "time": "t0"}],
+        }))
+        out = tmp_path / "story.json"
+        assert main(["solve", str(path), "--algorithm", "ps", "-o", str(out)]) == 1
+        assert "has a lone surrogate or a character XML forbids" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exact_run_without_layout_exits_1(self, tmp_path, capsys):
         path = tmp_path / "rung.json"
         files.save_instance(path, cit_rung(12, 25, 8, 1))

@@ -8,11 +8,15 @@ import pytest
 import storyweave as sw
 from helpers import (
     cit_rung,
+    corpus_digest,
+    dense_instance,
     naive_gap_crossings,
     random_fixed_layers,
     random_instance,
     random_storyline,
     reference_fixed_orders,
+    small_draws,
+    small_enough,
 )
 
 
@@ -114,17 +118,32 @@ class TestValidateInstance:
             ({"characters": ["a"], "timestamps": ["t0"],
               "interactions": [{"characters": ["a", "a"], "time": "t0"}]},
              "interactions[0].characters: duplicate character 'a'"),
+            # A lone surrogate has no UTF-8 form, and XML 1.0 forbids the
+            # other characters, so no storyline file or SVG could hold them.
+            ({"characters": ["b", "a\ud800"], "timestamps": [], "interactions": []},
+             "characters[1]: name 'a\\ud800' has a lone surrogate or a character XML forbids"),
+            ({"characters": ["a\x01b"], "timestamps": [], "interactions": []},
+             "characters[0]: name 'a\\x01b' has a lone surrogate or a character XML forbids"),
+            ({"characters": [], "timestamps": ["\x0b"], "interactions": []},
+             "timestamps[0]: label '\\x0b' has a lone surrogate or a character XML forbids"),
+            ({"characters": [], "timestamps": ["t\ufffe"], "interactions": []},
+             "timestamps[0]: label 't\\ufffe' has a lone surrogate or a character XML forbids"),
         ],
         ids=[
             "not-mapping", "characters-not-list", "timestamps-not-list",
             "interactions-not-list", "empty-name", "non-string-name", "empty-label",
             "non-string-label", "interaction-not-mapping", "repeated-member",
+            "surrogate-name", "control-name", "control-label", "nonchar-label",
         ],
     )
     def test_malformed_document(self, doc, message):
         with pytest.raises(sw.InstanceError) as err:
             sw.validate_instance(doc)
         assert message in err.value.violations
+
+    def test_tab_newline_and_return_accepted(self):
+        inst = make_instance([(["a\tb", "c\nd", "e\r"], "t 0\x7f")])
+        assert inst.characters == ("a\tb", "c\nd", "e\r")
 
 
 class TestInstanceTables:
@@ -364,37 +383,78 @@ class TestBruteForceOptimum:
         assert sw.brute_force_optimum(inst) >= 1
 
     def test_minimal_activity_never_worse(self):
-        rng = random.Random(8)
-        for _ in range(30):
-            inst = random_instance(rng, max_chars=4, max_interactions=4)
-            try:
-                span = sw.brute_force_optimum(inst, "span", guard=200_000)
-                minimal = sw.brute_force_optimum(inst, "minimal", guard=200_000)
-            except sw.SearchSpaceError:
-                continue
+        for inst, _budgets in small_draws(8, ("span", "minimal"), draws=30):
+            span = sw.brute_force_optimum(inst, "span")
+            minimal = sw.brute_force_optimum(inst, "minimal")
             assert minimal <= span
 
     def test_guard_raises(self):
-        inst = make_instance(
-            [("a", "t0"), ("b", "t0"), ("c", "t0"), ("d", "t0"), ("e", "t0")]
-        )
-        with pytest.raises(sw.SearchSpaceError, match="too large"):
+        # 12,708 min-plus terms with span activity and chromatic budgets.
+        inst = cit_rung(5, 6, 2, 1)
+        budgets = sw.layer_budget(inst, minimize=True)
+        with pytest.raises(sw.SearchSpaceError, match="over 10000 min-plus terms"):
+            sw.brute_force_optimum(inst, "span", budgets, guard=10_000)
+        assert sw.brute_force_optimum(inst, "span", budgets, guard=20_000) == 1
+        # A layer with more orders than the guard is refused before they
+        # are listed.
+        inst = make_instance([("abcdefgh", "t0")])  # 8! orders
+        with pytest.raises(sw.SearchSpaceError, match="10000\\+ layer orders"):
             sw.brute_force_optimum(inst, guard=10_000)
+        assert sw.brute_force_optimum(inst) == 0
 
     def test_budget_below_chromatic_number(self):
         inst = make_instance([("ab", "t0"), ("bc", "t0")])
         with pytest.raises(ValueError, match="below the chromatic number"):
+            sw.brute_force_optimum(inst, budgets={0: 1})
+        # A timestamp missing from the budgets gets 0 layers.
+        inst = make_instance([("ab", "t0"), ("ab", "t1")])
+        with pytest.raises(ValueError, match="budget 0 is below .* at timestamp 1"):
             sw.brute_force_optimum(inst, budgets={0: 1})
 
     def test_empty_instance(self):
         empty = sw.validate_instance({"characters": [], "timestamps": [], "interactions": []})
         assert sw.brute_force_optimum(empty) == 0
 
-    def test_layer_sequence_guard_raises(self):
-        # three disjoint interactions have 13 ordered layer plans
-        inst = make_instance([("a", "t0"), ("b", "t0"), ("c", "t0")])
-        with pytest.raises(sw.SearchSpaceError, match="13 layer sequences exceed guard 12"):
-            sw.brute_force_optimum(inst, guard=12)
+    def test_many_timestamps_within_guard(self):
+        # 13 plans at each of 12 timestamps: 13**12 layer sequences, which
+        # the DP never lists.  The pattern pair at the end crosses once with
+        # span activity; minimal activity avoids it (as with 1 or 2 leading
+        # timestamps, small enough to enumerate).
+        inst = make_instance(
+            [(c, f"t{k:02d}") for k in range(12) for c in "abc"]
+            + [("ab", "t12"), ("cd", "t12"), ("ac", "t13"), ("bd", "t13")]
+        )
+        assert sw.brute_force_optimum(inst, "span", guard=100_000) == 1
+        assert sw.brute_force_optimum(inst, "minimal", guard=100_000) == 0
+
+    @pytest.mark.parametrize(
+        "rung, optima", [((5, 6, 2), (1, 0)), ((8, 12, 4), (9, 5))], ids=["5-6-2", "8-12-4"]
+    )
+    def test_rung_optima_under_default_guard(self, rung, optima):
+        # The 8/12/4 optima equal the ilp1ml and ilp2ml optima.
+        inst = cit_rung(*rung, 1)
+        budgets = sw.layer_budget(inst, minimize=True)
+        for mode, expected in zip(("span", "minimal"), optima):
+            assert sw.brute_force_optimum(inst, mode, budgets) == expected
+
+    def test_matches_pinned_corpus(self):
+        # 400 draws x both activity modes x both budget kinds, kept where
+        # full enumeration stays within 300,000 (1,293 cases); the digest
+        # was recorded from that enumeration.
+        rng = random.Random(19)
+        rows = []
+        for k in range(400):
+            inst = dense_instance(rng) if k % 2 else random_instance(rng)
+            chromatic = sw.layer_budget(inst, minimize=True)
+            for mode in ("span", "minimal"):
+                for kind, budgets in (("one per interaction", None), ("chromatic", chromatic)):
+                    if small_enough(inst, mode, budgets, 300_000):
+                        value = sw.brute_force_optimum(inst, mode, budgets)
+                        rows.append([inst, mode, kind, value])
+        assert len(rows) == 1293
+        assert corpus_digest(rows) == (
+            "5d43b5b1607643a9a65f8a0464b7781d1a65bd4ee050e1472dbd221d51490601"
+        )
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="activity mode"):

@@ -13,7 +13,7 @@ import pytest
 import storyweave as sw
 import storyweave.bip as bip
 from storyweave import files, formulations, pipeline
-from helpers import cit_rung, oracle_corpus, random_instance, wide_instances
+from helpers import cit_rung, oracle_corpus, random_instance, small_draws, wide_instances
 from test_core import PATTERN_PAIR, make_instance
 
 
@@ -167,18 +167,11 @@ class TestExactness:
             assert report.crossings == expected
 
     def test_ilp2_matches_minimal_activity_reference(self):
-        rng = random.Random(11)
-        done = 0
-        while done < 25:
-            inst = random_instance(rng, max_chars=4, max_interactions=4)
-            try:
-                expected = sw.brute_force_optimum(inst, "minimal", guard=200_000)
-            except sw.SearchSpaceError:
-                continue
+        for inst, _budgets in small_draws(11, ("minimal",), count=25):
+            expected = sw.brute_force_optimum(inst, "minimal")
             story, report = sw.solve_exact(inst, sw.ILP2, timeout=120)
             assert report.status == "optimal"
             assert report.crossings == expected
-            done += 1
 
     def test_dominance_chain(self):
         for inst, _ in small_corpus(seed=12, count=30):
@@ -192,26 +185,14 @@ class TestExactness:
             assert results["ilp2"] <= results["ilp2ml"]
 
     def test_ml_variants_match_budget_constrained_reference(self):
-        rng = random.Random(77)
-        done = 0
-        while done < 20:
-            inst = random_instance(rng, max_chars=4, max_interactions=4)
-            budgets = sw.layer_budget(inst, minimize=True)
-            try:
-                ref_span = sw.brute_force_optimum(
-                    inst, "span", budgets=budgets, guard=200_000
-                )
-                ref_minimal = sw.brute_force_optimum(
-                    inst, "minimal", budgets=budgets, guard=200_000
-                )
-            except sw.SearchSpaceError:
-                continue
+        for inst, budgets in small_draws(77, ("span", "minimal"), chromatic=True, count=20):
+            ref_span = sw.brute_force_optimum(inst, "span", budgets=budgets)
+            ref_minimal = sw.brute_force_optimum(inst, "minimal", budgets=budgets)
             _, r1 = sw.solve_exact(inst, sw.ILP1ML, timeout=120)
             _, r2 = sw.solve_exact(inst, sw.ILP2ML, timeout=120)
             assert r1.status == r2.status == "optimal"
             assert r1.crossings == ref_span
             assert r2.crossings == ref_minimal
-            done += 1
 
     def test_exported_model_solves_to_same_optimum(self):
         for inst, expected in small_corpus(seed=78, count=10):
