@@ -15,10 +15,14 @@ it is built: every term passes one combined test (an index in range, an
 exact ``int`` coefficient, a variable new to its row), and only a term that
 fails it is classified, so the first defect is reported in a fixed order.
 
-LP text: :func:`export_lp` formats a shared terms tuple once and joins the
-lines of each fixed block of rows into one chunk, so at most one block of
-lines is alive next to the chunks and the result, and an export peaks at
-about twice the text it returns.  Validation admits only names that the
+LP text: :func:`export_lp` prints a row of three terms with coefficients
+±1, nearly every row of the exact models, with one f-string from name
+tables indexed by sign (``x`` or ``- x`` for the leading term, ``+ x`` or
+``- x`` after it); any other row goes through the general expression, term
+by term.  Each fixed block of rows is wrapped only when one of its lines is
+too long, and joined into one chunk, so at most one block of lines is alive
+next to the chunks and the result, and an export peaks at about twice the
+text it returns.  Validation admits only names that the
 text cannot misread: no leading digit, which would read as a coefficient,
 and no section keyword such as ``End``, which would end a section; so
 :func:`parse_lp` reads the text back into the same program.
@@ -35,6 +39,7 @@ right-hand side to force a variable or to fail.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -267,8 +272,12 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     when an assignment leaves it tight enough to force a variable or to
     fail.  The wall clock is checked at every node and at every variable of
     the dive against a monotonic timer; on timeout the best incumbent is
-    returned together with the lower bound proven so far.
+    returned together with the lower bound proven so far.  A ``timeout``
+    that is not positive is legal and stops the search at its first check; a
+    nan ``timeout``, which no elapsed time exceeds, raises ValueError.
     """
+    if math.isnan(timeout):
+        raise ValueError("timeout must not be nan")
     t0 = time.monotonic()
     nvars = len(program.variables)
 
@@ -497,11 +506,16 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
     Sections emitted: ``Minimize``, ``Subject To``, ``Binary``, ``End``.
     Output is deterministic; :func:`parse_lp` reads it back into an
     equivalent program.  Lines longer than 240 characters are wrapped.
+    A row of three terms with coefficients ±1 is printed by one f-string,
+    every other row term by term; see the module docstring.
     """
     names = [v.name for v in p.variables]
     # Unit terms, the common case, reuse one string per variable and sign.
     plus = [f"+ {nm}" for nm in names]
     minus = [f"- {nm}" for nm in names]
+    # The row kernel's tables, by sign: the leading term carries no "+".
+    lead = {1: names, -1: minus}
+    rest = {1: plus, -1: minus}
 
     def expression(terms: Iterable[Term]) -> str:
         parts = []
@@ -517,32 +531,29 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
         return text[2:] if text.startswith("+") else text
 
     # The name is folded onto the comment line, split where parse_lp splits.
-    out: list[str] = ["\\ " + " ".join(name.splitlines()), "Minimize"]
+    head = ["\\ " + " ".join(name.splitlines()), "Minimize"]
     obj_terms = [(coef, v.index) for coef, v in p.objective if coef != 0]
-    out.extend(_wrap(" obj: " + expression(obj_terms) if obj_terms else " obj:"))
-    out.append("Subject To")
+    head.extend(_wrap(" obj: " + expression(obj_terms) if obj_terms else " obj:"))
+    head.append("Subject To")
     # Each block of rows is joined into one chunk and its lines dropped, so
     # only one block of lines is alive next to the chunks and the result.
-    chunks: list[str] = []
+    chunks = ["\n".join(head)]
     rows = p.constraints
-    shared = expr = None
     for start in range(0, len(rows), _CHUNK_ROWS):
+        lines = []
         for k, (terms, op, rhs) in enumerate(rows[start : start + _CHUNK_ROWS], start):
-            # Consecutive rows of one terms tuple (a "<=" and ">=" pair) share its text.
-            if terms is not shared:
-                shared, expr = terms, expression(terms)
-            line = f" c{k}: {expr} {op} {rhs}"
-            if len(line) > _LINE_WIDTH:
-                out.extend(_wrap(line))
-            else:
-                out.append(line)
-        chunks.append("\n".join(out))
-        out.clear()
-    out.append("Binary")
-    out.extend(f" {nm}" for nm in names)
-    out.append("End")
-    chunks.append("\n".join(out))
-    chunks.append("")  # the final newline
+            # Three unit terms make one f-string.  Another arity fails the
+            # unpacking, a coefficient other than ±1 the table lookup.
+            try:
+                (c0, i0), (c1, i1), (c2, i2) = terms
+                line = f" c{k}: {lead[c0][i0]} {rest[c1][i1]} {rest[c2][i2]} {op} {rhs}"
+            except (ValueError, KeyError):
+                line = f" c{k}: {expression(terms)} {op} {rhs}"
+            lines.append(line)
+        if max(map(len, lines)) > _LINE_WIDTH:
+            lines = [part for line in lines for part in _wrap(line)]
+        chunks.append("\n".join(lines))
+    chunks.append("\n".join(["Binary", *(f" {nm}" for nm in names), "End", ""]))
     return "\n".join(chunks)
 
 

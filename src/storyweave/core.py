@@ -32,7 +32,7 @@ import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Literal, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Literal, Mapping, Sequence
 
 CharId = int
 TimeId = int
@@ -380,44 +380,41 @@ def count_crossings(s: CombinatorialStoryline) -> CrossingCount:
 
 def _conflict_free_partitions(
     items: Sequence[Interaction],
-) -> list[tuple[tuple[Interaction, ...], ...]]:
-    """All set partitions of ``items`` whose blocks are pairwise character-disjoint."""
-    results: list[tuple[tuple[Interaction, ...], ...]] = []
+) -> Iterator[tuple[tuple[Interaction, ...], ...]]:
+    """Each set partition of ``items`` whose blocks are pairwise
+    character-disjoint, generated one at a time."""
     blocks: list[list[Interaction]] = []
     block_chars: list[set[CharId]] = []
 
-    def rec(k: int) -> None:
+    def rec(k: int) -> Iterator[tuple[tuple[Interaction, ...], ...]]:
         if k == len(items):
-            results.append(tuple(tuple(b) for b in blocks))
+            yield tuple(tuple(b) for b in blocks)
             return
         it = items[k]
         for b, chars in zip(blocks, block_chars):
             if not (chars & it.characters):
                 b.append(it)
                 chars |= it.characters
-                rec(k + 1)
+                yield from rec(k + 1)
                 b.pop()
                 chars -= it.characters
         blocks.append([it])
         block_chars.append(set(it.characters))
-        rec(k + 1)
+        yield from rec(k + 1)
         blocks.pop()
         block_chars.pop()
 
-    rec(0)
-    return results
+    return rec(0)
 
 
 def _slice_plans(
     items: Sequence[Interaction], max_layers: int
-) -> list[tuple[tuple[Interaction, ...], ...]]:
-    """Ordered, conflict-free layer assignments of one timestamp's interactions."""
-    plans: list[tuple[tuple[Interaction, ...], ...]] = []
+) -> Iterator[tuple[tuple[Interaction, ...], ...]]:
+    """Ordered, conflict-free layer assignments of one timestamp's
+    interactions, generated one at a time."""
     for part in _conflict_free_partitions(items):
-        if len(part) > max_layers:
-            continue
-        plans.extend(itertools.permutations(part))
-    return plans
+        if len(part) <= max_layers:
+            yield from itertools.permutations(part)
 
 
 def _blocks(
@@ -589,9 +586,11 @@ def brute_force_optimum(
     order as a pair mask.  Each plan runs from the states through its
     layers, one order per gate class as in :func:`order_fixed_layers`; a
     slice with one exit state (the last, say) stops once a plan reaches
-    the least incoming cost.  Passing ``guard`` min-plus terms, or a layer
-    with more orders than ``guard``, raises :class:`SearchSpaceError`; so a
-    refused call costs up to ``guard`` terms, seconds at the default.
+    the least incoming cost.  Plans are generated as the DP reaches them,
+    and each costs at least one term.  Passing ``guard`` min-plus terms, or
+    a layer with more orders than ``guard``, raises
+    :class:`SearchSpaceError`; so a refused call costs up to ``guard``
+    terms, seconds at the default.
     """
     if activity not in ("span", "minimal"):
         raise ValueError(f"unknown activity mode {activity!r}")
@@ -599,11 +598,13 @@ def brute_force_optimum(
     per_time = []
     for t in times:
         limit = len(inst.by_time[t]) if budgets is None else budgets.get(t, 0)
-        per_time.append(_slice_plans(inst.by_time[t], limit))
-        if not per_time[-1]:
+        plans = _slice_plans(inst.by_time[t], limit)
+        first = next(plans, None)  # every timestamp is checked before the DP
+        if first is None:
             raise ValueError(
                 f"layer budget {limit} is below the chromatic number at timestamp {t}"
             )
+        per_time.append(itertools.chain((first,), plans))
     bit = {p: 1 << k for k, p in enumerate(itertools.combinations(range(inst.num_characters), 2))}
 
     def gate(chars: Collection[CharId]) -> int:

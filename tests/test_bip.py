@@ -285,6 +285,15 @@ class TestSolve:
             nodes,
         )
 
+    def test_nan_timeout_rejected(self):
+        # No elapsed time exceeds nan, so the budget would never be checked.
+        p, _ = tiny([(1, 0)], [([(1, 0)], "<=", 1)], 1)
+        with pytest.raises(ValueError, match="nan"):
+            bip.solve(p, timeout=float("nan"))
+        # solve_exact passes what remains of its budget, which may be spent.
+        for timeout in (0.0, -1.0):
+            assert bip.solve(p, timeout=timeout).status == bip.OPTIMAL
+
     def test_timeout_monotone(self):
         p = hard_cover_program()
         short = bip.solve(p, timeout=0.2)
@@ -1022,3 +1031,60 @@ class TestChunkedExport:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * len(text)
+
+
+class Coef(int):
+    """An ``int`` subclass, which validation admits as a coefficient."""
+
+
+def kernel_program(seed: int) -> bip.BinaryProgram:
+    """Random rows over names of up to 91 characters, past two block
+    boundaries: arities 1-7, most of them three; coefficients 0, ±1 and
+    ±2..±12, some of them :class:`Coef`; one row in four repeats the
+    previous row's terms tuple."""
+    rng = random.Random(seed)
+    mb = bip.ModelBuilder()
+    variables = [mb.new_var(f"v{i}_" + "x" * rng.randint(0, 87)) for i in range(40)]
+    xs = [v.index for v in variables]
+    coefs = [0, *range(-12, 13)]
+    terms: tuple = ()
+    for _ in range(2 * CHUNK + 100):
+        if not terms or rng.random() >= 0.25:
+            arity = 3 if rng.random() < 0.6 else rng.randint(1, 7)
+            unit = rng.random() < 0.7
+            terms = tuple(
+                (
+                    (Coef if rng.random() < 0.1 else int)(
+                        rng.choice((1, -1)) if unit else rng.choice(coefs)
+                    ),
+                    x,
+                )
+                for x in rng.sample(xs, arity)
+            )
+        mb.add(terms, rng.choice(("<=", ">=", "=")), rng.randint(-12, 12))
+    mb.minimize([(rng.choice((0, 1, 2, Coef(1), Coef(7))), v) for v in variables])
+    return mb.build()
+
+
+class TestRowKernel:
+    """export_lp prints a row of three unit terms with one f-string and every
+    other row through the general expression; both must print what the
+    writer that built every expression term by term printed."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_text_equals_reference_writer(self, seed):
+        p = kernel_program(seed)
+        text = bip.export_lp(p, name=f"kernel {seed}")
+        assert text == reference_export_lp(p, name=f"kernel {seed}")
+        # The draw covers what it claims: wrapped three-term rows, the
+        # general path and a shared terms tuple.
+        rows = p.constraints
+        assert sum(len(t) == 3 for t, _, _ in rows) > len(rows) / 2
+        assert any(
+            len(t) == 3 and all(c in (1, -1) for c, _ in t)
+            and sum(len(p.variables[i].name) for _, i in t) > 240
+            for t, _, _ in rows
+        )
+        assert any(type(c) is Coef for t, _, _ in rows for c, _ in t)
+        assert any(a[0] is b[0] for a, b in itertools.pairwise(rows))
+        assert bip.parse_lp(text).constraints == p.constraints

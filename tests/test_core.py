@@ -415,6 +415,20 @@ class TestBruteForceOptimum:
         empty = sw.validate_instance({"characters": [], "timestamps": [], "interactions": []})
         assert sw.brute_force_optimum(empty) == 0
 
+    def test_plans_generated_lazily(self):
+        # 545,835 ordered plans at t0; the first (all eight in one layer)
+        # already reaches 0.  Listing every plan first peaked at 54 MB
+        # under tracemalloc.
+        inst = make_instance([(c, "t0") for c in "abcdefgh"] + [("a", "t1")])
+        tracemalloc.start()
+        try:
+            optimum = sw.brute_force_optimum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert optimum == 0
+        assert peak < 2_000_000
+
     def test_many_timestamps_within_guard(self):
         # 13 plans at each of 12 timestamps: 13**12 layer sequences, which
         # the DP never lists.  The pattern pair at the end crosses once with
