@@ -31,8 +31,9 @@ import math
 import re
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Collection, Iterable, Iterator, Literal, Mapping, Sequence
+from functools import cached_property, reduce
+from operator import or_
+from typing import Collection, Iterator, Literal, Mapping, Sequence
 
 CharId = int
 TimeId = int
@@ -429,11 +430,45 @@ def _order_count(blocks: Sequence[tuple[CharId, ...]]) -> int:
     return math.factorial(len(blocks)) * math.prod(math.factorial(len(b)) for b in blocks)
 
 
-def _layer_orders(blocks: Sequence[tuple[CharId, ...]]) -> Iterable[tuple[CharId, ...]]:
-    """Every ordering of a layer keeping each block consecutive."""
-    for arrangement in itertools.permutations(blocks):
-        for parts in itertools.product(*(itertools.permutations(b) for b in arrangement)):
-            yield tuple(c for b in parts for c in b)
+def _descending(runs: Sequence[tuple[CharId, ...]]) -> tuple[CharId, ...]:
+    """Blocks by descending smallest character, each block descending."""
+    desc = sorted((sorted(b, reverse=True) for b in runs), key=lambda b: b[-1], reverse=True)
+    return tuple(c for b in desc for c in b)
+
+
+def _layer_orders(
+    runs: Sequence[tuple[CharId, ...]], bit: Mapping[tuple[CharId, CharId], int]
+) -> Iterator[int]:
+    """The pair mask of every ordering of a layer that keeps each block of
+    ``runs`` consecutive (:func:`_mask_order` spells a mask out).
+
+    A pair inside a block depends only on that block's permutation, and a
+    pair across blocks only on the arrangement of the blocks, so each mask
+    ORs one mask per arrangement with one precomputed mask per permutation
+    of each block of two or more characters.
+    """
+    inner = [
+        [_order_mask(p, bit) for p in itertools.permutations(run)] for run in runs if len(run) > 1
+    ]
+    ahead = {
+        (a, b): sum(bit[(u, v)] for u in runs[a] for v in runs[b] if u < v)
+        for a, b in itertools.permutations(range(len(runs)), 2)
+    }
+    for arrangement in itertools.permutations(range(len(runs))):
+        cross = reduce(or_, map(ahead.__getitem__, itertools.combinations(arrangement, 2)), 0)
+        for parts in itertools.product(*inner):
+            yield reduce(or_, parts, cross)
+
+
+def _mask_order(
+    chars: Collection[CharId], mask: int, bit: Mapping[tuple[CharId, CharId], int]
+) -> tuple[CharId, ...]:
+    """The order of ``chars`` whose pair mask is ``mask``: each character
+    ranks by the number of others its pairs put before it."""
+    before = dict.fromkeys(chars, 0)
+    for u, v in itertools.combinations(sorted(chars), 2):
+        before[v if mask & bit[(u, v)] else u] += 1
+    return tuple(sorted(chars, key=before.__getitem__))
 
 
 def _order_mask(order: Sequence[CharId], bit: Mapping[tuple[CharId, CharId], int]) -> int:
@@ -451,22 +486,29 @@ def _gate_classes(
     bit: Mapping[tuple[CharId, CharId], int],
     gated: int,
     deadline: float = math.inf,
-) -> dict[int, tuple[int, tuple[CharId, ...]]] | None:
+) -> dict[int, int] | None:
     """One entry per class of a layer's orders (blocks ``runs``) that agree
     on the bits of ``gated``: the class ``mask & gated`` maps to the least
-    ``(mask, order)`` in it.  None once ``deadline`` passes.
+    mask in it.  None once ``deadline`` passes; the clock is read once per
+    order listed.
 
     A layer's flips depend only on its bits in its two gates, so of the
     orders agreeing there only the least mask can lie on the least key.
+    With ``gated`` 0 all orders form one class and none is listed: its
+    entry is the mask of the descending order, the least mask when earlier
+    pairs take higher bits, as in :func:`order_fixed_layers`.  Otherwise
+    :func:`_layer_orders` lists every mask.
     """
-    least_in: dict[int, tuple[int, tuple[CharId, ...]]] = {}
-    for order in _layer_orders(runs):
-        if time.monotonic() > deadline:
+    if not gated:
+        return {0: _order_mask(_descending(runs), bit)}
+    clock = time.monotonic
+    least_in: dict[int, int] = {}
+    for mask in _layer_orders(runs, bit):
+        if clock() > deadline:
             return None
-        mask = _order_mask(order, bit)
         cls = mask & gated
-        if cls not in least_in or mask < least_in[cls][0]:
-            least_in[cls] = (mask, order)
+        if mask < least_in.get(cls, mask + 1):
+            least_in[cls] = mask
     return least_in
 
 
@@ -491,12 +533,21 @@ def order_fixed_layers(
     optimum least in this key: crossings, then per gap the flip bit of every
     co-present pair, then per layer the "smaller character first" bit of
     every pair, pairs in index order, 0 before 1.
+
+    A layer's candidates are pair masks, one per class of orders that agree
+    on the pairs it shares with its neighbours (:func:`_gate_classes`), each
+    composed from per-block masks without spelling the order out; only the
+    optimum's masks are turned back into orders.  The DP carries, per
+    candidate of the current layer, the least crossings of a path ending
+    there beside the rest of that path's key.  For each candidate of the
+    next layer it takes the least crossing sum over the incoming states with
+    small-integer popcounts and compares keys only among the states that
+    reach that sum; as crossings rank above every other field, this is the
+    least full key.  Candidates that agree on the gate to the previous layer
+    see the same flips, so that minimum is computed once per gate class.
     """
     blocks = [_blocks(groups, active) for groups, active in layers]
-    start = []
-    for runs in blocks:
-        desc = sorted((sorted(b, reverse=True) for b in runs), key=lambda b: b[-1], reverse=True)
-        start.append(tuple(c for b in desc for c in b))
+    start = [_descending(runs) for runs in blocks]
     cost = sum(
         _order_flips(o1, o2, a1 & a2)
         for o1, o2, (_g, a1), (_h, a2) in zip(start, start[1:], layers, layers[1:])
@@ -514,42 +565,52 @@ def order_fixed_layers(
         sum(bit[p] for p in itertools.combinations(sorted(a & b), 2))
         for (_g, a), (_h, b) in itertools.pairwise(layers)
     ]
-    by_mask: list[dict[int, tuple[CharId, ...]]] = []
+    by_mask: list[list[int]] = []
     for li, runs in enumerate(blocks):
         gated = (gates[li - 1] if li else 0) | (gates[li] if li < len(gates) else 0)
         least_in = _gate_classes(runs, bit, gated, deadline)
         if least_in is None:
             return start, cost, False
-        by_mask.append(dict(least_in.values()))
+        by_mask.append(list(least_in.values()))
 
-    # One integer key per path: crossings above the flip masks of gaps
+    # Per path its crossings, and one integer key: the flip masks of gaps
     # 0..n-2 above the order masks of layers 0..n-1, each field ``width``
     # bits.  Fields never overlap, so sums compare like the key tuples, and
     # the least key spells out its own orders.
     n = len(layers)
-    crossing_shift = (2 * n - 1) * width
+    costs = [0] * len(by_mask[0])
     keys = [m << ((n - 1) * width) for m in by_mask[0]]
     for gi, gate in enumerate(gates):
         flip_shift = (2 * n - 2 - gi) * width
         order_shift = (n - 2 - gi) * width
-        nxt = []
+        gated_in = [m1 & gate for m1 in by_mask[gi]]
+        least_for: dict[int, tuple[int, int]] = {}
+        nxt_costs, nxt_keys = [], []
         for m2 in by_mask[gi + 1]:
             if time.monotonic() > deadline:
                 return start, cost, False
-            least = min(
-                key + ((f := (m1 ^ m2) & gate).bit_count() << crossing_shift) + (f << flip_shift)
-                for key, m1 in zip(keys, by_mask[gi])
-            )
-            nxt.append(least + (m2 << order_shift))
-        keys = nxt
-    least = min(keys)
-    if least >> crossing_shift == cost:
+            g2 = m2 & gate
+            if g2 not in least_for:
+                sums = [c + (g1 ^ g2).bit_count() for c, g1 in zip(costs, gated_in)]
+                low = min(sums)
+                least_for[g2] = low, min(
+                    key + ((g1 ^ g2) << flip_shift)
+                    for total, key, g1 in zip(sums, keys, gated_in)
+                    if total == low
+                )
+            low, key = least_for[g2]
+            nxt_costs.append(low)
+            nxt_keys.append(key + (m2 << order_shift))
+        costs, keys = nxt_costs, nxt_keys
+    crossings, least = min(zip(costs, keys))
+    if crossings == cost:
         return start, cost, True
     field = (1 << width) - 1
     orders = [
-        table[(least >> ((n - 1 - li) * width)) & field] for li, table in enumerate(by_mask)
+        _mask_order(active, (least >> ((n - 1 - li) * width)) & field, bit)
+        for li, (_groups, active) in enumerate(layers)
     ]
-    return orders, least >> crossing_shift, True
+    return orders, crossings, True
 
 
 def _minimal_activity(

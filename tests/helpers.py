@@ -483,6 +483,47 @@ def random_fixed_layers(
             return layers
 
 
+def wide_fixed_layers(
+    rng: random.Random, max_terms: int = 150_000
+) -> list[tuple[list[frozenset[int]], frozenset[int]]]:
+    """3-6 layers over 6-8 characters, past what enumeration can check.
+
+    One layer holds 2-4 characters, and its neighbours hold the others plus
+    one of them, so no pair links it to either neighbour; the remaining
+    layers hold every character, or 4 of them.  Each layer splits into
+    groups of 2-3 and lone characters, whose free pairs make many orders
+    tie.  Draws whose summed |C_i|·|C_{i+1}| exceeds ``max_terms`` are
+    redrawn.
+    """
+    while True:
+        chars = range(rng.randint(6, 8))
+        count = rng.randint(3, 6)
+        alone = rng.randrange(count)
+        own = rng.sample(chars, rng.randint(2, 4))
+        layers = []
+        orders = []
+        for li in range(count):
+            if li == alone:
+                active = own
+            elif abs(li - alone) == 1:
+                active = [c for c in chars if c not in own] + own[:1]
+            else:
+                active = list(chars) if rng.random() < 0.7 else rng.sample(chars, 4)
+            active = rng.sample(active, len(active))
+            groups = []
+            while len(active) > 1 and rng.random() < 0.8:
+                size = rng.randint(2, min(3, len(active)))
+                groups.append(frozenset(active[:size]))
+                active = active[size:]
+            orders.append(
+                math.factorial(len(groups) + len(active))
+                * math.prod(math.factorial(len(g)) for g in groups)
+            )
+            layers.append((groups, frozenset(active).union(*groups)))
+        if sum(a * b for a, b in itertools.pairwise(orders)) <= max_terms:
+            return layers
+
+
 def reference_fixed_orders(layers) -> tuple[list[tuple[int, ...]], int]:
     """Reference for ``order_fixed_layers``: ``(orders, crossings)`` by enumeration.
 

@@ -17,6 +17,7 @@ from helpers import (
     reference_fixed_orders,
     small_draws,
     small_enough,
+    wide_fixed_layers,
 )
 
 
@@ -501,6 +502,53 @@ class TestOrderFixedLayers:
             orders, cost, proven = sw.order_fixed_layers(layers)
             assert proven
             assert (orders, cost) == reference_fixed_orders(layers)
+
+    def test_pinned_on_wide_layers(self):
+        # Draws too wide for test_matches_enumeration, each with a start that
+        # crosses, a layer linked to no neighbour and many tied optima; the
+        # digest was recorded before the DP's tables were built per block
+        # and its minimum taken over crossings first.
+        rng = random.Random(41)
+        rows = []
+        while len(rows) < 60:
+            layers = wide_fixed_layers(rng)
+            if sw.order_fixed_layers(layers, guard=0)[1]:
+                rows.append(sw.order_fixed_layers(layers))
+        assert sum(cost == 0 for _orders, cost, _proven in rows) == 41
+        assert all(proven for _orders, _cost, proven in rows)
+        assert corpus_digest(rows) == (
+            "35ec5c37cb28b60c7589c32daa515a8288f26b9261418af39c722af21a7c4cd6"
+        )
+
+    def test_gate_zero_lists_no_order(self, monkeypatch):
+        # A layer that shares no pair with its neighbours forms one class,
+        # whose entry is its candidate with the least order bits; it must
+        # come without listing a single order.
+        rng = random.Random(43)
+        cases = []
+        for _ in range(100):
+            active = rng.sample(range(7), rng.randint(1, 7))
+            groups = []
+            while len(active) > 1 and rng.random() < 0.5:
+                size = rng.randint(2, min(3, len(active)))
+                groups.append(frozenset(active[:size]))
+                active = active[size:]
+            layer = (groups, frozenset(active).union(*groups))
+            cases.append((layer, reference_fixed_orders([layer])[0][0]))
+
+        def refuse(*_args):
+            raise AssertionError("a gate of 0 listed the orders")
+
+        monkeypatch.setattr(sw.core, "_layer_orders", refuse)
+        pairs = list(itertools.combinations(range(7), 2))
+        bit = {p: 1 << (len(pairs) - 1 - k) for k, p in enumerate(pairs)}
+        for (groups, active), order in cases:
+            pos = {c: k for k, c in enumerate(order)}
+            mask = sum(
+                bit[u, v] for u, v in itertools.combinations(sorted(active), 2) if pos[u] < pos[v]
+            )
+            runs = sw.core._blocks(groups, active)
+            assert sw.core._gate_classes(runs, bit, 0) == {0: mask}, (groups, active)
 
     def test_descending_start_without_proof(self):
         # Two layers of the unavoidable pattern: {0,1} and {2,3} paired, then
