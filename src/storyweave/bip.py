@@ -43,7 +43,7 @@ import math
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 Op = Literal["<=", ">=", "="]
 
@@ -289,7 +289,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     # left-hand side can still take.  A row can force a variable or fail only
     # once its slack rhs - lo falls below ``reach``, its largest |coef|, that
     # is once lo exceeds ``lo_cap`` = rhs - reach.
-    cons_terms: list[list[tuple[int, int]]] = []  # [(coef, var index), ...]
+    cons_terms: list[Sequence[Term]] = []
     cons_rhs: list[int] = []
     lo: list[int] = []
     lo_cap: list[int] = []
@@ -302,11 +302,14 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     for row, op, rhs in program.constraints:
         for sign in (1, -1) if op == "=" else (-1,) if op == ">=" else (1,):
             k = len(cons_rhs)
-            terms = []
+            # A "<=" side keeps the row's own terms; only a ">=" side builds
+            # a negated copy.
+            terms = row if sign > 0 else []
             rlo = reach = 0
             for coef, vi in row:
-                coef *= sign
-                terms.append((coef, vi))
+                if sign < 0:
+                    coef = -coef
+                    terms.append((coef, vi))
                 if coef > 0:
                     raise1[vi].append((k, coef))
                     if coef > reach:

@@ -445,19 +445,31 @@ def _layer_orders(
     A pair inside a block depends only on that block's permutation, and a
     pair across blocks only on the arrangement of the blocks, so each mask
     ORs one mask per arrangement with one precomputed mask per permutation
-    of each block of two or more characters.
+    of each block of two or more characters.  The last block's masks are
+    the innermost loop, so most orders cost a single OR.
     """
+    n = len(runs)
+    # ahead[a][b]: the bits of the pairs that block a placed before block b sets.
+    ahead = [[0] * n for _ in range(n)]
+    for a, b in itertools.permutations(range(n), 2):
+        for u in runs[a]:
+            for v in runs[b]:
+                if u < v:
+                    ahead[a][b] |= bit[(u, v)]
     inner = [
         [_order_mask(p, bit) for p in itertools.permutations(run)] for run in runs if len(run) > 1
     ]
-    ahead = {
-        (a, b): sum(bit[(u, v)] for u in runs[a] for v in runs[b] if u < v)
-        for a, b in itertools.permutations(range(len(runs)), 2)
-    }
-    for arrangement in itertools.permutations(range(len(runs))):
-        cross = reduce(or_, map(ahead.__getitem__, itertools.combinations(arrangement, 2)), 0)
+    last = inner.pop() if inner else [0]
+    for arrangement in itertools.permutations(range(n)):
+        cross = 0
+        for i, a in enumerate(arrangement):
+            row = ahead[a]
+            for b in arrangement[i + 1 :]:
+                cross |= row[b]
         for parts in itertools.product(*inner):
-            yield reduce(or_, parts, cross)
+            base = reduce(or_, parts, cross)
+            for mask in last:
+                yield base | mask
 
 
 def _mask_order(

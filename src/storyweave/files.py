@@ -13,9 +13,14 @@ input-order id::
                  "order": ["alice", "bob"], "active": ["alice", "bob"]}, ...],
      "crossings": 3}
 
+A stored storyline is exactly ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` plus a newline, as for instances, but
+:func:`storyline_text` writes that text itself: CPython uses its C encoder
+only when ``indent`` is None, and the pure-Python one cost most of a save.
 The stored crossing count is verified against a recount on load, so stale
-or hand-edited files are rejected.  Benchmark results are written as one
-CSV row per (dataset, algorithm) cell.
+or hand-edited files are rejected.  Files are read as UTF-8 only; a byte
+order mark or another encoding is rejected.  Benchmark results are written
+as one CSV row per (dataset, algorithm) cell.
 
 Every file the package writes goes through :func:`write_text`, which
 overwrites an existing file in place and cuts it only when the new text is
@@ -33,8 +38,9 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     CombinatorialStoryline,
@@ -98,9 +104,7 @@ BENCH_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchRow))
 
 
 def load_instance(path: str | Path) -> StorylineInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return validate_instance(doc)
+    return validate_instance(_load(path))
 
 
 def instance_to_doc(inst: StorylineInstance) -> dict:
@@ -122,18 +126,35 @@ def save_instance(path: str | Path, inst: StorylineInstance) -> None:
 
 
 def storyline_to_doc(inst: StorylineInstance, s: CombinatorialStoryline) -> dict:
-    return {
-        "layers": [
-            {
-                "time": inst.timestamps[layer.time],
-                "interactions": list(layer.interactions),
-                "order": [inst.characters[c] for c in layer.order],
-                "active": [inst.characters[c] for c in layer.order],
-            }
-            for layer in s.layers
-        ],
-        "crossings": count_crossings(s).total,
-    }
+    return json.loads(storyline_text(inst, s))
+
+
+def storyline_text(inst: StorylineInstance, s: CombinatorialStoryline) -> str:
+    """The stored form of ``s``: ``json.dumps(doc, indent=2,
+    ensure_ascii=False)`` of its document plus a newline, written directly.
+
+    Each name and label is escaped once with the encoder ``json.dumps`` uses
+    for ``ensure_ascii=False``; ids and the count are ints, spelled as
+    ``json`` spells them.  A layer's ``active`` list is its ``order``.
+    """
+    names = [encode_basestring(name) for name in inst.characters]
+    labels = [encode_basestring(label) for label in inst.timestamps]
+    layers = []
+    for layer in s.layers:
+        order = _items([names[c] for c in layer.order])
+        layers.append(
+            '{\n      "time": %s,\n      "interactions": %s,\n'
+            '      "order": %s,\n      "active": %s\n    }'
+            % (labels[layer.time], _items(map(str, layer.interactions)), order, order)
+        )
+    body = "[\n    " + ",\n    ".join(layers) + "\n  ]" if layers else "[]"
+    return '{\n  "layers": %s,\n  "crossings": %d\n}\n' % (body, count_crossings(s).total)
+
+
+def _items(items: Iterable[str]) -> str:
+    """An indent-2 list of encoded items, nested as a layer field."""
+    text = ",\n        ".join(items)
+    return "[\n        " + text + "\n      ]" if text else "[]"
 
 
 def storyline_from_doc(
@@ -184,15 +205,13 @@ def storyline_from_doc(
 
 
 def load_storyline(path: str | Path, inst: StorylineInstance) -> CombinatorialStoryline:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return storyline_from_doc(inst, doc)
+    return storyline_from_doc(inst, _load(path))
 
 
 def save_storyline(
     path: str | Path, inst: StorylineInstance, s: CombinatorialStoryline
 ) -> None:
-    _dump(path, storyline_to_doc(inst, s))
+    write_text(path, storyline_text(inst, s))
 
 
 def write_bench_csv(path: str | Path, rows: Sequence[BenchRow]) -> None:
@@ -222,3 +241,11 @@ def write_text(path: str | Path, text: str) -> None:
 
 def _dump(path: str | Path, doc: dict) -> None:
     write_text(path, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
+
+
+def _load(path: str | Path):
+    # Decoded here, not by json.loads(bytes), which would also detect and
+    # accept UTF-16 and a UTF-8 byte order mark.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return json.loads(data.decode("utf-8"))

@@ -17,7 +17,7 @@ separators between slices, and timestamp labels along the bottom edge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (
@@ -185,6 +185,8 @@ def _fit(
             size += count
             mean = total / size
         pools.append((mean, total, size))
+    if len(pools) == len(link):  # nothing merged
+        return [mean + o for (mean, _, _), o in zip(pools, offsets)]
     fitted = [mean for mean, _, size in pools for _ in range(size)]
     return [f + o for f, o in zip(fitted, offsets)]
 
@@ -217,7 +219,7 @@ def pad_short_curves(g: GeometricStoryline) -> GeometricStoryline:
             elif sep > x:
                 right = min(right, sep - 2.0)
         pads[c] = (left, right)
-    return replace(g, pads=pads)
+    return GeometricStoryline(g.storyline, g.xs, g.ys, g.extents, pads)
 
 
 _PALETTE = (
@@ -293,16 +295,18 @@ def emit_svg(g: GeometricStoryline, inst: StorylineInstance) -> str:
 
 
 def _curve_path(g: GeometricStoryline, c: CharId, first: int, last: int) -> str:
-    y0 = g.ys[(c, first)]
+    # Each y is formatted once and reused by the segments on both sides.
+    ya = f"{g.ys[(c, first)]:.2f}"
     if c in g.pads:
         left, right = g.pads[c]
-        return f"M {left:.2f} {y0:.2f} L {right:.2f} {y0:.2f}"
-    parts = [f"M {g.xs[first]:.2f} {y0:.2f}"]
+        return f"M {left:.2f} {ya} L {right:.2f} {ya}"
+    parts = [f"M {g.xs[first]:.2f} {ya}"]
     for li in range(first, last):
-        xa, ya = g.xs[li], g.ys[(c, li)]
-        xb, yb = g.xs[li + 1], g.ys[(c, li + 1)]
+        xa, xb = g.xs[li], g.xs[li + 1]
         dx = (xb - xa) * 0.4
-        parts.append(f"C {xa + dx:.2f} {ya:.2f} {xb - dx:.2f} {yb:.2f} {xb:.2f} {yb:.2f}")
+        yb = f"{g.ys[(c, li + 1)]:.2f}"
+        parts.append(f"C {xa + dx:.2f} {ya} {xb - dx:.2f} {yb} {xb:.2f} {yb}")
+        ya = yb
     return " ".join(parts)
 
 

@@ -22,6 +22,7 @@ from storyweave import (
     StorylineInstance,
     VarId,
     brute_force_optimum,
+    count_crossings,
     layer_budget,
     validate_instance,
 )
@@ -721,3 +722,22 @@ def reference_export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
     out.extend(f" {nm}" for nm in names)
     out.append("End")
     return "\n".join(out) + "\n"
+
+
+def reference_storyline_text(inst: StorylineInstance, s: CombinatorialStoryline) -> str:
+    """The stored storyline format spelled the obvious way: the document as
+    a dict, then ``json.dumps(doc, indent=2, ensure_ascii=False)`` and a
+    newline."""
+    doc = {
+        "layers": [
+            {
+                "time": inst.timestamps[layer.time],
+                "interactions": list(layer.interactions),
+                "order": [inst.characters[c] for c in layer.order],
+                "active": [inst.characters[c] for c in layer.order],
+            }
+            for layer in s.layers
+        ],
+        "crossings": count_crossings(s).total,
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -6,7 +6,7 @@ import pytest
 
 import storyweave as sw
 from storyweave import files
-from helpers import random_instance, random_storyline
+from helpers import random_instance, random_storyline, reference_storyline_text
 from test_core import make_instance
 
 
@@ -128,6 +128,73 @@ class TestStorylineFiles:
         item[key] = value
         with pytest.raises(ValueError, match=r"layers\[0\]: " + message):
             files.storyline_from_doc(inst, {"layers": [item]})
+
+
+class TestStorylineText:
+    """The direct writer against the dict-then-json.dumps reference."""
+
+    def assert_same(self, inst, story, path):
+        text = reference_storyline_text(inst, story)
+        assert files.storyline_text(inst, story) == text
+        files.save_storyline(path, inst, story)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert files.storyline_to_doc(inst, story) == json.loads(text)
+
+    def test_solved_by_every_algorithm(self, tmp_path):
+        rng = random.Random(5)
+        for k in range(12):
+            inst = random_instance(rng)
+            for heuristic in ("rand", "pattern"):
+                story, _ = sw.run_pipeline(inst, sw.PipelineConfig(heuristic=heuristic))
+                self.assert_same(inst, story, tmp_path / f"{k}-{heuristic}.json")
+            for kind in (sw.ILP1, sw.ILP1ML, sw.ILP2, sw.ILP2ML):
+                story, report = sw.solve_exact(inst, kind, timeout=60)
+                assert report.status == "optimal"
+                self.assert_same(inst, story, tmp_path / f"{k}-{kind.name}.json")
+
+    def test_names_that_need_escaping(self, tmp_path):
+        names = ['say "hi"', "back\\slash", "tab\there", "line\nfeed", "car\rriage",
+                 "zoë 名前", "</script>"]
+        inst = make_instance(
+            [(names[:4], "</t0>"), (names[3:], 'q"1\t'), (names[::2], "ünï\\")],
+            characters=names,
+            timestamps=["</t0>", 'q"1\t', "ünï\\"],
+        )
+        story, _ = sw.run_pipeline(inst, sw.PipelineConfig())
+        self.assert_same(inst, story, tmp_path / "story.json")
+        assert files.load_storyline(tmp_path / "story.json", inst) == story
+
+    def test_empty_lists_and_no_layers(self, tmp_path):
+        inst = make_instance([("ab", "t0"), ("b", "t1")])
+        empty = sw.Layer(time=1, interactions=(), order=(), active=frozenset())
+        full = sw.Layer(time=0, interactions=(0,), order=(1, 0), active=frozenset({0, 1}))
+        for layers in [(), (empty,), (full, empty), (empty, full, empty)]:
+            self.assert_same(inst, sw.CombinatorialStoryline(layers), tmp_path / "story.json")
+
+
+class TestUtf8Only:
+    """Instance and storyline files are read as UTF-8 and nothing else."""
+
+    @pytest.fixture
+    def solved(self, tmp_path):
+        inst = make_instance([(["zoë", "b"], "t0"), (["b", "zoë"], "t1")])
+        story, _ = sw.run_pipeline(inst, sw.PipelineConfig())
+        files.save_instance(tmp_path / "inst.json", inst)
+        files.save_storyline(tmp_path / "story.json", inst, story)
+        return inst, story
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+    def test_other_encodings_rejected(self, tmp_path, solved, encoding):
+        inst, story = solved
+        assert files.load_instance(tmp_path / "inst.json") == inst
+        assert files.load_storyline(tmp_path / "story.json", inst) == story
+        for name in ("inst.json", "story.json"):
+            path = tmp_path / name
+            path.write_bytes(path.read_text(encoding="utf-8").encode(encoding))
+        with pytest.raises(ValueError):
+            files.load_instance(tmp_path / "inst.json")
+        with pytest.raises(ValueError):
+            files.load_storyline(tmp_path / "story.json", inst)
 
 
 class TestWriteText:
