@@ -10,10 +10,12 @@ pairs of ints, the index being the variable's position in the program.
 ``VarId`` appears only in the program's ``variables`` and ``objective``.  A
 row holds no object reference, so once the cyclic garbage collector has
 seen it, it stops tracking it.  Consecutive rows may share one terms tuple,
-which validation checks only once.  A program is validated in one scan when
-it is built: every term passes one combined test (an index in range, an
-exact ``int`` coefficient, a variable new to its row), and only a term that
-fails it is classified, so the first defect is reported in a fixed order.
+which validation checks only once.  ``VarId`` is a named tuple, so
+:meth:`ModelBuilder.new_vars` makes a whole group of variables without a
+Python-level call per variable.  A program is validated in one scan when it
+is built: every term passes one combined test (an index in range, an exact
+``int`` coefficient, a variable new to its row), and only a term that fails
+it is classified, so the first defect is reported in a fixed order.
 
 LP text: :func:`export_lp` prints a row of three terms with coefficients
 ±1, nearly every row of the exact models, with one f-string from name
@@ -31,19 +33,27 @@ The solver works in exact integer arithmetic: coefficients, right-hand
 sides and objective weights are integers (scale rationals while building
 the model).  Bounding uses the partial objective plus 0/1 bound
 propagation; there is deliberately no LP relaxation.  The solver keeps every
-row in one form, ``sum(coef * x) <= rhs``: it negates a ``>=`` row and
-splits an ``=`` row into one row of each sign.  Propagation is event-driven:
-an assignment queues only the rows it leaves close enough to their
-right-hand side to force a variable or to fail.
+row in one form, ``sum(coef * x) <= rhs``: a ``<=`` row keeps its own terms
+tuple, a ``>=`` row is negated into a new list, and an ``=`` row becomes
+one row of each sign.  Per row it keeps the largest |coef|, ``reach``, and
+one number, ``slack``: the right-hand side minus ``reach`` minus the least
+value the left-hand side can still take.  An assignment lowers the slack of
+the rows it raises; a row can force a variable or fail only once its slack
+is negative, so propagation is event-driven and queues just those rows, and
+a queued row's room is ``slack + reach``.  A value forced by a row is set
+in the row's own scan, without a call per variable, and undone from the
+trail like a branching value.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 Op = Literal["<=", ">=", "="]
 
@@ -63,10 +73,13 @@ _LINE_WIDTH = 240  # LP lines longer than this are wrapped at term boundaries
 _CHUNK_ROWS = 2048  # rows whose LP lines export_lp joins into one chunk
 
 
-@dataclass(frozen=True, slots=True)
-class VarId:
+class VarId(NamedTuple):
     index: int
     name: str
+
+
+# A VarId from an (index, name) pair, made without the Python-level __new__.
+_make_var = functools.partial(tuple.__new__, VarId)
 
 
 Term = tuple[int, int]  # (coefficient, variable index)
@@ -101,10 +114,6 @@ class SolveResult:
     best_lower_bound: int | None
     nodes: int = 0
 
-    def value(self, var: VarId) -> int:
-        assert self.assignment is not None
-        return self.assignment[var.index]
-
 
 def gap_percent(upper: int, lower: int) -> float:
     """Relative optimality gap (UB-LB)/UB in percent; requires UB > 0."""
@@ -126,6 +135,12 @@ class ModelBuilder:
         var = VarId(len(self._vars), name)
         self._vars.append(var)
         return var
+
+    def new_vars(self, names: Iterable[str]) -> list[VarId]:
+        """One new variable per name, in order, as :meth:`new_var` makes them."""
+        made = list(map(_make_var, zip(itertools.count(len(self._vars)), names)))
+        self._vars += made
+        return made
 
     def add(self, terms: Iterable[Term], op: Op, rhs: int) -> None:
         """Append one constraint over ``(coef, var.index)`` terms; a tuple of
@@ -285,94 +300,110 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     for coef, v in program.objective:
         obj[v.index] = coef
 
-    # Flattened row storage for the hot loop.  ``lo`` is the least value the
-    # left-hand side can still take.  A row can force a variable or fail only
-    # once its slack rhs - lo falls below ``reach``, its largest |coef|, that
-    # is once lo exceeds ``lo_cap`` = rhs - reach.
+    # Flattened row storage for the hot loop.  Row k reads
+    # sum(coef * x) <= rhs over cons_terms[k], and reach[k] is its largest
+    # |coef|.  slack[k] is rhs - reach[k] minus the least value the
+    # left-hand side can still take: the row can force a variable or fail
+    # only once slack[k] < 0, and the left-hand side may still rise by
+    # slack[k] + reach[k].
     cons_terms: list[Sequence[Term]] = []
-    cons_rhs: list[int] = []
-    lo: list[int] = []
-    lo_cap: list[int] = []
-    # raises[val][vi]: the (row, |coef|) pairs whose lo rises when variable
-    # vi takes value val, from its negative coefficients for 0 and its
-    # positive ones for 1.
+    reach: list[int] = []
+    slack: list[int] = []
+    # raises[val][vi]: the (row, |coef|) pairs whose least left-hand side
+    # rises when variable vi takes value val, from its negative coefficients
+    # for 0 and its positive ones for 1.
     raise0: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
     raise1: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
     raises = (raise0, raise1)
     for row, op, rhs in program.constraints:
-        for sign in (1, -1) if op == "=" else (-1,) if op == ">=" else (1,):
-            k = len(cons_rhs)
-            # A "<=" side keeps the row's own terms; only a ">=" side builds
-            # a negated copy.
-            terms = row if sign > 0 else []
-            rlo = reach = 0
+        if op != ">=":  # the row itself, or the "<=" half of an "="
+            k = len(slack)
+            rlo = top = 0
             for coef, vi in row:
-                if sign < 0:
-                    coef = -coef
-                    terms.append((coef, vi))
                 if coef > 0:
                     raise1[vi].append((k, coef))
-                    if coef > reach:
-                        reach = coef
+                    if coef > top:
+                        top = coef
                 else:
                     rlo += coef
                     raise0[vi].append((k, -coef))
-                    if -coef > reach:
-                        reach = -coef
+                    if -coef > top:
+                        top = -coef
+            cons_terms.append(row)
+            reach.append(top)
+            slack.append(rhs - top - rlo)
+        if op != "<=":  # a ">=" row or half, negated
+            k = len(slack)
+            rlo = top = 0
+            terms = []
+            for coef, vi in row:
+                terms.append((-coef, vi))
+                if coef < 0:
+                    raise1[vi].append((k, -coef))
+                    if -coef > top:
+                        top = -coef
+                else:
+                    rlo -= coef
+                    raise0[vi].append((k, coef))
+                    if coef > top:
+                        top = coef
             cons_terms.append(terms)
-            cons_rhs.append(sign * rhs)
-            lo.append(rlo)
-            lo_cap.append(sign * rhs - reach)
+            reach.append(top)
+            slack.append(-rhs - top - rlo)
 
     value = [-1] * nvars
     trail: list[int] = []
     cur_obj = 0
     pending: list[int] = []  # rows to examine, each at most once
-    queued = bytearray(len(cons_terms))
+    queued = bytearray(len(slack))
 
-    def assign(vi: int, val: int) -> None:
-        """Set a variable and queue every row it leaves tight."""
+    def propagate(vi: int, val: int) -> bool:
+        """Set a variable, queue every row it leaves tight, and run the
+        queue."""
         nonlocal cur_obj
         value[vi] = val
         trail.append(vi)
         if val:
             cur_obj += obj[vi]
         for k, a in raises[val][vi]:
-            lo[k] += a
-            if lo[k] > lo_cap[k] and not queued[k]:
+            s = slack[k] - a
+            slack[k] = s
+            if s < 0 and not queued[k]:
                 queued[k] = 1
                 pending.append(k)
-
-    def undo_to(mark: int) -> None:
-        nonlocal cur_obj
-        while len(trail) > mark:
-            vi = trail.pop()
-            val = value[vi]
-            if val:
-                cur_obj -= obj[vi]
-            for k, a in raises[val][vi]:
-                lo[k] -= a
-            value[vi] = -1
+        return run_queue()
 
     def run_queue() -> bool:
         """Propagate forced values until fixpoint; False on conflict.
 
         Pops queued rows and gives every unassigned variable whose |coef|
-        exceeds the row's room the value that leaves its lo alone; each forced
-        value goes through :func:`assign`, which queues the rows it leaves
-        tight.  Bound propagation is monotone, so the fixpoint and whether it
-        fails do not depend on the queue order.  Forcing never raises the
-        scanned row's own lo, so ``room`` holds for a whole scan.
+        exceeds the row's room the value that leaves its left-hand side
+        alone, queueing the rows that value leaves tight as
+        :func:`propagate` does.  Bound propagation is monotone, so the
+        fixpoint and whether it fails do not depend on the queue order.
+        Forcing never lowers the scanned row's own slack, so ``room`` holds
+        for a whole scan.
         """
+        nonlocal cur_obj
         while pending:
             k = pending.pop()
             queued[k] = 0
-            room = cons_rhs[k] - lo[k]  # how far lo may still rise
+            room = slack[k] + reach[k]  # how far the left-hand side may rise
             if room < 0:
                 break
             for coef, u in cons_terms[k]:
                 if value[u] == -1 and (coef > room or -coef > room):
-                    assign(u, 0 if coef > 0 else 1)
+                    val = 0 if coef > 0 else 1
+                    value[u] = val
+                    trail.append(u)
+                    if val:
+                        cur_obj += obj[u]
+                    for j, a in raises[val][u]:
+                        s = slack[j] - a
+                        slack[j] = s
+                        if s < 0 and not queued[j]:
+                            queued[j] = 1
+                            pending.append(j)
         else:
             return True
         # Conflict: drop whatever is still queued.
@@ -381,11 +412,20 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         pending.clear()
         return False
 
-    def propagate(vi: int, val: int) -> bool:
-        assign(vi, val)
-        return run_queue()
+    def undo_to(mark: int) -> None:
+        """Unassign the variables set since the trail was ``mark`` long."""
+        nonlocal cur_obj
+        for vi in trail[mark:]:
+            val = value[vi]
+            if val:
+                cur_obj -= obj[vi]
+            for k, a in raises[val][vi]:
+                slack[k] += a
+            value[vi] = -1
+        del trail[mark:]
 
-    order = sorted(range(nvars), key=lambda i: (-obj[i], i))
+    # Sorting is stable, so ties keep the index order, with reverse too.
+    order = sorted(range(nvars), key=obj.__getitem__, reverse=True)
 
     def next_unassigned(start: int) -> int:
         while start < nvars and value[order[start]] != -1:
@@ -398,7 +438,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     timed_out = False
 
     # Root pass: every row that can already force a variable or fail.
-    pending.extend(k for k in range(len(lo)) if lo[k] > lo_cap[k])
+    pending.extend(k for k, s in enumerate(slack) if s < 0)
     for k in pending:
         queued[k] = 1
     root_ok = run_queue()
@@ -414,8 +454,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         """
         nonlocal best_assignment, best_obj
         mark = len(trail)
-        dive_order = sorted(range(nvars), key=lambda i: (obj[i], i))
-        for vi in dive_order:
+        for vi in sorted(range(nvars), key=obj.__getitem__):
             if value[vi] != -1:
                 continue
             if time.monotonic() - t0 > timeout:
@@ -452,7 +491,8 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     open_bound: int | None = None
     while frames:
         f = frames[-1]
-        undo_to(f[2])
+        if len(trail) > f[2]:
+            undo_to(f[2])
         if f[1] > 1:
             frames.pop()
             continue

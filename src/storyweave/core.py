@@ -100,15 +100,23 @@ class StorylineInstance:
     def potential(self) -> tuple[frozenset[CharId], ...]:
         """``potential[t]``: the characters whose first-to-last interaction
         span (inclusive) covers timestamp ``t``."""
-        spans: dict[CharId, tuple[TimeId, TimeId]] = {}
+        first: dict[CharId, TimeId] = {}
+        last: dict[CharId, TimeId] = {}
         for it in self.interactions:
+            t = it.time
             for c in it.characters:
-                lo, hi = spans.get(c, (it.time, it.time))
-                spans[c] = (min(lo, it.time), max(hi, it.time))
-        return tuple(
-            frozenset(c for c, (lo, hi) in spans.items() if lo <= t <= hi)
-            for t in range(self.num_timestamps)
-        )
+                if c not in first:
+                    first[c] = last[c] = t
+                elif t < first[c]:
+                    first[c] = t
+                elif t > last[c]:
+                    last[c] = t
+        # Each set gets its characters in the order they first occur.
+        present: list[list[CharId]] = [[] for _ in self.timestamps]
+        for c, lo in first.items():
+            for t in range(lo, last[c] + 1):
+                present[t].append(c)
+        return tuple(map(frozenset, present))
 
 
 @dataclass(frozen=True)
@@ -127,9 +135,17 @@ class Layer:
 
 @dataclass(frozen=True)
 class CombinatorialStoryline:
-    """Ordered layers; the discrete layout before coordinates are assigned."""
+    """Ordered layers; the discrete layout before coordinates are assigned.
+
+    ``crossings`` is the oracle's total, :func:`count_crossings`, counted
+    once per storyline object: the first count keeps it.
+    """
 
     layers: tuple[Layer, ...]
+
+    @cached_property
+    def crossings(self) -> int:
+        return count_crossings(self).total
 
 
 @dataclass(frozen=True)
@@ -258,13 +274,16 @@ def validate_storyline(
     out: list[str] = []
     placed: dict[InteractionId, int] = {}
     prev_time: TimeId | None = None
+    interactions = inst.interactions
+    num_interactions = len(interactions)
+    num_characters = len(inst.characters)
 
     for li, layer in enumerate(s.layers):
         path = f"layers[{li}]"
         # A layer's known interactions count as placed even when the layer
         # itself is rejected below, so they are not also reported unplaced.
         for iid in layer.interactions:
-            if 0 <= iid < inst.num_interactions:
+            if 0 <= iid < num_interactions:
                 if iid in placed:
                     out.append(f"{path}: interaction {iid} placed twice")
                 placed[iid] = li
@@ -277,20 +296,21 @@ def validate_storyline(
 
         if not layer.interactions:
             out.append(f"{path}: empty layer")
-        if len(set(layer.order)) != len(layer.order) or set(layer.order) != layer.active:
+        order, active = layer.order, layer.active
+        if len(order) != len(active) or set(order) != active:
             out.append(f"{path}: order is not a permutation of the active set")
             continue
-        if layer.order and (min(layer.order) < 0 or max(layer.order) >= inst.num_characters):
-            unknown = sorted(c for c in layer.order if not 0 <= c < inst.num_characters)
+        if order and (min(order) < 0 or max(order) >= num_characters):
+            unknown = sorted(c for c in order if not 0 <= c < num_characters)
             out.append(f"{path}: unknown character id {', '.join(map(str, unknown))}")
-        pos = {c: k for k, c in enumerate(layer.order)}
+        pos = dict(zip(order, range(len(order))))
 
         charsets: list[tuple[InteractionId, frozenset[CharId]]] = []
         for iid in layer.interactions:
-            if not (0 <= iid < inst.num_interactions):
+            if not (0 <= iid < num_interactions):
                 out.append(f"{path}: unknown interaction id {iid}")
                 continue
-            it = inst.interactions[iid]
+            it = interactions[iid]
             if it.time != layer.time:
                 out.append(f"{path}: interaction {iid} not at the layer timestamp")
             charsets.append((iid, it.characters))
@@ -301,17 +321,16 @@ def validate_storyline(
                     f"{path}: layer interactions intersect ({ia} and {ib})"
                 )
         for iid, cs in charsets:
-            missing = [c for c in cs if c not in layer.active]
-            if missing:
+            if not cs <= active:
                 out.append(
                     f"{path}: interaction {iid} characters missing from active set"
                 )
                 continue
-            spots = sorted(pos[c] for c in cs)
-            if spots[-1] - spots[0] + 1 != len(spots):
+            spots = list(map(pos.__getitem__, cs))
+            if max(spots) - min(spots) + 1 != len(spots):
                 out.append(f"{path}: interaction {iid} not consecutive in order")
 
-    for it in inst.interactions:
+    for it in interactions:
         if it.id not in placed:
             out.append(f"interaction {it.id} not placed in any layer")
 
@@ -322,7 +341,7 @@ def validate_storyline(
             active_at.setdefault(c, []).append(li)
     for c, idxs in sorted(active_at.items()):
         if idxs[-1] - idxs[0] + 1 != len(idxs):
-            name = inst.characters[c] if 0 <= c < inst.num_characters else str(c)
+            name = inst.characters[c] if 0 <= c < num_characters else str(c)
             out.append(f"character {name!r}: activity not contiguous")
 
     return out
@@ -371,7 +390,10 @@ def count_crossings(s: CombinatorialStoryline) -> CrossingCount:
     gaps = tuple(
         gap_crossings(a, b) for a, b in itertools.pairwise(s.layers)
     )
-    return CrossingCount(total=sum(gaps), per_gap=gaps)
+    count = CrossingCount(total=sum(gaps), per_gap=gaps)
+    # The storyline is immutable, so its total can be kept for ``s.crossings``.
+    vars(s)["crossings"] = count.total
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ A stored storyline is exactly ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` plus a newline, as for instances, but
 :func:`storyline_text` writes that text itself: CPython uses its C encoder
 only when ``indent`` is None, and the pure-Python one cost most of a save.
-The stored crossing count is verified against a recount on load, so stale
-or hand-edited files are rejected.  Files are read as UTF-8 only; a byte
+The stored crossing count is the storyline's ``crossings``, counted once
+per storyline object (a solver's own count is reused), and a load verifies
+it against a recount of the storyline it reads, so stale or hand-edited
+files are rejected.  Files are read as UTF-8 only; a byte
 order mark or another encoding is rejected.  Benchmark results are written
 as one CSV row per (dataset, algorithm) cell.
 
@@ -47,7 +49,6 @@ from .core import (
     Layer,
     LayoutReport,
     StorylineInstance,
-    count_crossings,
     validate_instance,
     validate_storyline,
 )
@@ -135,7 +136,8 @@ def storyline_text(inst: StorylineInstance, s: CombinatorialStoryline) -> str:
 
     Each name and label is escaped once with the encoder ``json.dumps`` uses
     for ``ensure_ascii=False``; ids and the count are ints, spelled as
-    ``json`` spells them.  A layer's ``active`` list is its ``order``.
+    ``json`` spells them.  A layer's ``active`` list is its ``order``.  The
+    count is ``s.crossings``, which a storyline counts once.
     """
     names = [encode_basestring(name) for name in inst.characters]
     labels = [encode_basestring(label) for label in inst.timestamps]
@@ -148,7 +150,7 @@ def storyline_text(inst: StorylineInstance, s: CombinatorialStoryline) -> str:
             % (labels[layer.time], _items(map(str, layer.interactions)), order, order)
         )
     body = "[\n    " + ",\n    ".join(layers) + "\n  ]" if layers else "[]"
-    return '{\n  "layers": %s,\n  "crossings": %d\n}\n' % (body, count_crossings(s).total)
+    return '{\n  "layers": %s,\n  "crossings": %d\n}\n' % (body, s.crossings)
 
 
 def _items(items: Iterable[str]) -> str:
@@ -188,7 +190,7 @@ def storyline_from_doc(
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed layer ({exc})") from exc
         interactions = tuple(fields["interactions"])
-        layers.append(Layer(time=time, interactions=interactions, order=order, active=active))
+        layers.append(Layer(time, interactions, order, active))
     story = CombinatorialStoryline(tuple(layers))
     problems = validate_storyline(inst, story)
     if problems:
@@ -196,7 +198,7 @@ def storyline_from_doc(
     declared = doc.get("crossings")
     if declared is not None and type(declared) is not int:
         raise ValueError("'crossings' must be an integer")
-    recount = count_crossings(story).total
+    recount = story.crossings
     if declared is not None and declared != recount:
         raise ValueError(
             f"stored crossing count {declared} disagrees with recount {recount}"

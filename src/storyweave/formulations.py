@@ -34,21 +34,31 @@ ints (see :mod:`storyweave.bip`).  While building, each slot keeps one
 table of its ordering terms indexed by character position: for the pair's
 ordering variable x, the ``(1, x.index)`` term above the diagonal and the
 ``(-1, x.index)`` term below; the transitivity, block and linking rows are
-read from these tables and emitted straight into the builder.
+read from these tables.
 
-Solver assignments are decoded back into storylines; empty slots are
-dropped and the reported crossing number is always recomputed with the
-counting oracle rather than read off the objective.
+The builder's contract, which tests pin on small and wide models alike:
+the same variables, names and numbering, the same rows in the same order,
+and catalog tables that list their variables in the order they were made.
+Each group of variables (placement, ordering, crossing, activity) is
+counted, named and given its terms in one loop and made by one
+:meth:`bip.ModelBuilder.new_vars` call; every row is appended to one list,
+handed to the builder once.  The slots of a timestamp share one
+``LayerSlot``.
+
+Solver assignments are decoded back into storylines: decoding indexes the
+assignment by variable index and reads the ordering and activity
+variables in catalog order, slot by slot.  Empty slots are dropped and the
+reported crossing number is always recomputed with the counting oracle
+rather than read off the objective.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, TypeVar
+from typing import Mapping
 
 from . import bip, coloring
 from .core import (
@@ -65,7 +75,6 @@ from .core import (
 
 log = logging.getLogger(__name__)
 
-K = TypeVar("K")
 Term = bip.Term
 
 
@@ -96,7 +105,11 @@ EXACT_KINDS: dict[str, ModelKind] = {k.name: k for k in (ILP1, ILP1ML, ILP2, ILP
 
 @dataclass
 class VariableCatalog:
-    """Bookkeeping from model building, needed to decode a solution."""
+    """Bookkeeping from model building, needed to decode a solution.
+
+    Each table lists its variables in the order :func:`build_model` made
+    them; :func:`decode` reads ``order`` and ``active`` in that order.
+    """
 
     kind: ModelKind
     slots: tuple[LayerSlot, ...]
@@ -119,49 +132,63 @@ def build_model(
     the restriction is still reachable with it, at equal cost, by shifting
     its occupied slots to the front of the slice.
     """
-    slots = tuple(
-        LayerSlot(t) for t in range(inst.num_timestamps) for _ in range(budgets.get(t, 0))
-    )
+    # The slots of a timestamp share one LayerSlot; slots_at lists their
+    # numbers.
+    slots_at: dict[TimeId, range] = {}
+    slot_list: list[LayerSlot] = []
+    for t in range(inst.num_timestamps):
+        budget = budgets.get(t, 0)
+        if budget > 0:
+            slots_at[t] = range(len(slot_list), len(slot_list) + budget)
+            slot_list += [LayerSlot(t)] * budget
+    slots = tuple(slot_list)
     free = kind.family == "ilp2"  # activity is a variable
     cat = VariableCatalog(kind=kind, slots=slots)
-
+    by_time, potential = inst.by_time, inst.potential
     mb = bip.ModelBuilder()
-    extend, new_var = mb.extend, mb.new_var
-    slots_at: dict[TimeId, list[int]] = {}
-    for si, s in enumerate(slots):
-        slots_at.setdefault(s.time, []).append(si)
-    # The characters present at each slotted timestamp, in increasing order;
-    # a character's index in this list is its position in the slot tables.
-    chars_at = {t: sorted(inst.potential[t]) for t in slots_at}
+    new_vars = mb.new_vars
+    # The characters present at each slot, in increasing order; a
+    # character's index in this list is its position in the slot's tables.
+    chars_at = {t: sorted(potential[t]) for t in slots_at}
+    chars = [chars_at[s.time] for s in slots]
 
     # Rows are tuples of the (1, i) and (-1, i) terms made once per variable
-    # index i, so the many rows of a large model share their terms.
+    # index i, so the many rows of a large model share their terms.  Each
+    # group of variables is made by one new_vars call; i counts them.
+    i = 0
 
     # Placement variables and constraints.
+    y: dict[tuple[int, InteractionId], Term] = {}
+    neg_y: dict[tuple[int, InteractionId], Term] = {}
+    placed: list[list[Term]] = [[] for _ in inst.interactions]  # by interaction
+    names: list[str] = []
     for si, s in enumerate(slots):
-        for it in inst.by_time[s.time]:
-            cat.placement[(si, it.id)] = new_var(f"y_s{si}_i{it.id}")
-    y, neg_y = _signed(cat.placement)
+        for it in by_time[s.time]:
+            key = (si, it.id)
+            names.append(f"y_s{si}_i{it.id}")
+            y[key] = term = (1, i)
+            neg_y[key] = (-1, i)
+            placed[it.id].append(term)
+            i += 1
+    cat.placement.update(zip(y, new_vars(names)))
     rows: list[Row] = []
     for it in inst.interactions:
-        row = tuple(y[(si, it.id)] for si in slots_at.get(it.time, []))
-        if not row:
+        if not placed[it.id]:
             raise ValueError(
                 f"timestamp {it.time} has interactions but a zero slot budget"
             )
-        rows.append((row, "=", 1))
+        rows.append((tuple(placed[it.id]), "=", 1))
     for t, sis in slots_at.items():
-        items = inst.by_time[t]
+        items = by_time[t]
         for a, b in itertools.combinations(items, 2):
             if a.characters & b.characters:
                 for si in sis:
-                    rows.append(((y[(si, a.id)], y[(si, b.id)]), "<=", 1))
+                    rows.append(((y[si, a.id], y[si, b.id]), "<=", 1))
         if symmetry_breaking:
             for earlier, later in itertools.pairwise(sis):
-                fill = tuple(neg_y[(earlier, it.id)] for it in items)
+                fill = tuple([neg_y[earlier, it.id] for it in items])
                 for it in items:
-                    rows.append(((y[(later, it.id)],) + fill, "<=", 0))
-    extend(rows)
+                    rows.append(((y[later, it.id],) + fill, "<=", 0))
 
     # Ordering variables: one per slot and character pair, smaller index
     # first.  before[si][p][q] is the (1, x.index) term of the pair at
@@ -169,48 +196,64 @@ def build_model(
     # term; up to a constant, each reads "the character at the first
     # position comes first".
     before: list[TermTable] = []
-    for si, s in enumerate(slots):
-        cs = chars_at[s.time]
+    keys: list[tuple[int, CharId, CharId]] = []
+    names = []
+    for si, cs in enumerate(chars):
         n = len(cs)
-        blank = [_NO_TERM] * n
-        table = [blank.copy() for _ in cs]
+        table = list(map(list, itertools.repeat([_NO_TERM] * n, n)))
         for p, cp in enumerate(cs):
-            row = table[p]
+            row_p = table[p]
             for q in range(p + 1, n):
                 cq = cs[q]
-                v = cat.order[(si, cp, cq)] = new_var(f"x_s{si}_c{cp}_c{cq}")
-                row[q] = (1, v.index)
-                table[q][p] = (-1, v.index)
+                keys.append((si, cp, cq))
+                names.append(f"x_s{si}_c{cp}_c{cq}")
+                row_p[q] = (1, i)
+                table[q][p] = (-1, i)
+                i += 1
         before.append(table)
+    cat.order.update(zip(keys, new_vars(names)))
 
     # Crossing indicators per gap between consecutive slots, in the order of
     # their pairs of shared characters.
     shared = [
-        sorted(inst.potential[a.time] & inst.potential[b.time])
-        for a, b in itertools.pairwise(slots)
+        cs if a.time == b.time else sorted(potential[a.time] & potential[b.time])
+        for a, b, cs in zip(slots, slots[1:], chars)
     ]
     z: list[list[Term]] = []
+    keys = []
+    names = []
     for gi, common in enumerate(shared):
         gap: list[Term] = []
         for ci, cj in itertools.combinations(common, 2):
-            v = cat.crossing[(gi, ci, cj)] = new_var(f"z_g{gi}_c{ci}_c{cj}")
-            gap.append((1, v.index))
+            keys.append((gi, ci, cj))
+            names.append(f"z_g{gi}_c{ci}_c{cj}")
+            gap.append((1, i))
+            i += 1
         z.append(gap)
+    crossing = new_vars(names)
+    cat.crossing.update(zip(keys, crossing))
 
     # Activity terms by slot and position, like the ordering terms.
     act: list[list[Term]] = []
     neg_act: list[list[Term]] = []
     if free:
-        for si, s in enumerate(slots):
-            terms = []
-            for c in chars_at[s.time]:
-                cat.active[(c, si)] = v = new_var(f"a_c{c}_s{si}")
-                terms.append((1, v.index))
+        akeys: list[tuple[CharId, int]] = []
+        names = []
+        for si, cs in enumerate(chars):
+            terms: list[Term] = []
+            idle: list[Term] = []
+            for c in cs:
+                akeys.append((c, si))
+                names.append(f"a_c{c}_s{si}")
+                terms.append((1, i))
+                idle.append((-1, i))
+                i += 1
             act.append(terms)
-            neg_act.append([(-1, i) for _, i in terms])
+            neg_act.append(idle)
+        cat.active.update(zip(akeys, new_vars(names)))
 
     # Orders must be transitive, hence total.
-    extend(_transitivity_rows(before))
+    _transitivity_rows(rows, before)
 
     # Interaction blocks: characters outside a placed interaction must end
     # up entirely before or entirely after its characters.  Per timestamp,
@@ -219,38 +262,36 @@ def build_model(
     blocks_at: dict[TimeId, list[tuple[InteractionId, list[int], list[int]]]] = {}
     for t, cs in chars_at.items():
         blocks_at[t] = blocks = []
-        for it in inst.by_time[t]:
+        for it in by_time[t]:
             members = sorted(map(cs.index, it.characters))
             if 1 < len(members) < len(cs):
                 outside = [p for p in range(len(cs)) if p not in members]
                 blocks.append((it.id, members, outside))
-    extend(_block_rows(before, [blocks_at[s.time] for s in slots], y, neg_y))
+    _block_rows(rows, before, [blocks_at[s.time] for s in slots], y, neg_y)
 
     # Activity: forced where an interaction is placed, contiguous otherwise.
     if free:
-        rows = []
         for si, s in enumerate(slots):
-            cs, terms = chars_at[s.time], act[si]
-            for it in inst.by_time[s.time]:
-                unplaced = neg_y[(si, it.id)]
+            cs, terms = chars[si], act[si]
+            for it in by_time[s.time]:
+                unplaced = neg_y[si, it.id]
                 for c in it.characters:
                     rows.append(((terms[cs.index(c)], unplaced), ">=", 0))
         by_char: dict[CharId, list[tuple[int, int]]] = {}
-        for si, s in enumerate(slots):
-            for p, c in enumerate(chars_at[s.time]):
+        for si, cs in enumerate(chars):
+            for p, c in enumerate(cs):
                 by_char.setdefault(c, []).append((si, p))
         for c, places in sorted(by_char.items()):
             for (s1, p1), (s2, p2), (s3, p3) in itertools.combinations(places, 3):
                 rows.append(((act[s2][p2], neg_act[s1][p1], neg_act[s3][p3]), ">=", -1))
-        extend(rows)
 
     # Crossing linking: z is forced to 1 when the pair order flips between
     # the two slots (and, for ilp2, only while both characters are active
     # on both sides).
-    chars = [chars_at[s.time] for s in slots]
-    extend(_linking_rows(z, shared, chars, before, neg_act if free else None))
+    _linking_rows(rows, z, shared, chars, before, neg_act if free else None)
 
-    mb.minimize((1, v) for v in cat.crossing.values())
+    mb.extend(rows)
+    mb.minimize(zip(itertools.repeat(1), crossing))
     return mb.build(), cat
 
 
@@ -259,9 +300,9 @@ TermTable = list[list[Term]]
 _NO_TERM: Term = (0, -1)  # fills the diagonal of a term table
 
 
-def _transitivity_rows(before: list[TermTable]) -> Iterator[Row]:
-    """x_uv + x_vw - x_uw in [0, 1] for every slot and position triple
-    u < v < w; the two rows of a triple share its terms tuple."""
+def _transitivity_rows(rows: list[Row], before: list[TermTable]) -> None:
+    """Append x_uv + x_vw - x_uw in [0, 1] for every slot and position
+    triple u < v < w; the two rows of a triple share its terms tuple."""
     for table in before:
         n = len(table)
         for u in range(n - 2):
@@ -270,82 +311,79 @@ def _transitivity_rows(before: list[TermTable]) -> Iterator[Row]:
                 uv, row_v = row_u[v], table[v]
                 for w in range(v + 1, n):
                     terms = (uv, row_v[w], table[w][u])
-                    yield terms, "<=", 1
-                    yield terms, ">=", 0
+                    rows += ((terms, "<=", 1), (terms, ">=", 0))
 
 
 def _block_rows(
+    rows: list[Row],
     before: list[TermTable],
     blocks: list[list[tuple[InteractionId, list[int], list[int]]]],
     y: dict[tuple[int, InteractionId], Term],
     neg_y: dict[tuple[int, InteractionId], Term],
-) -> Iterator[Row]:
-    """The block rows of every slot.  A block of a slot is an interaction
-    with its member and its outsider positions, both increasing; ``y`` and
-    ``neg_y`` hold the placement terms by slot and interaction.  For each
-    member pair i < j and each outsider k in increasing order: k between
-    the two may not sit inside the pair while the interaction is placed,
-    and k before or after both must see the two members on the same side.
-
-    ``bisect`` splits the outsiders of a pair into the runs before, between
-    and after it; every outsider of a run gets the same rows.
+) -> None:
+    """Append the block rows of every slot.  A block of a slot is an
+    interaction with its member and its outsider positions, both
+    increasing; ``y`` and ``neg_y`` hold the placement terms by slot and
+    interaction.  For each member pair i < j and each outsider k in
+    increasing order: k between the two may not sit inside the pair while
+    the interaction is placed, and k before or after both must see the two
+    members on the same side.
     """
     for si, (table, slot_blocks) in enumerate(zip(before, blocks)):
         for iid, members, outside in slot_blocks:
-            placed, unplaced = y[(si, iid)], neg_y[(si, iid)]
+            placed, unplaced = y[si, iid], neg_y[si, iid]
             for i, j in itertools.combinations(members, 2):
                 row_i, row_j = table[i], table[j]
-                lo = bisect.bisect(outside, i)
-                hi = bisect.bisect(outside, j, lo)
-                for k in outside[:lo]:
+                for k in outside:
                     row_k = table[k]
-                    yield (row_k[i], row_j[k], placed), "<=", 1
-                    yield (row_k[j], row_i[k], placed), "<=", 1
-                for k in outside[lo:hi]:
-                    ik, kj = row_i[k], table[k][j]
-                    yield (ik, kj, placed), "<=", 2
-                    yield (ik, kj, unplaced), ">=", 0
-                for k in outside[hi:]:
-                    row_k = table[k]
-                    yield (row_i[k], row_k[j], placed), "<=", 1
-                    yield (row_j[k], row_k[i], placed), "<=", 1
+                    if k < i:
+                        rows += (
+                            ((row_k[i], row_j[k], placed), "<=", 1),
+                            ((row_k[j], row_i[k], placed), "<=", 1),
+                        )
+                    elif k < j:
+                        ik, kj = row_i[k], row_k[j]
+                        rows += (((ik, kj, placed), "<=", 2), ((ik, kj, unplaced), ">=", 0))
+                    else:
+                        rows += (
+                            ((row_i[k], row_k[j], placed), "<=", 1),
+                            ((row_j[k], row_k[i], placed), "<=", 1),
+                        )
 
 
 def _linking_rows(
+    rows: list[Row],
     z: list[list[Term]],
     shared: list[list[CharId]],
     chars: list[list[CharId]],
     before: list[TermTable],
     neg_act: list[list[Term]] | None,
-) -> Iterator[Row]:
-    """The two rows tying each crossing indicator of gap gi to its pair's
-    ordering terms in slots gi and gi + 1.  ``z[gi]`` follows the pairs of
-    ``shared[gi]``, the gap's common characters; for ilp2 the pair's four
-    ``(-1, a.index)`` activity terms join both rows."""
+) -> None:
+    """Append the two rows tying each crossing indicator of gap gi to its
+    pair's ordering terms in slots gi and gi + 1.  ``z[gi]`` follows the
+    pairs of ``shared[gi]``, the gap's common characters; for ilp2 the
+    pair's four ``(-1, a.index)`` activity terms join both rows."""
     for gi, (gap, common) in enumerate(zip(z, shared)):
         if not gap:
             continue
         left, right = before[gi], before[gi + 1]
         chars_l, chars_r = chars[gi], chars[gi + 1]
         places = list(zip(map(chars_l.index, common), map(chars_r.index, common)))
-        for zt, ((la, ra), (lb, rb)) in zip(gap, itertools.combinations(places, 2)):
-            if neg_act is None:
-                inactive: tuple[Term, ...] = ()
-            else:
-                idle_l, idle_r = neg_act[gi], neg_act[gi + 1]
-                inactive = (idle_l[la], idle_r[ra], idle_l[lb], idle_r[rb])
-            rhs = -len(inactive)
-            yield (zt, left[lb][la], right[ra][rb]) + inactive, ">=", rhs
-            yield (zt, left[la][lb], right[rb][ra]) + inactive, ">=", rhs
-
-
-def _signed(variables: Mapping[K, bip.VarId]) -> tuple[dict[K, Term], dict[K, Term]]:
-    """The ``(1, v.index)`` and the ``(-1, v.index)`` term of every variable
-    ``v``, by key."""
-    return (
-        {key: (1, v.index) for key, v in variables.items()},
-        {key: (-1, v.index) for key, v in variables.items()},
-    )
+        pairs = zip(gap, itertools.combinations(places, 2))
+        if neg_act is None:
+            for zt, ((la, ra), (lb, rb)) in pairs:
+                rows += (
+                    ((zt, left[lb][la], right[ra][rb]), ">=", 0),
+                    ((zt, left[la][lb], right[rb][ra]), ">=", 0),
+                )
+        else:
+            idle_l, idle_r = neg_act[gi], neg_act[gi + 1]
+            for zt, ((la, ra), (lb, rb)) in pairs:
+                ia, ja, ib, jb = idle_l[la], idle_r[ra], idle_l[lb], idle_r[rb]
+                rows += (
+                    ((zt, left[lb][la], right[ra][rb], ia, ja, ib, jb), ">=", -4),
+                    ((zt, left[la][lb], right[rb][ra], ia, ja, ib, jb), ">=", -4),
+                )
 
 
 def decode(
@@ -359,41 +397,48 @@ def decode(
     The result is validated; crossing numbers must be recomputed by the
     caller with the oracle, never taken from the objective.
     """
-    if result.assignment is None:
+    a = result.assignment
+    if a is None:
         raise ValueError(f"cannot decode a result with status {result.status!r}")
 
-    placed_at: dict[int, list[InteractionId]] = {si: [] for si in range(len(cat.slots))}
+    placed_at: list[list[InteractionId]] = [[] for _ in cat.slots]
     for (si, iid), var in cat.placement.items():
-        if result.value(var) == 1:
+        if a[var.index] == 1:
             placed_at[si].append(iid)
 
+    # The ordering and activity variables, slot by slot in the order
+    # build_model made them: pairs in order, characters in order.
+    order_vars = iter(cat.order.values())
+    active_vars = iter(cat.active.values())
+    free = cat.kind.family == "ilp2"
+    chars_at: dict[TimeId, list[CharId]] = {}
     layers: list[Layer] = []
     for si, slot in enumerate(cat.slots):
-        ids = sorted(placed_at[si])
-        if not ids:
+        t = slot.time
+        chars = chars_at.get(t)
+        if chars is None:
+            chars = chars_at[t] = sorted(inst.potential[t])
+        n = len(chars)
+        firsts = list(itertools.islice(order_vars, n * (n - 1) // 2))
+        flags = list(itertools.islice(active_vars, n)) if free else ()
+        if not placed_at[si]:
             continue
-        chars = sorted(inst.potential[slot.time])
-        wins = {c: 0 for c in chars}
-        for ci, cj in itertools.combinations(chars, 2):
-            if result.value(cat.order[(si, ci, cj)]) == 1:
-                wins[ci] += 1
-            else:
-                wins[cj] += 1
-        full_order = sorted(chars, key=lambda c: (-wins[c], c))
-        if sorted(wins.values()) != list(range(len(chars))):
+        wins = dict.fromkeys(chars, 0)
+        for (ci, cj), var in zip(itertools.combinations(chars, 2), firsts):
+            wins[ci if a[var.index] == 1 else cj] += 1
+        if sorted(wins.values()) != list(range(n)):
             raise RuntimeError(
                 f"ordering variables of slot {si} do not form a total order"
             )
-        if cat.kind.family == "ilp2":
-            active = frozenset(
-                c for c in chars if result.value(cat.active[(c, si)]) == 1
-            )
+        # Most wins first; the sort is stable, so ties stay in character order.
+        full_order = sorted(chars, key=wins.__getitem__, reverse=True)
+        if free:
+            active = frozenset([c for c, var in zip(chars, flags) if a[var.index] == 1])
+            order = tuple(filter(active.__contains__, full_order))
         else:
             active = frozenset(chars)
-        order = tuple(c for c in full_order if c in active)
-        layers.append(
-            Layer(time=slot.time, interactions=tuple(ids), order=order, active=active)
-        )
+            order = tuple(full_order)
+        layers.append(Layer(t, tuple(sorted(placed_at[si])), order, active))
 
     story = CombinatorialStoryline(tuple(layers))
     problems = validate_storyline(inst, story)

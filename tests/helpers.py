@@ -22,10 +22,12 @@ from storyweave import (
     StorylineInstance,
     VarId,
     brute_force_optimum,
+    build_model,
     count_crossings,
     layer_budget,
     validate_instance,
 )
+from storyweave.formulations import EXACT_KINDS
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -89,6 +91,20 @@ def dense_instance(rng: random.Random) -> StorylineInstance:
         ],
     }
     return validate_instance(doc)
+
+
+def small_models(seed: int, count: int, symmetry_breaking: bool = True):
+    """``(instance, kind name, program, catalog)`` for every exact model kind
+    of ``count`` instances drawn from ``random.Random(seed)``, plain
+    (``random_instance(rng, 5, 4)``) and dense draws alternating, each under
+    the layer budgets its kind uses."""
+    rng = random.Random(seed)
+    for k in range(count):
+        inst = random_instance(rng, 5, 4) if k % 2 == 0 else dense_instance(rng)
+        for name, kind in EXACT_KINDS.items():
+            budgets = layer_budget(inst, minimize=kind.minimize_layers)
+            program, cat = build_model(inst, kind, budgets, symmetry_breaking)
+            yield inst, name, program, cat
 
 
 def cit_rung(chars: int, interactions: int, times: int, seed: int) -> StorylineInstance:

@@ -17,6 +17,7 @@ from helpers import (
     enumerate_binary_optimum,
     reference_export_lp,
     reference_validate_program,
+    small_models,
     wide_instances,
 )
 
@@ -224,6 +225,26 @@ class TestSolve:
             objective,
             bound,
             nodes,
+        )
+
+    def test_small_model_search_trees_pinned(self):
+        # Every outcome of the four exact models of 40 seeded small
+        # instances, down to the returned point and the node count.  The
+        # digest was recorded from the solver that kept a least left-hand
+        # side and a cap per row and set each forced value by a call.
+        h = hashlib.sha256()
+        nodes = 0
+        for _inst, _kind, program, _cat in small_models(23, 40):
+            r = bip.solve(program, timeout=60)
+            nodes += r.nodes
+            h.update(
+                repr(
+                    (r.status, r.assignment, r.objective_value, r.best_lower_bound, r.nodes)
+                ).encode()
+            )
+        assert nodes == 45812
+        assert h.hexdigest() == (
+            "f49e7bc51eb02c7aa20aaee61a4f30b210f06247e758ed2c287096d4c6963da9"
         )
 
     def test_solution_satisfies_all_constraints(self):
@@ -691,6 +712,18 @@ class TestModelBuilder:
         )
         assert all(type(row) is tuple and type(row[0]) is tuple for row in rows)
         assert rows[1][0] is shared and rows[3][0] is shared and rows[4] is given
+
+
+    def test_new_vars_number_on(self):
+        mb = bip.ModelBuilder()
+        x = mb.new_var("x")
+        made = mb.new_vars(iter(["y", "z"]))
+        w = mb.new_var("w")
+        assert made == [bip.VarId(1, "y"), bip.VarId(2, "z")]
+        assert all(type(v) is bip.VarId for v in made)
+        assert mb.new_vars([]) == []
+        assert mb.build().variables == (bip.VarId(0, "x"), *made, bip.VarId(3, "w"))
+        assert (x.index, w.index) == (0, 3)
 
 
 class TestValidation:

@@ -130,6 +130,41 @@ class TestStorylineFiles:
             files.storyline_from_doc(inst, {"layers": [item]})
 
 
+class TestCountedOnce:
+    """A storyline's crossings are counted once per storyline object."""
+
+    def test_save_reuses_the_count_and_load_recounts(self, tmp_path, monkeypatch):
+        counted = []
+        recount = sw.core.count_crossings
+
+        def counting(story):
+            counted.append(story)
+            return recount(story)
+
+        monkeypatch.setattr(sw.core, "count_crossings", counting)
+        monkeypatch.setattr(sw.formulations, "count_crossings", counting)
+        inst = make_instance([("ab", "t0"), ("ab", "t1"), ("abc", "t2")])
+        story, report = sw.solve_exact(inst, sw.ILP2)
+        assert counted == [story] and story.crossings == report.crossings
+        path = tmp_path / "story.json"
+        files.save_storyline(path, inst, story)
+        assert counted == [story]
+        loaded = files.load_storyline(path, inst)
+        assert loaded == story and loaded is not story
+        assert loaded.crossings == report.crossings
+        assert counted == [story, loaded]
+
+    def test_uncounted_storyline_counts_on_save(self, tmp_path):
+        rng = random.Random(3)
+        for k in range(10):
+            inst = random_instance(rng)
+            story = random_storyline(rng, inst)
+            assert "crossings" not in vars(story)
+            text = files.storyline_text(inst, story)
+            assert json.loads(text)["crossings"] == sw.count_crossings(story).total
+            assert vars(story)["crossings"] == story.crossings
+
+
 class TestStorylineText:
     """The direct writer against the dict-then-json.dumps reference."""
 

@@ -13,7 +13,14 @@ import pytest
 import storyweave as sw
 import storyweave.bip as bip
 from storyweave import files, formulations, pipeline
-from helpers import cit_rung, oracle_corpus, random_instance, small_draws, wide_instances
+from helpers import (
+    cit_rung,
+    oracle_corpus,
+    random_instance,
+    small_draws,
+    small_models,
+    wide_instances,
+)
 from test_core import PATTERN_PAIR, make_instance
 
 
@@ -105,6 +112,28 @@ class TestBuildModel:
             for table in ("placement", "order", "crossing", "active"):
                 for key, var in getattr(cat, table).items():
                     h.update(f"{table} {key} {var.index} {var.name}\n".encode("utf-8"))
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "symmetry_breaking, digest",
+        [
+            (True, "5d2a09e33753719cc1e4e4fe31978a3a661d13ae6467e210492056fd8d069aeb"),
+            (False, "cd40106daa53a9db4864d451f571eb8f78fd247f0ae034e9ce841b6d89031222"),
+        ],
+    )
+    def test_small_models_pinned(self, symmetry_breaking, digest):
+        # SHA-256 over the variables (index and name), the rows as (terms,
+        # op, rhs), the objective and every catalog entry, in order, of the
+        # four exact models of 40 seeded small instances; recorded from the
+        # builder that made its variables one new_var call at a time.
+        h = hashlib.sha256()
+        for _inst, _kind, program, cat in small_models(23, 40, symmetry_breaking):
+            h.update(repr([(v.index, v.name) for v in program.variables]).encode())
+            h.update(repr(program.constraints).encode())
+            h.update(repr([(c, v.index, v.name) for c, v in program.objective]).encode())
+            for table in ("placement", "order", "crossing", "active"):
+                for key, var in getattr(cat, table).items():
+                    h.update(f"{table} {key} {var.index} {var.name}\n".encode())
         assert h.hexdigest() == digest
 
     def test_activity_vars_only_for_ilp2(self):
