@@ -10,11 +10,11 @@ order inside a slice carries no temporal meaning.
 A pair of characters present in two consecutive layers whose relative order
 flips between them is a crossing, the quantity every solver in this package
 minimizes.  This module holds the instance/storyline containers, their
-validation, the crossing-counting oracle used to score every algorithm, the
-min-plus DP that orders the characters of fixed layers, and the exhaustive
-optimum for small instances: one min-plus DP over slices, whose state is the
-order of the characters two consecutive slices share and whose layers take
-their candidate orders from the same per-layer class tables.
+validation, the crossing-counting oracle used to score every algorithm, and
+one min-plus engine over the candidate orders of a run of layers, with two
+callers: the ordering of the characters of fixed layers, and the exhaustive
+optimum for small instances, one engine run per plan of every slice, whose
+state is the order of the characters two consecutive slices share.
 
 Characters and timestamps are dense integer indices into the instance name
 lists.  An instance computes its per-timestamp tables (``by_time``,
@@ -497,8 +497,8 @@ def _layer_orders(
 def _mask_order(
     chars: Collection[CharId], mask: int, bit: Mapping[tuple[CharId, CharId], int]
 ) -> tuple[CharId, ...]:
-    """The order of ``chars`` whose pair mask is ``mask``: each character
-    ranks by the number of others its pairs put before it."""
+    """The order of ``chars`` whose pair mask is ``mask`` (other bits are
+    ignored): each character ranks by the number of others put before it."""
     before = dict.fromkeys(chars, 0)
     for u, v in itertools.combinations(sorted(chars), 2):
         before[v if mask & bit[(u, v)] else u] += 1
@@ -530,7 +530,7 @@ def _gate_classes(
     orders agreeing there only the least mask can lie on the least key.
     With ``gated`` 0 all orders form one class and none is listed: its
     entry is the mask of the descending order, the least mask when earlier
-    pairs take higher bits, as in :func:`order_fixed_layers`.  Otherwise
+    pairs take higher bits, as in :func:`_pair_bits`.  Otherwise
     :func:`_layer_orders` lists every mask.
     """
     if not gated:
@@ -546,10 +546,65 @@ def _gate_classes(
     return least_in
 
 
+def _pair_bits(chars: Collection[CharId]) -> dict[tuple[CharId, CharId], int]:
+    """One bit per pair of ``chars`` in index order, earlier pairs in higher
+    bits, so masks compare like bit vectors; a set's gate is its sorted mask."""
+    pairs = list(itertools.combinations(sorted(chars), 2))
+    return {pair: 1 << k for k, pair in enumerate(reversed(pairs))}
+
+
+def _min_plus(
+    states: Mapping[int, tuple[int, int]],
+    tables: Sequence[Mapping[int, int]],
+    gates: Sequence[int],
+    width: int,
+    deadline: float = math.inf,
+) -> dict[int, tuple[int, int]] | None:
+    """Least ``(crossings, key)`` per exit class of the paths through layers.
+
+    A path enters at a mask of ``states``, takes a candidate mask (a value of
+    :func:`_gate_classes`) from each of ``tables``, one at least, and pays,
+    at layer k, its flips in ``gates[k]`` (``[entry, gap_1, ..., exit]``);
+    its exit class is its last mask & ``gates[-1]``.  Keys gain ``width``-bit
+    fields, earlier ones in higher bits: the flips at each gate but the
+    exit, then each layer's mask, as :func:`order_fixed_layers` ranks them;
+    width 0 makes every key 0.  A layer keeps one state per class of its gate
+    to the next, as the rest of a path depends on no other bit.  Candidates
+    of one gate class see the same flips: their least crossing sum over the
+    states comes first, then the least key among the states reaching it.
+    None once ``deadline`` passes; the clock is read once per candidate.
+    """
+    n = len(tables)
+    for k, (table, gate) in enumerate(zip(tables, gates)):
+        flip_unit = width and 1 << (2 * n - 1 - k) * width
+        order_unit = width and 1 << (n - 1 - k) * width
+        gated_in = [m1 & gate for m1 in states]
+        costs = [c for c, _key in states.values()]
+        keys = [key for _c, key in states.values()]
+        least_for: dict[int, tuple[int, int]] = {}
+        nxt: dict[int, tuple[int, int]] = {}
+        for m2 in table.values():
+            if time.monotonic() > deadline:
+                return None
+            g2 = m2 & gate
+            if g2 not in least_for:
+                sums = [c + (g1 ^ g2).bit_count() for c, g1 in zip(costs, gated_in)]
+                low = min(sums)
+                least_for[g2] = low, width and min(
+                    key + (g1 ^ g2) * flip_unit
+                    for total, key, g1 in zip(sums, keys, gated_in)
+                    if total == low
+                )
+            low, key = least_for[g2]
+            cls, best = m2 & gates[k + 1], (low, key + m2 * order_unit)
+            nxt[cls] = min(best, nxt.get(cls, best))
+        states = nxt
+    return states
+
+
 def order_fixed_layers(
     layers: Sequence[tuple[Sequence[Collection[CharId]], frozenset[CharId]]],
     deadline: float = math.inf,
-    guard: float = DEFAULT_SEARCH_GUARD,
 ) -> tuple[list[tuple[CharId, ...]], int, bool]:
     """Character orders of fixed layers: ``(orders, crossings, proven)``.
 
@@ -558,27 +613,17 @@ def order_fixed_layers(
     Every layer starts in descending order: blocks (groups and lone
     characters) by descending smallest character, characters descending
     inside a block.  Its cost is the oracle's count (co-present pairs that
-    flip, as in :func:`gap_crossings`).  Unless that cost is 0, a min-plus DP
-    over the candidate orders C_i of every layer proves the optimum,
-    provided the sum of |C_i|·|C_{i+1}| is at most ``guard`` and
-    ``deadline`` (on the ``time.monotonic`` clock) does not pass first;
-    otherwise the start comes back with its cost, unproven.  The DP keeps
-    the descending orders if they are optimal, and otherwise returns the
-    optimum least in this key: crossings, then per gap the flip bit of every
-    co-present pair, then per layer the "smaller character first" bit of
-    every pair, pairs in index order, 0 before 1.
-
-    A layer's candidates are pair masks, one per class of orders that agree
-    on the pairs it shares with its neighbours (:func:`_gate_classes`), each
-    composed from per-block masks without spelling the order out; only the
-    optimum's masks are turned back into orders.  The DP carries, per
-    candidate of the current layer, the least crossings of a path ending
-    there beside the rest of that path's key.  For each candidate of the
-    next layer it takes the least crossing sum over the incoming states with
-    small-integer popcounts and compares keys only among the states that
-    reach that sum; as crossings rank above every other field, this is the
-    least full key.  Candidates that agree on the gate to the previous layer
-    see the same flips, so that minimum is computed once per gate class.
+    flip, as in :func:`gap_crossings`).  Unless that cost is 0, one
+    :func:`_min_plus` run over the candidate orders C_i of every layer, one
+    per class of orders that agree on the pairs shared with its neighbours
+    (:func:`_gate_classes`), proves the optimum, provided the sum of
+    |C_i|·|C_{i+1}| is at most ``DEFAULT_SEARCH_GUARD`` and ``deadline`` (on
+    the ``time.monotonic`` clock) does not pass first; otherwise the start
+    comes back with its cost, unproven.  The DP keeps the descending orders
+    if they are optimal, and otherwise returns the optimum least in this
+    key: crossings, then per gap the flip bit of every co-present pair, then
+    per layer the "smaller character first" bit of every pair, pairs in
+    index order, 0 before 1.
     """
     blocks = [_blocks(groups, active) for groups, active in layers]
     start = [_descending(runs) for runs in blocks]
@@ -587,61 +632,20 @@ def order_fixed_layers(
         for o1, o2, (_g, a1), (_h, a2) in zip(start, start[1:], layers, layers[1:])
     )
     counts = [_order_count(runs) for runs in blocks]
-    if cost == 0 or sum(a * b for a, b in itertools.pairwise(counts)) > guard:
+    if cost == 0 or sum(a * b for a, b in itertools.pairwise(counts)) > DEFAULT_SEARCH_GUARD:
         return start, cost, cost == 0
 
-    chars = sorted(set().union(*(active for _groups, active in layers)))
-    # Earlier pairs take higher bits, so masks compare like bit vectors.
-    pairs = list(itertools.combinations(chars, 2))
-    width = len(pairs)
-    bit = {pair: 1 << (width - 1 - k) for k, pair in enumerate(pairs)}
-    gates = [
-        sum(bit[p] for p in itertools.combinations(sorted(a & b), 2))
-        for (_g, a), (_h, b) in itertools.pairwise(layers)
-    ]
-    by_mask: list[list[int]] = []
-    for li, runs in enumerate(blocks):
-        gated = (gates[li - 1] if li else 0) | (gates[li] if li < len(gates) else 0)
-        least_in = _gate_classes(runs, bit, gated, deadline)
-        if least_in is None:
-            return start, cost, False
-        by_mask.append(list(least_in.values()))
-
-    # Per path its crossings, and one integer key: the flip masks of gaps
-    # 0..n-2 above the order masks of layers 0..n-1, each field ``width``
-    # bits.  Fields never overlap, so sums compare like the key tuples, and
-    # the least key spells out its own orders.
-    n = len(layers)
-    costs = [0] * len(by_mask[0])
-    keys = [m << ((n - 1) * width) for m in by_mask[0]]
-    for gi, gate in enumerate(gates):
-        flip_shift = (2 * n - 2 - gi) * width
-        order_shift = (n - 2 - gi) * width
-        gated_in = [m1 & gate for m1 in by_mask[gi]]
-        least_for: dict[int, tuple[int, int]] = {}
-        nxt_costs, nxt_keys = [], []
-        for m2 in by_mask[gi + 1]:
-            if time.monotonic() > deadline:
-                return start, cost, False
-            g2 = m2 & gate
-            if g2 not in least_for:
-                sums = [c + (g1 ^ g2).bit_count() for c, g1 in zip(costs, gated_in)]
-                low = min(sums)
-                least_for[g2] = low, min(
-                    key + ((g1 ^ g2) << flip_shift)
-                    for total, key, g1 in zip(sums, keys, gated_in)
-                    if total == low
-                )
-            low, key = least_for[g2]
-            nxt_costs.append(low)
-            nxt_keys.append(key + (m2 << order_shift))
-        costs, keys = nxt_costs, nxt_keys
-    crossings, least = min(zip(costs, keys))
-    if crossings == cost:
-        return start, cost, True
-    field = (1 << width) - 1
+    bit = _pair_bits(set().union(*(active for _groups, active in layers)))
+    width = len(bit)
+    shared = (sorted(a & b) for (_g, a), (_h, b) in itertools.pairwise(layers))
+    gates = [0, *(_order_mask(common, bit) for common in shared), 0]
+    tables = [_gate_classes(r, bit, g | h, deadline) for r, g, h in zip(blocks, gates, gates[1:])]
+    best = None if None in tables else _min_plus({0: (0, 0)}, tables, gates, width, deadline)
+    if best is None or best[0][0] == cost:
+        return start, cost, best is not None
+    crossings, least = best[0]
     orders = [
-        _mask_order(active, (least >> ((n - 1 - li) * width)) & field, bit)
+        _mask_order(active, least >> (len(layers) - 1 - li) * width, bit)
         for li, (_groups, active) in enumerate(layers)
     ]
     return orders, crossings, True
@@ -668,7 +672,6 @@ def brute_force_optimum(
     inst: StorylineInstance,
     activity: ActivityMode = "span",
     budgets: Mapping[TimeId, int] | None = None,
-    guard: int = EXHAUSTIVE_GUARD,
 ) -> int:
     """Least crossings of any legal storyline, by a min-plus DP over slices.
 
@@ -678,17 +681,18 @@ def brute_force_optimum(
     from its first to its last interaction timestamp, ``minimal`` from its
     first to its last interaction layer; either way consecutive slices
     share ``potential[t] & potential[t']``, and the DP's state is their
-    order as a pair mask.  Each plan runs from the states through its
-    layers, one order per gate class as in :func:`order_fixed_layers`; a
-    slice with one exit state (the last, say) stops once a plan reaches
-    the least incoming cost.  Plans are generated as the DP reaches them,
-    and each costs at least one term.  Passing ``guard`` min-plus terms, or
-    a layer with more orders than ``guard``, raises
-    :class:`SearchSpaceError`; so a refused call costs up to ``guard``
+    order as a pair mask.  Each plan is one :func:`_min_plus` run from the
+    states through its layers; a slice with one exit state (the last, say)
+    stops once a plan reaches the least incoming cost.  Plans are generated
+    as the DP reaches them, and each costs at least one term (a layer's
+    incoming states times its candidates).  Passing ``EXHAUSTIVE_GUARD``
+    terms, or a layer with more orders than it, raises
+    :class:`SearchSpaceError`; so a refused call costs up to that many
     terms, seconds at the default.
     """
     if activity not in ("span", "minimal"):
         raise ValueError(f"unknown activity mode {activity!r}")
+    guard = EXHAUSTIVE_GUARD
     times = [t for t, items in enumerate(inst.by_time) if items]
     per_time = []
     for t in times:
@@ -700,41 +704,37 @@ def brute_force_optimum(
                 f"layer budget {limit} is below the chromatic number at timestamp {t}"
             )
         per_time.append(itertools.chain((first,), plans))
-    bit = {p: 1 << k for k, p in enumerate(itertools.combinations(range(inst.num_characters), 2))}
+    bit = _pair_bits(range(inst.num_characters))
 
-    def gate(chars: Collection[CharId]) -> int:
-        return sum(bit[p] for p in itertools.combinations(sorted(chars), 2))
-
-    classes: dict[tuple, list[int]] = {}
-    states, shared_in, terms = {0: 0}, frozenset(), 0
+    classes: dict[tuple, dict[int, int]] = {}
+    states, shared_in, terms = {0: (0, 0)}, frozenset(), 0
     for t, plans, nxt in zip(times, per_time, [*times[1:], None]):
         pot = inst.potential[t]
         shared = frozenset() if nxt is None else pot & inst.potential[nxt]
-        entry, exit_gate, floor, out = gate(shared_in), gate(shared), min(states.values()), {}
+        floor, out = min(states.values())[0], {}
         for plan in plans:
             groups = [[it.characters for it in layer] for layer in plan]
             actives = [pot] * len(plan)
             if activity == "minimal":
                 actives = _minimal_activity([[shared_in], *groups, [shared]])[1:-1]
-            gates = [entry, *(gate(a & b) for a, b in itertools.pairwise(actives)), exit_gate]
-            costs = states
+            # The entry and exit shares lie in the first and last layers.
+            ends = itertools.pairwise([shared_in, *actives, shared])
+            gates = [_order_mask(sorted(a & b), bit) for a, b in ends]
+            tables: list[dict[int, int]] = []
             for k, (layer, act) in enumerate(zip(groups, actives)):
                 key = (tuple(it.id for it in plan[k]), act, gates[k] | gates[k + 1])
                 if key not in classes:
                     runs = _blocks(layer, act)
                     if _order_count(runs) > guard:
                         raise SearchSpaceError(f"search space too large: {guard}+ layer orders")
-                    classes[key] = list(_gate_classes(runs, bit, key[2]))
-                terms += len(costs) * len(classes[key])
+                    classes[key] = _gate_classes(runs, bit, key[2])
+                terms += len(tables[-1] if tables else states) * len(classes[key])
                 if terms > guard:
                     raise SearchSpaceError(f"search space too large: over {guard} min-plus terms")
-                costs = {
-                    m2: min(c + ((m1 ^ m2) & gates[k]).bit_count() for m1, c in costs.items())
-                    for m2 in classes[key]
-                }
-            for m, c in costs.items():
-                out[m & exit_gate] = min(c, out.get(m & exit_gate, c))
-            if not exit_gate and out[0] == floor:
+                tables.append(classes[key])
+            for cls, best in _min_plus(states, tables, gates, 0).items():
+                out[cls] = min(best, out.get(cls, best))
+            if not gates[-1] and out[0][0] == floor:
                 break
         states, shared_in = out, shared
-    return min(states.values())
+    return min(states.values())[0]

@@ -6,8 +6,9 @@ minimum-weight Hamiltonian path under the chosen crossing estimate (exactly
 up to ``ordering.MAX_EXACT_PATH_NODES`` layers while the budget lasts, by
 nearest neighbour plus 2-opt, cut at the budget, otherwise) and orient each
 path against the slice before it, then (iii) order the characters of the
-now fixed layers with :func:`core.order_fixed_layers`, a min-plus DP over
-every layer's candidate orders when they are few enough.  The two variants
+now fixed layers with :func:`core.order_fixed_layers`, one run of the
+min-plus engine that the exhaustive optimum also runs, over every layer's
+candidate orders when they are few enough.  The two variants
 differ only in the stage (ii) edge weights: partition similarity ("rand")
 or unavoidable-pattern counts ("pattern").
 """

@@ -591,6 +591,36 @@ def reference_fixed_orders(layers) -> tuple[list[tuple[int, ...]], int]:
     return list(best), key(best)[0]
 
 
+def reference_min_plus(states, tables, gates, width) -> dict[int, tuple[int, int]]:
+    """Reference for ``core._min_plus``: the least ``(crossings, key)`` per
+    exit class, by scoring every path in full.
+
+    A path is an entry state and one candidate (a value of each table) per
+    layer; layer k pays the flips of its mask against the one before it on
+    the bits of ``gates[k]``.  Paths are compared on the tuple (crossings,
+    entry key, flip mask per layer, candidate per layer), and the least of
+    each exit class (last candidate & ``gates[-1]``) has those masks packed,
+    ``width`` bits a field, earlier fields higher, and added to its entry
+    key, which must lie above every field; width 0 makes every key 0.
+    """
+    best = {}
+    for (m0, (c0, key0)), *path in itertools.product(
+        states.items(), *(table.values() for table in tables)
+    ):
+        flips = [(a ^ b) & g for a, b, g in zip([m0, *path], path, gates)]
+        rank = (c0 + sum(bin(f).count("1") for f in flips), key0, tuple(flips), tuple(path))
+        cls = path[-1] & gates[-1]
+        if cls not in best or rank < best[cls]:
+            best[cls] = rank
+    out = {}
+    for cls, (crossings, key0, flips, path) in best.items():
+        key = 0
+        for field in (*flips, *path):
+            key = (key << width) | field
+        out[cls] = (crossings, key0 + key if width else 0)
+    return out
+
+
 # The rules of ``bip.validate_program`` checked one at a time, without its
 # combined per-term condition (with the module constants it reads), as the
 # reference for the differential test.
