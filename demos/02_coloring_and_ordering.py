@@ -13,6 +13,7 @@ from pathlib import Path
 
 import storyweave as sw
 from storyweave import files
+from storyweave.ordering import layer_distance
 
 HERE = Path(__file__).parent
 inst = files.load_instance(HERE / "data" / "workshop.json")
@@ -56,10 +57,13 @@ layers = [
     (frozenset({0, 1}), frozenset({2, 3})),   # ab | cd again
 ]
 for heuristic in ("rand", "pattern"):
-    weights = sw.build_slice_graph(layers, heuristic)  # symmetric matrix
+    # A symmetric int matrix: each pair's exact weight, scaled to a common
+    # denominator.
+    weights = sw.build_slice_graph(layers, heuristic)
     order = sw.min_path_order(weights)
-    cost = sum(weights[a][b] for a, b in zip(order, order[1:]))
-    if isinstance(cost, Fraction):
+    cost = sum(Fraction(*layer_distance(layers[a], layers[b], heuristic))
+               for a, b in zip(order, order[1:]))
+    if cost.denominator != 1:
         cost = f"{cost} (= {float(cost):.3f})"
     print(f"{heuristic:>7} weights -> layer order {order}, path cost {cost}")
 # Both put the twin ab|cd layers next to each other, so at most one

@@ -32,7 +32,14 @@ and no section keyword such as ``End``, which would end a section; so
 The solver works in exact integer arithmetic: coefficients, right-hand
 sides and objective weights are integers (scale rationals while building
 the model).  Bounding uses the partial objective plus 0/1 bound
-propagation; there is deliberately no LP relaxation.  The solver keeps every
+propagation; there is deliberately no LP relaxation.  The bound is checked
+inside propagation: before a variable is set to one, by branching or by a
+row, its objective coefficient is added to the node's and compared with the
+incumbent's, and a node that reaches the incumbent stops there, before that
+variable is trailed; a node that starts at the incumbent, as the root can
+after the dive, stops before it sets anything.  Objective coefficients are
+non-negative, so such a node could only have been pruned at its fixpoint,
+and the search tree is the same as with a check there.  The solver keeps every
 row in one form, ``sum(coef * x) <= rhs``: a ``<=`` row keeps its own terms
 tuple, a ``>=`` row is negated into a new list, and an ``=`` row becomes
 one row of each sign.  Per row it keeps the largest |coef|, ``reach``, and
@@ -281,7 +288,9 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     exact integer arithmetic this makes every run reproducible.  A single
     greedy dive runs first to seed the incumbent, so interrupted solves
     still report an upper bound.  A node is pruned as soon as the objective
-    of its forced-one variables reaches the incumbent.  Every row is kept
+    of its forced-one variables reaches the incumbent: propagation compares
+    the two before it sets any variable to one and gives up at once, so no
+    node runs on to its fixpoint just to be pruned there.  Every row is kept
     as ``sum(coef * x) <= rhs`` (``>=`` negated, ``=`` split in two), and
     propagation is event-driven: after the root pass, a row is examined only
     when an assignment leaves it tight enough to force a variable or to
@@ -354,17 +363,25 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     value = [-1] * nvars
     trail: list[int] = []
     cur_obj = 0
+    # The incumbent's objective, infinite until there is one: propagation
+    # gives up on a node as soon as its objective reaches it.
+    cutoff: float = math.inf
     pending: list[int] = []  # rows to examine, each at most once
     queued = bytearray(len(slack))
 
     def propagate(vi: int, val: int) -> bool:
         """Set a variable, queue every row it leaves tight, and run the
-        queue."""
+        queue; False, with nothing set, if the node's objective would reach
+        the cutoff."""
         nonlocal cur_obj
+        if val:
+            if cur_obj + obj[vi] >= cutoff:
+                return False
+            cur_obj += obj[vi]
+        elif cur_obj >= cutoff:  # the root, when the dive met its bound
+            return False
         value[vi] = val
         trail.append(vi)
-        if val:
-            cur_obj += obj[vi]
         for k, a in raises[val][vi]:
             s = slack[k] - a
             slack[k] = s
@@ -382,7 +399,9 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         :func:`propagate` does.  Bound propagation is monotone, so the
         fixpoint and whether it fails do not depend on the queue order.
         Forcing never lowers the scanned row's own slack, so ``room`` holds
-        for a whole scan.
+        for a whole scan.  A forced 1 that would take the objective to the
+        cutoff fails the node like a conflict, before the variable is
+        trailed, so ``undo_to`` finds every trailed variable's rows updated.
         """
         nonlocal cur_obj
         while pending:
@@ -393,20 +412,27 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
                 break
             for coef, u in cons_terms[k]:
                 if value[u] == -1 and (coef > room or -coef > room):
-                    val = 0 if coef > 0 else 1
+                    if coef > 0:
+                        val = 0
+                    else:
+                        val = 1
+                        if cur_obj + obj[u] >= cutoff:
+                            break
+                        cur_obj += obj[u]
                     value[u] = val
                     trail.append(u)
-                    if val:
-                        cur_obj += obj[u]
                     for j, a in raises[val][u]:
                         s = slack[j] - a
                         slack[j] = s
                         if s < 0 and not queued[j]:
                             queued[j] = 1
                             pending.append(j)
+            else:
+                continue
+            break
         else:
             return True
-        # Conflict: drop whatever is still queued.
+        # Conflict or cutoff: drop whatever is still queued.
         for k in pending:
             queued[k] = 0
         pending.clear()
@@ -433,7 +459,6 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         return start
 
     best_assignment: list[int] | None = None
-    best_obj: int | None = None
     nodes = 0
     timed_out = False
 
@@ -452,7 +477,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         when the deadline passes).  Runs on its own trail segment and
         leaves the state untouched.
         """
-        nonlocal best_assignment, best_obj
+        nonlocal best_assignment, cutoff
         mark = len(trail)
         for vi in sorted(range(nvars), key=obj.__getitem__):
             if value[vi] != -1:
@@ -469,7 +494,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
             undo_to(mark)
             return
         best_assignment = list(value)
-        best_obj = cur_obj
+        cutoff = cur_obj
         undo_to(mark)
 
     if root_ok:
@@ -482,7 +507,7 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
         pos = next_unassigned(0)
         if pos == nvars:
             best_assignment = list(value)
-            best_obj = cur_obj
+            cutoff = cur_obj
         else:
             frames.append([pos, 0, len(trail), cur_obj])
 
@@ -507,15 +532,14 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
             timed_out = True
         if not propagate(order[f[0]], val):
             continue
-        if best_obj is not None and cur_obj >= best_obj:
-            continue
         pos = next_unassigned(f[0] + 1)
         if pos == nvars:
             best_assignment = list(value)
-            best_obj = cur_obj
+            cutoff = cur_obj
             continue
         frames.append([pos, 0, len(trail), cur_obj])
 
+    best_obj = None if best_assignment is None else cutoff
     bound = min((b for b in (best_obj, open_bound) if b is not None), default=None)
     status = INFEASIBLE if bound is None else OPTIMAL if bound == best_obj else FEASIBLE_TIMEOUT
     assignment = None if best_assignment is None else tuple(best_assignment)

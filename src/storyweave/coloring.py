@@ -82,9 +82,25 @@ def min_coloring(g: ConflictGraph, cap: int | None = None) -> Coloring:
     what a 0/1 program over assign[v, c], branched value-0-first in node
     order, returns; the classes, hence the pipeline's layers and their
     order, stay those of the 0/1 formulation this search replaced.
+
+    A graph of at most two nodes gets the search's answer without the
+    search: two nodes share a color unless they are adjacent or ``cap`` is
+    1, and then the first one takes color 1.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
+    nodes = g.nodes
+    if len(nodes) < 2:
+        return Coloring(dict.fromkeys(nodes, 0), len(nodes))
+    if len(nodes) == 2:
+        if g.edges or cap == 1:
+            return Coloring({nodes[0]: 1, nodes[1]: 0}, 2)
+        return Coloring(dict.fromkeys(nodes, 0), 1)
+    return _palette_search(g, cap)
+
+
+def _palette_search(g: ConflictGraph, cap: int | None) -> Coloring:
+    """The search of :func:`min_coloring`, for any number of nodes."""
     nodes = g.nodes
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}

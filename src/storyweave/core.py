@@ -30,10 +30,11 @@ import itertools
 import math
 import re
 import time
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Collection, Iterator, Literal, Mapping, Sequence
+from typing import Literal
 
 CharId = int
 TimeId = int

@@ -39,10 +39,10 @@ import dataclasses
 import io
 import json
 import os
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from .core import (
     CombinatorialStoryline,

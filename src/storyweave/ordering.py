@@ -117,41 +117,42 @@ def pattern_count(a: LayerGroups, b: LayerGroups) -> int:
     return total
 
 
-def build_slice_graph(layers: Sequence[LayerGroups], heuristic: str) -> Weights:
-    """Edge weights of the complete graph over one slice's layers.
+def build_slice_graph(
+    layers: Sequence[LayerGroups], heuristic: str
+) -> tuple[tuple[int, ...], ...]:
+    """Edge weights of the complete graph over one slice's layers, as ints.
 
-    ``pattern`` weights edges by :func:`pattern_count`; ``rand`` by
-    1 - :func:`rand_index`, turning similarity into a distance so that the
-    path solver can minimize.
+    Each edge weighs :func:`layer_distance`, times the least common multiple
+    of the slice's denominators.  A positive scale keeps every comparison
+    and tie, so both path solvers return the paths the exact ratios give,
+    and int sums are several times cheaper than :class:`Fraction` sums.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
     n = len(layers)
-    weights = [[Fraction(0) if heuristic == "rand" else 0] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        w = layer_weight(layers[i], layers[j], heuristic)
-        weights[i][j] = w
-        weights[j][i] = w
+    pairs = list(itertools.combinations(range(n), 2))
+    ratios = [layer_distance(layers[i], layers[j], heuristic) for i, j in pairs]
+    scale = math.lcm(*(den for _num, den in ratios))
+    weights = [[0] * n for _ in range(n)]
+    for (i, j), (num, den) in zip(pairs, ratios):
+        weights[i][j] = weights[j][i] = num * (scale // den)
     return tuple(tuple(row) for row in weights)
 
 
-def layer_weight(a: LayerGroups, b: LayerGroups, heuristic: str) -> Fraction | int:
-    if heuristic == "pattern":
-        return pattern_count(a, b)
-    if heuristic == "rand":
-        return Fraction(1) - rand_index(a, b)
-    raise ValueError(f"unknown heuristic {heuristic!r}")
+def layer_distance(a: LayerGroups, b: LayerGroups, heuristic: str) -> tuple[int, int]:
+    """The weight of a layer pair as an exact ratio ``(num, den)``, den > 0.
 
-
-def integer_weights(w: Weights) -> Weights:
-    """``w`` times the least common denominator of its entries, as ints.
-
-    A positive scale keeps every comparison and tie, so both path solvers
-    return the same paths on the result, and int sums are several times
-    cheaper than :class:`Fraction` sums.  An int matrix keeps its values.
+    ``pattern`` is :func:`pattern_count` over 1; ``rand`` is
+    1 - :func:`rand_index`, turning similarity into a distance so that the
+    path solver can minimize: the shared pairs grouped differently in the
+    two layers over all shared pairs, or 0 over 1 when there are none.
     """
-    scale = math.lcm(*(x.denominator for row in w for x in row))
-    return tuple(tuple(int(x * scale) for x in row) for row in w)
+    if heuristic == "pattern":
+        return pattern_count(a, b), 1
+    if heuristic == "rand":
+        c = rand_counts(a, b)
+        return c.apart_then_together + c.together_then_apart, c.universe or 1
+    raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
 def min_path_order(w: Weights, deadline: float = math.inf) -> list[int] | None:

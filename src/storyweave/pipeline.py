@@ -63,15 +63,16 @@ def orient_slice_paths(
     smaller weight than its first against the previous slice's last layer,
     as that slice is drawn.  Ties, and the first slice, keep the canonical
     direction, so a slice whose end layers are equal is never reversed; a
-    one-layer slice is not scored at all.
+    one-layer slice is not scored at all.  The weights are exact ratios,
+    compared by cross-multiplication.
     """
     flips = [False] * len(slices)
     for k, (prev, s) in enumerate(itertools.pairwise(slices), 1):
-        last = prev[0] if flips[k - 1] else prev[-1]
-        flips[k] = len(s) > 1 and (
-            ordering.layer_weight(last, s[-1], heuristic)
-            < ordering.layer_weight(last, s[0], heuristic)
-        )
+        if len(s) > 1:
+            last = prev[0] if flips[k - 1] else prev[-1]
+            num_end, den_end = ordering.layer_distance(last, s[-1], heuristic)
+            num_start, den_start = ordering.layer_distance(last, s[0], heuristic)
+            flips[k] = num_end * den_start < num_start * den_end
     return flips
 
 
@@ -103,11 +104,12 @@ def run_pipeline(
             slices.append((t, layers))
     t_color = time.monotonic()
 
-    # Stage (ii): order each slice's layers along a cheapest path, then orient it.
+    # Stage (ii): order each slice's layers along a cheapest path, then orient
+    # it.  A one-layer slice has one path, [0].
     for t, layers in slices:
-        weights = ordering.integer_weights(
-            ordering.build_slice_graph([groups for _ids, groups in layers], cfg.heuristic)
-        )
+        if len(layers) == 1:
+            continue
+        weights = ordering.build_slice_graph([groups for _ids, groups in layers], cfg.heuristic)
         path = ordering.min_path_order(weights, deadline)
         if path is None:
             log.info("timestamp %d: %d layers, ordered heuristically", t, len(layers))

@@ -247,6 +247,26 @@ class TestSolve:
             "f49e7bc51eb02c7aa20aaee61a4f30b210f06247e758ed2c287096d4c6963da9"
         )
 
+    def test_second_draw_search_trees_pinned(self):
+        # The same digest over a second draw, recorded from the solver that
+        # pruned a node only at its propagation fixpoint; stopping
+        # propagation at the incumbent must not change an outcome or a
+        # node count.
+        h = hashlib.sha256()
+        nodes = 0
+        for _inst, _kind, program, _cat in small_models(29, 40):
+            r = bip.solve(program, timeout=60)
+            nodes += r.nodes
+            h.update(
+                repr(
+                    (r.status, r.assignment, r.objective_value, r.best_lower_bound, r.nodes)
+                ).encode()
+            )
+        assert nodes == 28676
+        assert h.hexdigest() == (
+            "ff01dcd43954717b87a4e544ddc305a5df18a414a3b5b23e3045b840ba8ee9c0"
+        )
+
     def test_solution_satisfies_all_constraints(self):
         rng = random.Random(1)
         for _ in range(80):

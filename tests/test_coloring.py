@@ -7,7 +7,7 @@ import pytest
 
 import storyweave as sw
 from helpers import brute_chromatic, wide_instances
-from storyweave.coloring import greedy_clique
+from storyweave.coloring import _palette_search, greedy_clique
 from test_core import make_instance
 
 
@@ -132,6 +132,22 @@ class TestMinColoring:
     )
     def test_exact_classes(self, n, edges, cap, classes):
         assert sw.min_coloring(graph(n, edges), cap=cap).classes() == classes
+
+    # Graphs of at most two nodes skip the search; they must get its answer,
+    # down to the order of the assignment.
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [((), ()), ((7,), ()), ((5, 3), ()), ((5, 3), ((5, 3),))],
+    )
+    def test_tiny_graphs_match_the_search(self, nodes, edges, cap):
+        g = sw.ConflictGraph(nodes, edges)
+        col = sw.min_coloring(g, cap)
+        searched = _palette_search(g, cap)
+        assert (col.num_colors, list(col.assignment.items())) == (
+            searched.num_colors,
+            list(searched.assignment.items()),
+        )
 
     def test_hard_graph_is_fast(self):
         # A 13-node, 40-edge conflict graph with chromatic number 7 that once

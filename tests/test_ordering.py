@@ -1,13 +1,12 @@
 import dataclasses
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import storyweave as sw
-from storyweave.ordering import MAX_EXACT_PATH_NODES, integer_weights, layer_weight
+from storyweave.ordering import MAX_EXACT_PATH_NODES, layer_distance
 from helpers import brute_best_path, reference_rand_counts
 
 
@@ -130,8 +129,8 @@ class TestSliceGraph:
             sw.build_slice_graph([WORKED_LEFT], "cosine")
 
     def test_rand_weight_is_distance(self):
-        w = layer_weight(WORKED_LEFT, WORKED_RIGHT, "rand")
-        assert w == Fraction(2, 3)
+        assert layer_distance(WORKED_LEFT, WORKED_RIGHT, "rand") == (4, 6)
+        assert Fraction(4, 6) == 1 - sw.rand_index(WORKED_LEFT, WORKED_RIGHT)
 
 
 def weight_graph(matrix):
@@ -265,24 +264,25 @@ class TestApproxPathOrder:
         assert sw.approx_path_order(weight_graph(matrix)) != path
 
 
-class TestIntegerWeights:
+class TestIntegerSliceWeights:
     def test_same_paths_as_fraction_weights(self):
-        # Few distinct values, so ties between paths are common.
+        # Few characters per layer, so ties between paths are common.
         rng = random.Random(14)
-        values = [Fraction(k, d) for d in (1, 2, 3, 4, 6) for k in range(d + 1)]
+        exact = {
+            "rand": lambda a, b: 1 - sw.rand_index(a, b),
+            "pattern": lambda a, b: Fraction(sw.pattern_count(a, b)),
+        }
         for k in range(60):
-            n = rng.randint(1, 9)
-            matrix = [[Fraction(0)] * n for _ in range(n)]
-            for i, j in itertools.combinations(range(n), 2):
-                matrix[i][j] = matrix[j][i] = rng.choice(values)
-            scale = math.prod({x.denominator for row in matrix for x in row})
-            hand = weight_graph([[int(x * scale) for x in row] for row in matrix])
-            fractions = weight_graph(matrix)
-            scaled = integer_weights(fractions)
-            assert all(type(x) is int for row in scaled for x in row)
-            for solve in (sw.min_path_order, sw.approx_path_order):
-                assert solve(fractions) == solve(hand) == solve(scaled), f"matrix {k}"
-
-    def test_int_weights_keep_their_values(self):
-        g = weight_graph([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
-        assert integer_weights(g) == g
+            layers = [random_layer(rng, chars=5) for _ in range(rng.randint(1, 9))]
+            for heuristic, weight in exact.items():
+                n = len(layers)
+                fractions = weight_graph(
+                    [
+                        [Fraction(0) if i == j else weight(layers[i], layers[j]) for j in range(n)]
+                        for i in range(n)
+                    ]
+                )
+                scaled = sw.build_slice_graph(layers, heuristic)
+                assert all(type(x) is int for row in scaled for x in row)
+                for solve in (sw.min_path_order, sw.approx_path_order):
+                    assert solve(fractions) == solve(scaled), f"{heuristic} slice {k}"
