@@ -8,7 +8,8 @@ Subcommands::
     storyweave render <storyline> <instance> -o <svg>
     storyweave bench <manifest> -o <csv> [--jobs N]
 
-Set ``STORYWEAVE_LOG`` (debug/info/warning/error) to control verbosity.
+Set ``STORYWEAVE_LOG`` (debug/info/warning/error/critical) to control
+verbosity; any other value means warning.
 
 A bench manifest is a JSON document::
 
@@ -37,6 +38,9 @@ log = logging.getLogger(__name__)
 
 ALGORITHMS = ("ps", "pp", *formulations.EXACT_KINDS)
 DEFAULT_TIMEOUT = 3600.0
+# STORYWEAVE_LOG values; any other falls back to WARNING.  The logging
+# module has other upper-case names, such as BASIC_FORMAT, that are not levels.
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _solve_one(inst, algorithm: str, timeout: float, cap: int | None):
@@ -213,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("STORYWEAVE_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    if level not in _LOG_LEVELS:
+        level = "WARNING"
+    logging.basicConfig(level=getattr(logging, level))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -54,11 +54,13 @@ rather than read off the objective.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import bip, coloring
 from .core import (
@@ -119,6 +121,20 @@ class VariableCatalog:
     active: dict[tuple[CharId, int], bip.VarId] = field(default_factory=dict)
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector for the block, then restore it
+    if, and only if, it was enabled before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_model(
     inst: StorylineInstance,
     kind: ModelKind,
@@ -131,6 +147,14 @@ def build_model(
     earlier slot of the same slice is empty; any storyline reachable without
     the restriction is still reachable with it, at equal cost, by shifting
     its occupied slots to the front of the slice.
+
+    The build, program validation included, runs with the cyclic garbage
+    collector paused.  A wide model allocates hundreds of thousands of
+    row and term tuples, and the young collections they would start
+    free nothing: the model holds only acyclic containers (tuples, lists
+    and dicts of ints, strings and variable ids), so reference counting
+    frees all of it.  The caller's collector state is restored on
+    return, and also when the build raises.
     """
     # The slots of a timestamp share one LayerSlot; slots_at lists their
     # numbers.

@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -325,6 +326,24 @@ class TestBench:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert (f"manifest key {key!r}" if key else "JSON object") in err[0]
         assert not out.exists()
+
+
+class TestLogSetting:
+    WORKSHOP = Path(__file__).parents[1] / "demos" / "data" / "workshop.json"
+
+    @pytest.mark.parametrize(
+        "value, level",
+        [("info", logging.INFO), ("basic_format", logging.WARNING)],
+    )
+    def test_storyweave_log_sets_a_level(self, monkeypatch, capsys, value, level):
+        # logging.BASIC_FORMAT is a format string, not a level, so it must
+        # not reach basicConfig.
+        seen = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.append(kw["level"]))
+        monkeypatch.setenv("STORYWEAVE_LOG", value)
+        assert main(["stats", str(self.WORKSHOP)]) == 0
+        assert seen == [level]
+        assert "dataset: workshop" in capsys.readouterr().out
 
 
 class TestModuleEntryPoint:

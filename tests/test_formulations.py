@@ -175,6 +175,90 @@ class TestBuildModel:
         assert tracked() == []
 
 
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="collection counts and gc.callbacks are CPython collector details",
+)
+class TestCollectorPause:
+    """``build_model`` runs with the cyclic collector paused, which is safe
+    only because a model holds no reference cycles."""
+
+    @staticmethod
+    def cycles_left(inst, model, budgets, symmetry_breaking=True):
+        # What a full collection finds once a model built and exported from
+        # a clean heap is dropped.
+        gc.collect()
+        program, cat = sw.build_model(inst, model, budgets, symmetry_breaking)
+        text = bip.export_lp(program)
+        del program, cat, text
+        return gc.collect()
+
+    @pytest.mark.parametrize("symmetry_breaking", [True, False])
+    def test_small_models_leave_no_cycles(self, symmetry_breaking):
+        for inst, kind, program, cat in small_models(5, 4, symmetry_breaking):
+            del program, cat
+            model = formulations.EXACT_KINDS[kind]
+            budgets = sw.layer_budget(inst, minimize=model.minimize_layers)
+            assert self.cycles_left(inst, model, budgets, symmetry_breaking) == 0, kind
+
+    @pytest.mark.parametrize("kind", ["ilp1ml", "ilp2ml"])
+    def test_wide_models_leave_no_cycles(self, kind):
+        inst = wide_instances(1)[0]
+        model = formulations.EXACT_KINDS[kind]
+        budgets = sw.layer_budget(inst, minimize=True)
+        assert self.cycles_left(inst, model, budgets) == 0
+
+    @pytest.mark.parametrize("kind", ["ilp1ml", "ilp2ml"])
+    def test_wide_build_starts_at_most_one_collection(self, kind):
+        # Without the pause, building these models starts about a hundred
+        # collections; with it, at most the one that sees the new model.
+        inst = wide_instances(1)[0]
+        model = formulations.EXACT_KINDS[kind]
+        budgets = sw.layer_budget(inst, minimize=True)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            sw.build_model(inst, model, budgets)
+        finally:
+            gc.callbacks.remove(count)
+            gc.enable()
+        assert len(starts) <= 1, starts
+
+    def test_collector_enabled_after_build(self):
+        inst = make_instance(PATTERN_PAIR)
+        assert gc.isenabled()
+        try:
+            sw.build_model(inst, sw.ILP2, {0: 2})
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_enabled_after_failed_build(self):
+        inst = make_instance(PATTERN_PAIR)
+        assert gc.isenabled()
+        try:
+            with pytest.raises(ValueError, match="zero slot budget"):
+                sw.build_model(inst, sw.ILP1, {0: 0})
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_disabled_collector_stays_disabled(self):
+        inst = make_instance(PATTERN_PAIR)
+        gc.disable()
+        try:
+            sw.build_model(inst, sw.ILP1, {0: 2})
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
 class TestExactness:
     def test_pattern_instance_unavoidable_crossing(self):
         inst = make_instance(PATTERN_PAIR)
