@@ -55,14 +55,17 @@ trail like a branching value.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import math
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, ParamSpec, Sequence, TypeVar
 
 Op = Literal["<=", ">=", "="]
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
 
 _NAME_CHARS_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 # An LP-safe name: it does not start with a digit, which parse_lp would read
@@ -280,7 +283,31 @@ def _integral(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
+def _collector_paused(fn: Callable[_P, _R]) -> Callable[_P, _R]:
+    """Decorate ``fn`` to run with the cyclic garbage collector disabled;
+    the collector is enabled again afterwards, on error too, if, and only
+    if, it was enabled before.  A plain wrapper rather than a context
+    manager, which costs a few microseconds more per call."""
+
+    @functools.wraps(fn)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+def solve(
+    program: BinaryProgram,
+    timeout: float = 3600.0,
+    *,
+    fixed: Iterable[tuple[int, int]] = (),
+) -> SolveResult:
     """Depth-first branch and bound over 0/1 assignments.
 
     Branching follows a fixed static order (largest objective coefficient
@@ -294,71 +321,37 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     as ``sum(coef * x) <= rhs`` (``>=`` negated, ``=`` split in two), and
     propagation is event-driven: after the root pass, a row is examined only
     when an assignment leaves it tight enough to force a variable or to
-    fail.  The wall clock is checked at every node and at every variable of
-    the dive against a monotonic timer; on timeout the best incumbent is
+    fail.  The rows are compiled into that form with the cyclic garbage
+    collector paused; the search runs with the caller's collector state.
+    The wall clock is checked at every node and at every variable of the
+    dive against a monotonic timer; on timeout the best incumbent is
     returned together with the lower bound proven so far.  A ``timeout``
     that is not positive is legal and stops the search at its first check; a
     nan ``timeout``, which no elapsed time exceeds, raises ValueError.
+
+    ``fixed`` holds ``(index, value)`` pairs: each variable is set to its
+    value and propagated in the root pass, before the dive, exactly as the
+    one-variable row ``x = value`` would be, so the result is the one of
+    the program with those rows added, down to the search tree, without
+    building or validating another program.  An index out of range, or a
+    value other than 0 or 1, raises ValueError; two opposite values for one
+    variable make the program infeasible.
     """
     if math.isnan(timeout):
         raise ValueError("timeout must not be nan")
-    t0 = time.monotonic()
     nvars = len(program.variables)
+    fixed = list(fixed)
+    for vi, val in fixed:
+        if not (_integral(vi) and 0 <= vi < nvars):
+            raise ValueError(f"fixed: unknown variable index {vi!r}")
+        if not (_integral(val) and val in (0, 1)):
+            raise ValueError(f"fixed: value {val!r} is not 0 or 1")
+    t0 = time.monotonic()
 
     obj = [0] * nvars
     for coef, v in program.objective:
         obj[v.index] = coef
-
-    # Flattened row storage for the hot loop.  Row k reads
-    # sum(coef * x) <= rhs over cons_terms[k], and reach[k] is its largest
-    # |coef|.  slack[k] is rhs - reach[k] minus the least value the
-    # left-hand side can still take: the row can force a variable or fail
-    # only once slack[k] < 0, and the left-hand side may still rise by
-    # slack[k] + reach[k].
-    cons_terms: list[Sequence[Term]] = []
-    reach: list[int] = []
-    slack: list[int] = []
-    # raises[val][vi]: the (row, |coef|) pairs whose least left-hand side
-    # rises when variable vi takes value val, from its negative coefficients
-    # for 0 and its positive ones for 1.
-    raise0: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-    raise1: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-    raises = (raise0, raise1)
-    for row, op, rhs in program.constraints:
-        if op != ">=":  # the row itself, or the "<=" half of an "="
-            k = len(slack)
-            rlo = top = 0
-            for coef, vi in row:
-                if coef > 0:
-                    raise1[vi].append((k, coef))
-                    if coef > top:
-                        top = coef
-                else:
-                    rlo += coef
-                    raise0[vi].append((k, -coef))
-                    if -coef > top:
-                        top = -coef
-            cons_terms.append(row)
-            reach.append(top)
-            slack.append(rhs - top - rlo)
-        if op != "<=":  # a ">=" row or half, negated
-            k = len(slack)
-            rlo = top = 0
-            terms = []
-            for coef, vi in row:
-                terms.append((-coef, vi))
-                if coef < 0:
-                    raise1[vi].append((k, -coef))
-                    if -coef > top:
-                        top = -coef
-                else:
-                    rlo -= coef
-                    raise0[vi].append((k, coef))
-                    if coef > top:
-                        top = coef
-            cons_terms.append(terms)
-            reach.append(top)
-            slack.append(-rhs - top - rlo)
+    cons_terms, reach, slack, raises = _compile_rows(program.constraints, nvars)
 
     value = [-1] * nvars
     trail: list[int] = []
@@ -462,11 +455,18 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     nodes = 0
     timed_out = False
 
-    # Root pass: every row that can already force a variable or fail.
+    def fix(vi: int, val: int) -> bool:
+        """Set a fixed value at the root, as its one-variable row would."""
+        if value[vi] == -1:
+            return propagate(vi, val)
+        return value[vi] == val
+
+    # Root pass: every row that can already force a variable or fail, then
+    # the fixed values.  The fixpoint does not depend on the order.
     pending.extend(k for k, s in enumerate(slack) if s < 0)
     for k in pending:
         queued[k] = 1
-    root_ok = run_queue()
+    root_ok = run_queue() and all(itertools.starmap(fix, fixed))
 
     def dive() -> None:
         """Greedy pass seeding the incumbent before the systematic search.
@@ -544,6 +544,69 @@ def solve(program: BinaryProgram, timeout: float = 3600.0) -> SolveResult:
     status = INFEASIBLE if bound is None else OPTIMAL if bound == best_obj else FEASIBLE_TIMEOUT
     assignment = None if best_assignment is None else tuple(best_assignment)
     return SolveResult(status, assignment, best_obj, bound, nodes)
+
+
+@_collector_paused
+def _compile_rows(
+    rows: Sequence[Row], nvars: int
+) -> tuple[
+    list[Sequence[Term]], list[int], list[int], tuple[list[list[tuple[int, int]]], ...]
+]:
+    """The rows of a program in the solver's one form, with the collector
+    paused: a wide model's compile allocates a tuple per term, and the
+    young collections they would start free nothing.
+
+    Returns ``(cons_terms, reach, slack, raises)``.  Row k reads
+    sum(coef * x) <= rhs over cons_terms[k], and reach[k] is its largest
+    |coef|.  slack[k] is rhs - reach[k] minus the least value the
+    left-hand side can still take: the row can force a variable or fail
+    only once slack[k] < 0, and the left-hand side may still rise by
+    slack[k] + reach[k].  raises[val][vi] lists the (row, |coef|) pairs
+    whose least left-hand side rises when variable vi takes value val, from
+    its negative coefficients for 0 and its positive ones for 1.
+    """
+    cons_terms: list[Sequence[Term]] = []
+    reach: list[int] = []
+    slack: list[int] = []
+    raise0: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
+    raise1: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
+    raises = (raise0, raise1)
+    for row, op, rhs in rows:
+        if op != ">=":  # the row itself, or the "<=" half of an "="
+            k = len(slack)
+            rlo = top = 0
+            for coef, vi in row:
+                if coef > 0:
+                    raise1[vi].append((k, coef))
+                    if coef > top:
+                        top = coef
+                else:
+                    rlo += coef
+                    raise0[vi].append((k, -coef))
+                    if -coef > top:
+                        top = -coef
+            cons_terms.append(row)
+            reach.append(top)
+            slack.append(rhs - top - rlo)
+        if op != "<=":  # a ">=" row or half, negated
+            k = len(slack)
+            rlo = top = 0
+            terms = []
+            for coef, vi in row:
+                terms.append((-coef, vi))
+                if coef < 0:
+                    raise1[vi].append((k, -coef))
+                    if -coef > top:
+                        top = -coef
+                else:
+                    rlo -= coef
+                    raise0[vi].append((k, coef))
+                    if coef > top:
+                        top = coef
+            cons_terms.append(terms)
+            reach.append(top)
+            slack.append(-rhs - top - rlo)
+    return cons_terms, reach, slack, raises
 
 
 # ---------------------------------------------------------------------------

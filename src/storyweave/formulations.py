@@ -45,6 +45,20 @@ counted, named and given its terms in one loop and made by one
 handed to the builder once.  The slots of a timestamp share one
 ``LayerSlot``.
 
+Every model is mirror-symmetric.  Reversing the character order of every
+slot maps each ordering variable x to 1 - x and leaves every other variable
+as it is, and it maps the model onto itself: the transitivity, block and
+linking rows are mirror-closed (a transitivity row's two sides are each
+other's mirror, as are the two block rows of a member pair and an outsider,
+and the two linking rows of a crossing indicator, which a flip in either
+direction sets), and the placement, conflict, symmetry-breaking and
+activity rows hold no ordering variable.  So every storyline and its mirror
+image cost the same, and :func:`solve_exact` fixes the first ordering
+variable in catalog order to 0: the search then proves each optimum once
+instead of once per mirror image, and loses none.  The fix is passed to
+:func:`bip.solve`, not added as a row, so the programs and their LP text
+stay as built.
+
 Solver assignments are decoded back into storylines: decoding indexes the
 assignment by variable index and reads the ordering and activity
 variables in catalog order, slot by slot.  Empty slots are dropped and the
@@ -54,13 +68,11 @@ rather than read off the objective.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import itertools
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import bip, coloring
 from .core import (
@@ -121,20 +133,7 @@ class VariableCatalog:
     active: dict[tuple[CharId, int], bip.VarId] = field(default_factory=dict)
 
 
-@contextlib.contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Disable the cyclic garbage collector for the block, then restore it
-    if, and only if, it was enabled before."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_collector_paused()
+@bip._collector_paused
 def build_model(
     inst: StorylineInstance,
     kind: ModelKind,
@@ -483,6 +482,8 @@ def solve_exact(
     rejected (by :func:`coloring.layer_budget`) for the one-slot-per-interaction
     kinds, whose budgets do not come from coloring.  The search gets what
     remains of ``timeout`` after model building, however little that is.
+    The search fixes the first ordering variable to 0, which keeps one of
+    every storyline and its mirror image (see the module docstring).
     Crossings are recounted with the oracle.  A timed-out search reports the
     gap between its incumbent and the bound it proved, or no storyline and a
     100 % gap when it found no incumbent.
@@ -500,7 +501,10 @@ def solve_exact(
         len(program.variables),
         len(program.constraints),
     )
-    result = bip.solve(program, timeout=timeout - (time.monotonic() - t0))
+    # Keep one mirror image: every model is mirror-symmetric.
+    first = next(iter(cat.order.values()), None)
+    fixed = () if first is None else ((first.index, 0),)
+    result = bip.solve(program, timeout=timeout - (time.monotonic() - t0), fixed=fixed)
     story = crossings = layers = gap = None
     if result.assignment is not None:
         story = decode(inst, cat, result)

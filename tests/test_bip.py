@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import itertools
+import platform
 import random
 import time
 import tracemalloc
@@ -365,6 +367,103 @@ class TestSolve:
         res = bip.solve(program, timeout=0.5)
         assert time.monotonic() - t0 <= 0.5 + 0.3
         assert res.status == bip.FEASIBLE_TIMEOUT
+
+
+class TestFixed:
+    """``solve(fixed=...)`` sets values at the root as one-variable rows do."""
+
+    @staticmethod
+    def outcome(r):
+        return (r.status, r.assignment, r.objective_value, r.best_lower_bound, r.nodes)
+
+    def test_matches_one_variable_rows(self):
+        # Down to the returned point and the node count: the fixed values
+        # reach the same root fixpoint as the rows x = value, and the rows
+        # never force anything after the root.
+        rng = random.Random(41)
+        statuses = set()
+        for k in range(300):
+            p = random_program(rng) if k % 2 == 0 else mixed_row_program(rng)
+            n = len(p.variables)
+            chosen = rng.sample(range(n), rng.randint(1, min(2, n)))
+            fixed = [(i, rng.randint(0, 1)) for i in chosen]
+            rows = tuple((((1, i),), "=", val) for i, val in fixed)
+            with_rows = bip.BinaryProgram(p.variables, p.constraints + rows, p.objective)
+            r = bip.solve(p, timeout=60, fixed=fixed)
+            assert self.outcome(r) == self.outcome(bip.solve(with_rows, timeout=60)), k
+            statuses.add(r.status)
+        assert statuses == {bip.OPTIMAL, bip.INFEASIBLE}
+
+    @pytest.mark.parametrize(
+        "fixed, message",
+        [
+            ([(3, 0)], "unknown variable index 3"),
+            ([(-1, 0)], "unknown variable index -1"),
+            ([(True, 0)], "unknown variable index True"),
+            ([(0, 2)], "value 2 is not 0 or 1"),
+            ([(0, -1)], "value -1 is not 0 or 1"),
+            ([(1, 0), (0, 1.0)], "value 1.0 is not 0 or 1"),
+        ],
+    )
+    def test_bad_pairs_rejected(self, fixed, message):
+        p, _ = tiny([(1, 0)], [([(1, 0), (1, 1), (1, 2)], ">=", 1)], 3)
+        with pytest.raises(ValueError, match=message):
+            bip.solve(p, fixed=fixed)
+
+    def test_opposite_values_infeasible(self):
+        p, _ = tiny([(1, 0), (1, 1)], [([(1, 0), (1, 1)], ">=", 1)], 2)
+        r = bip.solve(p, fixed=[(0, 0), (0, 1)])
+        assert self.outcome(r) == (bip.INFEASIBLE, None, None, None, 0)
+        assert bip.solve(p, fixed=[(0, 1), (0, 1)]).assignment == (1, 0)
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="collection counts and gc.callbacks are CPython collector details",
+)
+class TestCompileCollectorPause:
+    """``solve`` compiles its rows with the cyclic collector paused."""
+
+    def test_wide_compile_starts_at_most_one_collection(self):
+        # Without the pause, compiling this program starts hundreds of
+        # collections; with it, at most the one that sees the compiled
+        # rows.  A timeout of -1 stops the search at its first clock read.
+        inst = wide_instances(1)[0]
+        budgets = sw.layer_budget(inst, minimize=True)
+        program, _ = sw.build_model(inst, sw.ILP2ML, budgets)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            bip.solve(program, timeout=-1)
+        finally:
+            gc.callbacks.remove(count)
+            gc.enable()
+        assert len(starts) <= 1, starts
+
+    def test_collector_enabled_after_solve(self):
+        p = hard_cover_program()
+        assert gc.isenabled()
+        try:
+            bip.solve(p, timeout=0.05)
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_disabled_collector_stays_disabled(self):
+        p = hard_cover_program()
+        gc.disable()
+        try:
+            bip.solve(p, timeout=0.05)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestGap:

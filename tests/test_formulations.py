@@ -335,6 +335,70 @@ class TestExactness:
             assert sw.count_crossings(reordered).total == expected
 
 
+class TestMirrorFix:
+    """``solve_exact`` fixes the first ordering variable to 0: reversing
+    every slot maps each model onto itself, so one mirror image suffices."""
+
+    @staticmethod
+    def mirror_fixed(cat):
+        first = next(iter(cat.order.values()), None)
+        return [] if first is None else [(first.index, 0)]
+
+    @pytest.mark.parametrize(
+        "seed, nodes, digest",
+        [
+            (23, 15064, "6fdef1bc5b6e4c20da9e4746c4621ae682894a7adba7ff26ec9dba35051b3e0d"),
+            (29, 13014, "b36b3a895cb67e1c8445a44862bb23c31e7f8e9b6cbf3bd22ffd2ac855e397b4"),
+        ],
+    )
+    def test_same_optimum_fewer_nodes(self, seed, nodes, digest):
+        # The four exact models of 40 seeded small instances keep their
+        # status and objective; the fixed solves are pinned down to the
+        # returned point and the node count (unfixed: 45,812 and 28,676
+        # nodes), so the saving cannot vanish silently.
+        h = hashlib.sha256()
+        total = 0
+        for _inst, kind, program, cat in small_models(seed, 40):
+            fixed = bip.solve(program, timeout=60, fixed=self.mirror_fixed(cat))
+            plain = bip.solve(program, timeout=60)
+            assert (fixed.status, fixed.objective_value) == (
+                plain.status,
+                plain.objective_value,
+            ), kind
+            total += fixed.nodes
+            h.update(
+                repr(
+                    (
+                        fixed.status,
+                        fixed.assignment,
+                        fixed.objective_value,
+                        fixed.best_lower_bound,
+                        fixed.nodes,
+                    )
+                ).encode()
+            )
+        assert total == nodes
+        assert h.hexdigest() == digest
+
+    def test_slow_ilp1_instance_proven_quickly(self, monkeypatch):
+        # Four characters, five interactions, one timestamp with two of
+        # them: the ilp1 search took 381,768 nodes over both mirror images.
+        inst = make_instance(
+            [("bd", "t2"), ("acd", "t0"), ("ac", "t2"), ("ab", "t0"), ("bc", "t1")]
+        )
+        results = []
+        solve = bip.solve
+
+        def recorded(program, timeout, **kwargs):
+            results.append(solve(program, timeout, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(bip, "solve", recorded)
+        _story, report = sw.solve_exact(inst, sw.ILP1, timeout=600)
+        assert (report.status, report.crossings) == (bip.OPTIMAL, 2)
+        assert results[-1].nodes <= 90_000
+
+
 class TestDecode:
     def test_single_interaction(self):
         inst = make_instance([("ab", "t0")])
@@ -383,7 +447,7 @@ class TestDecodeAndReport:
     def test_timeout_without_incumbent(self, monkeypatch, algorithm):
         # The search stopped before it found any feasible point.
         stopped = bip.SolveResult(bip.FEASIBLE_TIMEOUT, None, None, 0)
-        monkeypatch.setattr(bip, "solve", lambda program, timeout: stopped)
+        monkeypatch.setattr(bip, "solve", lambda program, timeout, fixed=(): stopped)
         story, report = sw.solve_exact(make_instance(PATTERN_PAIR), sw.ILP1ML)
         assert story is None
         assert report.algorithm == algorithm
