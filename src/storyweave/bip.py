@@ -40,16 +40,17 @@ variable is trailed; a node that starts at the incumbent, as the root can
 after the dive, stops before it sets anything.  Objective coefficients are
 non-negative, so such a node could only have been pruned at its fixpoint,
 and the search tree is the same as with a check there.  The solver keeps every
-row in one form, ``sum(coef * x) <= rhs``: a ``<=`` row keeps its own terms
-tuple, a ``>=`` row is negated into a new list, and an ``=`` row becomes
-one row of each sign.  Per row it keeps the largest |coef|, ``reach``, and
-one number, ``slack``: the right-hand side minus ``reach`` minus the least
-value the left-hand side can still take.  An assignment lowers the slack of
-the rows it raises; a row can force a variable or fail only once its slack
-is negative, so propagation is event-driven and queues just those rows, and
-a queued row's room is ``slack + reach``.  A value forced by a row is set
-in the row's own scan, without a call per variable, and undone from the
-trail like a branching value.
+row in one form, ``sum(coef * x) <= rhs``, over the program's own terms
+tuple: a ``>=`` row is read with its signs flipped, by a flag per row, and
+an ``=`` row becomes one row of each sign over the one tuple.  Per row it
+keeps the largest |coef|, ``reach``, and one number, ``slack``: the
+right-hand side minus ``reach`` minus the least value the left-hand side
+can still take.  An assignment lowers the slack of the rows it raises (all
+±1 terms of a row share one raise entry); a row can force a variable or
+fail only once its slack is negative, so propagation is event-driven and
+queues just those rows, and a queued row's room is ``slack + reach``.  A
+value forced by a row is set in the row's own scan, without a call per
+variable, and undone from the trail like a branching value.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def solve(
     of its forced-one variables reaches the incumbent: propagation compares
     the two before it sets any variable to one and gives up at once, so no
     node runs on to its fixpoint just to be pruned there.  Every row is kept
-    as ``sum(coef * x) <= rhs`` (``>=`` negated, ``=`` split in two), and
+    as ``sum(coef * x) <= rhs`` (``>=`` read negated, ``=`` split in two), and
     propagation is event-driven: after the root pass, a row is examined only
     when an assignment leaves it tight enough to force a variable or to
     fail.  The rows are compiled into that form with the cyclic garbage
@@ -351,7 +352,7 @@ def solve(
     obj = [0] * nvars
     for coef, v in program.objective:
         obj[v.index] = coef
-    cons_terms, reach, slack, raises = _compile_rows(program.constraints, nvars)
+    cons_terms, flipped, reach, slack, raises = _compile_rows(program.constraints, nvars)
 
     value = [-1] * nvars
     trail: list[int] = []
@@ -405,7 +406,7 @@ def solve(
                 break
             for coef, u in cons_terms[k]:
                 if value[u] == -1 and (coef > room or -coef > room):
-                    if coef > 0:
+                    if (coef > 0) != flipped[k]:
                         val = 0
                     else:
                         val = 1
@@ -550,22 +551,31 @@ def solve(
 def _compile_rows(
     rows: Sequence[Row], nvars: int
 ) -> tuple[
-    list[Sequence[Term]], list[int], list[int], tuple[list[list[tuple[int, int]]], ...]
+    list[Sequence[Term]],
+    list[bool],
+    list[int],
+    list[int],
+    tuple[list[list[tuple[int, int]]], ...],
 ]:
     """The rows of a program in the solver's one form, with the collector
-    paused: a wide model's compile allocates a tuple per term, and the
-    young collections they would start free nothing.
+    paused: the young collections that a wide model's raise entries would
+    start free nothing.
 
-    Returns ``(cons_terms, reach, slack, raises)``.  Row k reads
-    sum(coef * x) <= rhs over cons_terms[k], and reach[k] is its largest
-    |coef|.  slack[k] is rhs - reach[k] minus the least value the
-    left-hand side can still take: the row can force a variable or fail
-    only once slack[k] < 0, and the left-hand side may still rise by
-    slack[k] + reach[k].  raises[val][vi] lists the (row, |coef|) pairs
-    whose least left-hand side rises when variable vi takes value val, from
-    its negative coefficients for 0 and its positive ones for 1.
+    Returns ``(cons_terms, flipped, reach, slack, raises)``.  Row k reads
+    sum(coef * x) <= rhs over cons_terms[k], each coef negated when
+    flipped[k] is set: cons_terms[k] is always the program row's own terms
+    tuple, read flipped for a ``>=`` row and for the ``>=`` half of an
+    ``=`` row.  reach[k] is its largest |coef|.  slack[k] is
+    rhs - reach[k] minus the least value the left-hand side can still take:
+    the row can force a variable or fail only once slack[k] < 0, and the
+    left-hand side may still rise by slack[k] + reach[k].  raises[val][vi]
+    lists the (row, |coef|) pairs whose least left-hand side rises when
+    variable vi takes value val, from its negative coefficients (as the
+    row reads them) for 0 and its positive ones for 1; every ±1 term of
+    one row shares that row's one ``(k, 1)`` pair.
     """
     cons_terms: list[Sequence[Term]] = []
+    flipped: list[bool] = []
     reach: list[int] = []
     slack: list[int] = []
     raise0: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
@@ -574,39 +584,41 @@ def _compile_rows(
     for row, op, rhs in rows:
         if op != ">=":  # the row itself, or the "<=" half of an "="
             k = len(slack)
+            unit = (k, 1)
             rlo = top = 0
             for coef, vi in row:
                 if coef > 0:
-                    raise1[vi].append((k, coef))
+                    raise1[vi].append(unit if coef == 1 else (k, coef))
                     if coef > top:
                         top = coef
                 else:
                     rlo += coef
-                    raise0[vi].append((k, -coef))
+                    raise0[vi].append(unit if coef == -1 else (k, -coef))
                     if -coef > top:
                         top = -coef
             cons_terms.append(row)
+            flipped.append(False)
             reach.append(top)
             slack.append(rhs - top - rlo)
-        if op != "<=":  # a ">=" row or half, negated
+        if op != "<=":  # a ">=" row or half, read with its sign flipped
             k = len(slack)
+            unit = (k, 1)
             rlo = top = 0
-            terms = []
             for coef, vi in row:
-                terms.append((-coef, vi))
                 if coef < 0:
-                    raise1[vi].append((k, -coef))
+                    raise1[vi].append(unit if coef == -1 else (k, -coef))
                     if -coef > top:
                         top = -coef
                 else:
                     rlo -= coef
-                    raise0[vi].append((k, coef))
+                    raise0[vi].append(unit if coef == 1 else (k, coef))
                     if coef > top:
                         top = coef
-            cons_terms.append(terms)
+            cons_terms.append(row)
+            flipped.append(True)
             reach.append(top)
             slack.append(-rhs - top - rlo)
-    return cons_terms, reach, slack, raises
+    return cons_terms, flipped, reach, slack, raises
 
 
 # ---------------------------------------------------------------------------

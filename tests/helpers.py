@@ -701,6 +701,33 @@ def _integral(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def reference_compile_rows(p: BinaryProgram):
+    """``bip._compile_rows`` as it was before rows shared the program's
+    terms: ``(cons_terms, reach, slack, raises)`` with a ``>=`` row, and the
+    ``>=`` half of an ``=`` row, negated into a new list of terms, and a new
+    ``(row, |coef|)`` pair per term.  Row k reads sum(coef * x) <= rhs."""
+    cons_terms: list[list[tuple[int, int]]] = []
+    reach: list[int] = []
+    slack: list[int] = []
+    raises = tuple([[] for _ in p.variables] for _ in (0, 1))
+
+    def add(terms: list[tuple[int, int]], rhs: int) -> None:
+        k = len(cons_terms)
+        for coef, i in terms:
+            raises[coef > 0][i].append((k, abs(coef)))
+        top = max(abs(coef) for coef, _ in terms)
+        cons_terms.append(terms)
+        reach.append(top)
+        slack.append(rhs - top - sum(coef for coef, _ in terms if coef < 0))
+
+    for terms, op, rhs in p.constraints:
+        if op != ">=":
+            add(list(terms), rhs)
+        if op != "<=":
+            add([(-coef, i) for coef, i in terms], -rhs)
+    return cons_terms, reach, slack, raises
+
+
 # ``bip.export_lp`` as it was before it joined blocks of rows into chunks:
 # every line in one list, joined once.  Its output is the byte-for-byte
 # reference for the chunked writer.

@@ -17,6 +17,7 @@ from storyweave import files, formulations
 from helpers import (
     cit_rung,
     enumerate_binary_optimum,
+    reference_compile_rows,
     reference_export_lp,
     reference_validate_program,
     small_models,
@@ -425,8 +426,8 @@ class TestCompileCollectorPause:
     """``solve`` compiles its rows with the cyclic collector paused."""
 
     def test_wide_compile_starts_at_most_one_collection(self):
-        # Without the pause, compiling this program starts hundreds of
-        # collections; with it, at most the one that sees the compiled
+        # Without the pause, compiling this program starts 62 collections
+        # (CPython 3.11); with it, at most the one that sees the compiled
         # rows.  A timeout of -1 stops the search at its first clock read.
         inst = wide_instances(1)[0]
         budgets = sw.layer_budget(inst, minimize=True)
@@ -464,6 +465,54 @@ class TestCompileCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestCompileRows:
+    """``_compile_rows`` reads each row from the program's own terms tuple,
+    a ``>=`` row or half with its signs flipped by a flag, and gives all ±1
+    terms of a compiled row one raise entry; its values are those of the
+    compile that negated ``>=`` rows into new lists."""
+
+    @staticmethod
+    def draws():
+        """300 programs: every operator, zero, wide and ``int``-subclass
+        coefficients, and rows that repeat the previous row's terms tuple."""
+        makers = (random_program, mixed_row_program, wide_coefficient_program)
+        for seed in range(288):
+            yield makers[seed % 3](random.Random(seed))
+        for seed in range(100, 112):
+            yield kernel_program(seed)
+
+    def test_matches_reference_compile(self):
+        for n, p in enumerate(self.draws()):
+            terms, flipped, reach, slack, raises = bip._compile_rows(
+                p.constraints, len(p.variables)
+            )
+            ref_terms, ref_reach, ref_slack, ref_raises = reference_compile_rows(p)
+            assert (reach, slack, raises) == (ref_reach, ref_slack, ref_raises), n
+            read = [[(-c, i) for c, i in t] if f else list(t) for t, f in zip(terms, flipped)]
+            assert read == ref_terms, n
+
+    def test_rows_keep_program_terms_and_share_unit_entries(self):
+        shared = 0
+        for n, p in enumerate(self.draws()):
+            terms, flipped, _, _, raises = bip._compile_rows(p.constraints, len(p.variables))
+            halves = {"<=": (False,), ">=": (True,), "=": (False, True)}
+            rows = [(t, f) for t, op, _ in p.constraints for f in halves[op]]
+            assert flipped == [f for _, f in rows], n
+            assert all(a is t for a, (t, _) in zip(terms, rows, strict=True)), n
+            # Only a ±1 term raises its row by 1; each row has one such entry.
+            units: dict[int, list[tuple[int, int]]] = {}
+            for entries in itertools.chain(*raises):
+                for entry in entries:
+                    if entry[1] == 1:
+                        units.setdefault(entry[0], []).append(entry)
+            for k, t in enumerate(terms):
+                got = units.get(k, [])
+                assert len(got) == sum(c in (1, -1) for c, _ in t), (n, k)
+                assert all(e is got[0] for e in got), (n, k)
+                shared += len(got) > 1
+        assert shared > 1000
 
 
 class TestGap:
