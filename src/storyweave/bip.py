@@ -288,7 +288,30 @@ def _collector_paused(fn: Callable[_P, _R]) -> Callable[_P, _R]:
     """Decorate ``fn`` to run with the cyclic garbage collector disabled;
     the collector is enabled again afterwards, on error too, if, and only
     if, it was enabled before.  A plain wrapper rather than a context
-    manager, which costs a few microseconds more per call."""
+    manager, which costs a few microseconds more per call.
+
+    A wide call leaves tens of thousands of newly tracked objects in the
+    young generation, so the first allocation after the pause would start
+    a young collection that walks every one of them only to untrack them
+    or move them on.  Before it enables the collector again, the wrapper
+    therefore checks whether a young collection is due and, if so, moves
+    every tracked object straight into the oldest generation with
+    ``gc.freeze()`` and ``gc.unfreeze()``: two list splices that reset the
+    young count and examine nothing ("pretenuring").  This is safe: the
+    moved objects are freed by reference counting as before, and a cycle
+    among them by the next full collection.  Side effects:
+
+    - the caller's own young objects are moved too, so a reference cycle
+      among them is freed at the next full collection, not the next young
+      one;
+    - the move is skipped when the caller has frozen objects
+      (``gc.get_freeze_count() > 0``), since ``unfreeze()`` would thaw them;
+      CPython 3.12 freezes some of its own at startup, so there the move
+      never runs;
+    - the move is skipped when the collector was disabled on entry;
+    - like the pause itself, the move assumes that only one thread changes
+      the collector's state.
+    """
 
     @functools.wraps(fn)
     def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
@@ -298,6 +321,9 @@ def _collector_paused(fn: Callable[_P, _R]) -> Callable[_P, _R]:
             return fn(*args, **kwargs)
         finally:
             if enabled:
+                if gc.get_count()[0] > gc.get_threshold()[0] and not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
 
     return paused
@@ -323,7 +349,9 @@ def solve(
     propagation is event-driven: after the root pass, a row is examined only
     when an assignment leaves it tight enough to force a variable or to
     fail.  The rows are compiled into that form with the cyclic garbage
-    collector paused; the search runs with the caller's collector state.
+    collector paused, and the compiled rows then go straight to the oldest
+    generation instead of being walked by a young collection; the search
+    runs with the caller's collector state.
     The wall clock is checked at every node and at every variable of the
     dive against a monotonic timer; on timeout the best incumbent is
     returned together with the lower bound proven so far.  A ``timeout``
@@ -559,7 +587,7 @@ def _compile_rows(
 ]:
     """The rows of a program in the solver's one form, with the collector
     paused: the young collections that a wide model's raise entries would
-    start free nothing.
+    start free nothing, so they are skipped.
 
     Returns ``(cons_terms, flipped, reach, slack, raises)``.  Row k reads
     sum(coef * x) <= rhs over cons_terms[k], each coef negated when

@@ -152,8 +152,10 @@ def build_model(
     row and term tuples, and the young collections they would start
     free nothing: the model holds only acyclic containers (tuples, lists
     and dicts of ints, strings and variable ids), so reference counting
-    frees all of it.  The caller's collector state is restored on
-    return, and also when the build raises.
+    frees all of it.  These collections are now skipped, the last one
+    too: a wide model goes straight to the oldest generation when the
+    pause ends (see ``bip._collector_paused``).  The caller's collector
+    state is restored on return, and also when the build raises.
     """
     # The slots of a timestamp share one LayerSlot; slots_at lists their
     # numbers.

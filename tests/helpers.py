@@ -7,6 +7,7 @@ logic with it.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -27,9 +28,29 @@ from storyweave import (
     layer_budget,
     validate_instance,
 )
+from storyweave import bip
 from storyweave.formulations import EXACT_KINDS
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+# CPython 3.12 starts with objects already frozen (the base and MRO tuples of
+# its static types), so there the collector pause never moves a wide model to
+# the oldest generation: unfreezing would thaw those objects too.
+STARTS_FROZEN = gc.get_freeze_count() > 0
+
+
+def count_validations(monkeypatch) -> list[BinaryProgram]:
+    """The programs passed to ``bip.validate_program`` from now on, while
+    ``monkeypatch`` lasts."""
+    calls: list[BinaryProgram] = []
+    validate = bip.validate_program
+
+    def counted(program: BinaryProgram) -> None:
+        calls.append(program)
+        validate(program)
+
+    monkeypatch.setattr(bip, "validate_program", counted)
+    return calls
 
 
 def random_instance(

@@ -15,6 +15,7 @@ import storyweave as sw
 import storyweave.bip as bip
 from storyweave import files, formulations
 from helpers import (
+    STARTS_FROZEN,
     cit_rung,
     enumerate_binary_optimum,
     reference_compile_rows,
@@ -425,13 +426,21 @@ class TestFixed:
 class TestCompileCollectorPause:
     """``solve`` compiles its rows with the cyclic collector paused."""
 
-    def test_wide_compile_starts_at_most_one_collection(self):
-        # Without the pause, compiling this program starts 62 collections
-        # (CPython 3.11); with it, at most the one that sees the compiled
-        # rows.  A timeout of -1 stops the search at its first clock read.
+    @staticmethod
+    def wide_program():
         inst = wide_instances(1)[0]
         budgets = sw.layer_budget(inst, minimize=True)
-        program, _ = sw.build_model(inst, sw.ILP2ML, budgets)
+        return sw.build_model(inst, sw.ILP2ML, budgets)[0]
+
+    def test_wide_compile_starts_at_most_one_collection(self):
+        # Without the pause, compiling this program starts 62 collections
+        # (CPython 3.11).  With it, the compiled rows go straight to the
+        # oldest generation, so not even the few hundred allocations after
+        # the solve start the young collection that would walk them (except
+        # where the interpreter starts with frozen objects, and the first
+        # allocation starts that one collection).  A timeout of -1 stops the
+        # search at its first clock read.
+        program = self.wide_program()
         starts = []
 
         def count(phase, info):
@@ -443,10 +452,38 @@ class TestCompileCollectorPause:
         gc.callbacks.append(count)
         try:
             bip.solve(program, timeout=-1)
+            after = [[] for _ in range(300)]
         finally:
             gc.callbacks.remove(count)
             gc.enable()
-        assert len(starts) <= 1, starts
+        del after
+        assert len(starts) <= STARTS_FROZEN, starts
+
+    @pytest.mark.skipif(STARTS_FROZEN, reason="the interpreter starts with frozen objects")
+    def test_no_young_collection_due_after_wide_compile(self):
+        # The young count is read as the compile returns: the first
+        # allocation after it would start any collection that is due.
+        # Before the move, the count there is tens of thousands.
+        program = self.wide_program()
+        compile_rows = bip._compile_rows
+        counts = []
+
+        def compile_and_count(rows, nvars):
+            compiled = compile_rows(rows, nvars)
+            counts.append(gc.get_count()[0])
+            return compiled
+
+        gc.collect()
+        assert gc.isenabled()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bip, "_compile_rows", compile_and_count)
+                bip.solve(program, timeout=-1)
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+        assert len(counts) == 1
+        assert counts[0] <= gc.get_threshold()[0], counts
 
     def test_collector_enabled_after_solve(self):
         p = hard_cover_program()

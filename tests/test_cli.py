@@ -12,8 +12,10 @@ import pytest
 import storyweave as sw
 from storyweave import files
 from storyweave.cli import main
-from helpers import cit_rung
+from helpers import cit_rung, count_validations
 from test_core import PATTERN_PAIR, make_instance
+
+WORKSHOP = Path(__file__).parents[1] / "demos" / "data" / "workshop.json"
 
 
 def write_instance(tmp_path, name, interactions):
@@ -157,6 +159,16 @@ class TestSolve:
         assert any(n.startswith("z_") for n in names)
         assert any(n.startswith("a_") for n in names)
         assert not (tmp_path / "story.json").exists()
+
+    def test_export_lp_validates_the_program_once(self, tmp_path, monkeypatch):
+        calls = count_validations(monkeypatch)
+        lp = tmp_path / "workshop.lp"
+        code = main(
+            ["solve", str(WORKSHOP), "--algorithm", "ilp1ml", "--export-lp", str(lp)]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert lp.exists()
 
     def test_export_lp_rejected_for_pipeline(self, tmp_path, capsys):
         path, _ = write_instance(tmp_path, "expp", [("ab", "t0")])
@@ -329,8 +341,6 @@ class TestBench:
 
 
 class TestLogSetting:
-    WORKSHOP = Path(__file__).parents[1] / "demos" / "data" / "workshop.json"
-
     @pytest.mark.parametrize(
         "value, level",
         [("info", logging.INFO), ("basic_format", logging.WARNING)],
@@ -341,7 +351,7 @@ class TestLogSetting:
         seen = []
         monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.append(kw["level"]))
         monkeypatch.setenv("STORYWEAVE_LOG", value)
-        assert main(["stats", str(self.WORKSHOP)]) == 0
+        assert main(["stats", str(WORKSHOP)]) == 0
         assert seen == [level]
         assert "dataset: workshop" in capsys.readouterr().out
 

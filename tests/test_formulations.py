@@ -5,6 +5,7 @@ import math
 import platform
 import random
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,9 @@ import storyweave as sw
 import storyweave.bip as bip
 from storyweave import files, formulations, pipeline
 from helpers import (
+    STARTS_FROZEN,
     cit_rung,
+    count_validations,
     oracle_corpus,
     random_instance,
     small_draws,
@@ -211,7 +214,11 @@ class TestCollectorPause:
     @pytest.mark.parametrize("kind", ["ilp1ml", "ilp2ml"])
     def test_wide_build_starts_at_most_one_collection(self, kind):
         # Without the pause, building these models starts about a hundred
-        # collections; with it, at most the one that sees the new model.
+        # collections.  With it, the model goes straight to the oldest
+        # generation, so not even the few hundred allocations after the
+        # build start the young collection that would walk the new model
+        # (except where the interpreter starts with frozen objects, and the
+        # first allocation starts that one collection).
         inst = wide_instances(1)[0]
         model = formulations.EXACT_KINDS[kind]
         budgets = sw.layer_budget(inst, minimize=True)
@@ -224,11 +231,80 @@ class TestCollectorPause:
         assert gc.isenabled()
         gc.callbacks.append(count)
         try:
-            sw.build_model(inst, model, budgets)
+            built = sw.build_model(inst, model, budgets)
+            after = [[] for _ in range(300)]
         finally:
             gc.callbacks.remove(count)
             gc.enable()
-        assert len(starts) <= 1, starts
+        del built, after
+        assert len(starts) <= STARTS_FROZEN, starts
+
+    @staticmethod
+    def wide_build():
+        inst = wide_instances(1)[0]
+        budgets = sw.layer_budget(inst, minimize=True)
+        return sw.build_model(inst, sw.ILP2ML, budgets)
+
+    @pytest.mark.skipif(STARTS_FROZEN, reason="the interpreter starts with frozen objects")
+    def test_no_young_collection_due_after_wide_build(self):
+        # Before the move, the young count after this build is tens of
+        # thousands.  The model is held: freeing it would lower the count.
+        gc.collect()
+        assert gc.isenabled()
+        try:
+            model = self.wide_build()
+            assert gc.isenabled()
+            assert gc.get_count()[0] <= gc.get_threshold()[0], gc.get_count()
+            del model
+        finally:
+            gc.enable()
+
+    @pytest.mark.skipif(
+        STARTS_FROZEN, reason="unfreezing would thaw the objects the interpreter froze"
+    )
+    def test_frozen_objects_stay_frozen(self):
+        gc.collect()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            self.wide_build()
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+            gc.enable()
+
+    def test_cycle_dropped_before_wide_build_is_freed(self):
+        class Node:
+            pass
+
+        gc.collect()
+        node = Node()
+        node.me = node
+        ref = weakref.ref(node)
+        del node
+        assert ref() is not None
+        try:
+            self.wide_build()
+        finally:
+            gc.enable()
+        gc.collect()
+        assert ref() is None
+
+    def test_wide_build_keeps_thresholds_and_disabled_collector(self):
+        thresholds = gc.get_threshold()
+        self.wide_build()
+        assert gc.get_threshold() == thresholds
+        gc.disable()
+        try:
+            model = self.wide_build()
+            assert not gc.isenabled()
+            # The move is skipped too: the young count keeps the model.
+            assert gc.get_count()[0] > gc.get_threshold()[0], gc.get_count()
+            del model
+        finally:
+            gc.enable()
+        assert gc.get_threshold() == thresholds
 
     def test_collector_enabled_after_build(self):
         inst = make_instance(PATTERN_PAIR)
@@ -257,6 +333,19 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestValidatedOnce:
+    """Each program is validated once, when it is built (ROADMAP aim 2)."""
+
+    def test_solve_exact_validates_its_program_once(self, monkeypatch):
+        inst = files.load_instance(WORKSHOP)
+        calls = count_validations(monkeypatch)
+        for name, kind in formulations.EXACT_KINDS.items():
+            calls.clear()
+            story, _ = sw.solve_exact(inst, kind, timeout=10)
+            assert story is not None, name
+            assert len(calls) == 1, name
 
 
 class TestExactness:
