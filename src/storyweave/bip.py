@@ -13,20 +13,27 @@ seen it, it stops tracking it.  Consecutive rows may share one terms tuple,
 which validation checks only once.  ``VarId`` is a named tuple, so
 :meth:`ModelBuilder.new_vars` makes a whole group of variables without a
 Python-level call per variable.  A program is validated in one scan when it
-is built: every term passes one combined test (an index in range, an exact
-``int`` coefficient, a variable new to its row), and only a term that fails
-it is classified, so the first defect is reported in a fixed order.
+is built.  A row of three terms passes as a whole when its indices are
+exact ints in range and pairwise distinct and its coefficients exact ints;
+any other row goes term by term, each term through one combined test (an
+index in range, an exact ``int`` coefficient, a variable new to its row).
+Only a row or term that fails is classified, so the first defect is
+reported in a fixed order.  A name passes when it is an ASCII identifier
+whose lower case is not an LP section keyword.
 
 LP text: :func:`export_lp` prints a row of three terms with coefficients
 ±1, nearly every row of the exact models, with one f-string from name
 tables indexed by sign (``x`` or ``- x`` for the leading term, ``+ x`` or
-``- x`` after it); any other row goes through the general expression, term
-by term.  Each fixed block of rows is wrapped only when one of its lines is
-too long, and joined into one chunk, so at most one block of lines is alive
-next to the chunks and the result, and an export peaks at about twice the
-text it returns.  Validation admits only names that the
-text cannot misread: no leading digit, which would read as a coefficient,
-and no section keyword such as ``End``, which would end a section; so
+``- x`` after it) and, for a right-hand side from -8 to 8, a constant
+table of ``" {op} {rhs}"`` tails; any other row goes through the general
+expression, term by term.  A right-hand side is always written as a plain
+decimal, so an ``int`` subclass that formats itself otherwise still
+reads back.  Each fixed block of rows is wrapped only when one of its lines
+is too long, and joined into one chunk, so at most one block of lines is
+alive next to the chunks and the result, and an export peaks at about twice
+the text it returns.  Validation admits only names that the text cannot
+misread: no leading digit, which would read as a coefficient, and no
+section keyword such as ``End``, which would end a section; so
 :func:`parse_lp` reads the text back into the same program.
 
 The solver works in exact integer arithmetic: coefficients, right-hand
@@ -69,17 +76,19 @@ _P = ParamSpec("_P")
 _R = TypeVar("_R")
 
 _NAME_CHARS_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-# An LP-safe name: it does not start with a digit, which parse_lp would read
-# as a coefficient, and is not a section keyword, which would end a section.
-_NAME_RE = re.compile(
-    r"(?!(?i:end|bin|binary|binaries|st|minimi[sz]e)\Z)[A-Za-z_][A-Za-z0-9_]*\Z"
-)
+# An LP-safe name is an ASCII identifier: it does not start with a digit,
+# which parse_lp would read as a coefficient.  It is not, in any case, a
+# section keyword, which would end a section.
+_LP_KEYWORDS = frozenset(("end", "bin", "binary", "binaries", "st", "minimize", "minimise"))
 
 OPTIMAL = "optimal"
 FEASIBLE_TIMEOUT = "feasible-timeout"
 INFEASIBLE = "infeasible"
 
 _OPS = ("<=", ">=", "=")
+# " {op} {rhs}" for every operator and each right-hand side in this range,
+# the tail of nearly every row the exact models export.
+_TAILS = {op: {rhs: f" {op} {rhs}" for rhs in range(-8, 9)} for op in _OPS}
 _LINE_WIDTH = 240  # LP lines longer than this are wrapped at term boundaries
 _CHUNK_ROWS = 2048  # rows whose LP lines export_lp joins into one chunk
 
@@ -185,32 +194,45 @@ def validate_program(p: BinaryProgram) -> None:
 
     A name matches ``[A-Za-z0-9_]+``, does not start with a digit and is
     not, in any case, one of the LP section keywords ``End``, ``bin``,
-    ``binary``, ``binaries``, ``st``, ``minimize`` and ``minimise``.
+    ``binary``, ``binaries``, ``st``, ``minimize`` and ``minimise``.  That
+    is an ASCII identifier whose lower case is not a keyword, which three
+    string methods and one set lookup test; only a name that fails is
+    classified.
 
     A row term is ``(coef, index)``: the index must be an ``int`` other than
     ``bool`` in ``range(len(p.variables))``, so a negative index never wraps
     round to a variable at the end.  An objective term is ``(coef, VarId)``
     and may refer to an equal but distinct ``VarId``.  Numbers may be
-    ``int`` subclasses other than ``bool``.  Each term is tested by one
-    combined condition that holds for the common case, exact ``int``
-    numbers, an index in range (for the objective, the very ``VarId``
-    object stored at its index) and a variable new to its row; only a term
-    that fails it is classified, in the order above, and may still pass.
+    ``int`` subclasses other than ``bool``.
+
+    A row's terms are a sequence.  A row of three terms, nearly every row
+    of the exact models, is unpacked once and passes as a whole when its
+    three indices are exact ``int`` values in range and pairwise distinct
+    and its three coefficients are exact ``int`` values.  Any other row,
+    and a three-term row that fails that test, goes through the per-term
+    loop: each term is tested by one combined condition that holds for the
+    common case, exact ``int`` numbers, an index in range and a variable
+    new to its row; only a term that fails it is classified, in the order
+    above, and may still pass.  Objective terms are tested the same way,
+    the index in range meaning the very ``VarId`` object stored at it.
     """
     variables = p.variables
     names: set[str] = set()
     for i, v in enumerate(variables):
         if v.index != i:
             raise ValueError(f"variable {v.name!r} has index {v.index}, expected {i}")
-        if not _NAME_RE.match(v.name):
-            _check_name(v.name)
-        if v.name in names:
-            raise ValueError(f"duplicate variable name {v.name!r}")
-        names.add(v.name)
+        name = v.name
+        if not (name.isascii() and name.isidentifier() and name.lower() not in _LP_KEYWORDS):
+            _check_name(name)
+        if name in names:
+            raise ValueError(f"duplicate variable name {name!r}")
+        names.add(name)
     n = len(variables)
 
     # used_in[i] is the last row whose terms included variable i, so a term
     # finding its own row's number there repeats a variable of that row.
+    # Only the per-term loop reads and sets it: a row the three-term test
+    # accepts has no repeat, and no later row reads its number.
     used_in = [-1] * n
     seen = None  # the previous row's terms tuple, whose terms passed
     for k, (terms, op, rhs) in enumerate(p.constraints):
@@ -219,13 +241,31 @@ def validate_program(p: BinaryProgram) -> None:
         if op not in _OPS:
             raise ValueError(f"constraint {k} has unknown operator {op!r}")
         if terms is not seen:
-            for coef, i in terms:
-                if (
-                    type(i) is not int or i < 0 or i >= n
-                    or type(coef) is not int or used_in[i] == k
-                ):
-                    _check_row_term(variables, used_in, k, coef, i)
-                used_in[i] = k
+            three = False
+            if len(terms) == 3:
+                try:
+                    (c0, i0), (c1, i1), (c2, i2) = terms
+                except (TypeError, ValueError):  # a term that is not a pair
+                    pass
+                else:
+                    # An if, not a bool expression: each comparison then
+                    # runs fused with its jump.
+                    if (
+                        type(i0) is int and type(i1) is int and type(i2) is int
+                        and type(c0) is int and type(c1) is int and type(c2) is int
+                        and i0 >= 0 and i1 >= 0 and i2 >= 0
+                        and i0 < n and i1 < n and i2 < n
+                        and i0 != i1 and i0 != i2 and i1 != i2
+                    ):
+                        three = True
+            if not three:
+                for coef, i in terms:
+                    if (
+                        type(i) is not int or i < 0 or i >= n
+                        or type(coef) is not int or used_in[i] == k
+                    ):
+                        _check_row_term(variables, used_in, k, coef, i)
+                    used_in[i] = k
             seen = terms
         if type(rhs) is not int and not _integral(rhs):
             raise ValueError(f"constraint {k}: right-hand side must be an integer")
@@ -241,9 +281,10 @@ def validate_program(p: BinaryProgram) -> None:
 
 
 def _check_name(name: str) -> None:
-    """Raise for a variable name that fails ``_NAME_RE``: a character outside
-    ``[A-Za-z0-9_]`` (or no character), then a leading digit, then a name
-    that is an LP section keyword."""
+    """Raise for a variable name that is not LP-safe (see
+    :func:`validate_program`): a character outside ``[A-Za-z0-9_]`` (or no
+    character), then a leading digit, then a name that is an LP section
+    keyword."""
     if not _NAME_CHARS_RE.match(name):
         raise ValueError(f"variable name {name!r} must match [A-Za-z0-9_]+")
     if name[0].isdigit():
@@ -676,8 +717,9 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
     Sections emitted: ``Minimize``, ``Subject To``, ``Binary``, ``End``.
     Output is deterministic; :func:`parse_lp` reads it back into an
     equivalent program.  Lines longer than 240 characters are wrapped.
-    A row of three terms with coefficients ±1 is printed by one f-string,
-    every other row term by term; see the module docstring.
+    A row of three terms with coefficients ±1 and a right-hand side from
+    -8 to 8 is printed by one f-string, every other row term by term; see
+    the module docstring.  A right-hand side is written as a plain decimal.
     """
     names = [v.name for v in p.variables]
     # Unit terms, the common case, reuse one string per variable and sign.
@@ -712,13 +754,15 @@ def export_lp(p: BinaryProgram, name: str = "storyweave") -> str:
     for start in range(0, len(rows), _CHUNK_ROWS):
         lines = []
         for k, (terms, op, rhs) in enumerate(rows[start : start + _CHUNK_ROWS], start):
-            # Three unit terms make one f-string.  Another arity fails the
-            # unpacking, a coefficient other than ±1 the table lookup.
+            # Three unit terms and a small right-hand side make one f-string.
+            # Another arity fails the unpacking, a coefficient other than ±1
+            # or a larger right-hand side a table lookup.  A right-hand side
+            # is always written as a plain decimal, whatever its int type.
             try:
                 (c0, i0), (c1, i1), (c2, i2) = terms
-                line = f" c{k}: {lead[c0][i0]} {rest[c1][i1]} {rest[c2][i2]} {op} {rhs}"
+                line = f" c{k}: {lead[c0][i0]} {rest[c1][i1]} {rest[c2][i2]}{_TAILS[op][rhs]}"
             except (ValueError, KeyError):
-                line = f" c{k}: {expression(terms)} {op} {rhs}"
+                line = f" c{k}: {expression(terms)} {op} {int(rhs)}"
             lines.append(line)
         if max(map(len, lines)) > _LINE_WIDTH:
             lines = [part for line in lines for part in _wrap(line)]

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import platform
 import random
+import re
+import string
 import time
 import tracemalloc
 from fractions import Fraction
@@ -789,6 +791,39 @@ class Weight(int):
     """An int subclass: a legal coefficient, right-hand side or index."""
 
 
+class Spelled(int):
+    """A legal int subclass that formats itself as a word, not a number."""
+
+    def __format__(self, spec):
+        return "one"
+
+
+# The rule validation enforces on variable names, as one regular expression:
+# no leading digit and no LP section keyword, in any case.
+LP_NAME_RE = re.compile(
+    r"(?!(?i:end|bin|binary|binaries|st|minimi[sz]e)\Z)[A-Za-z_][A-Za-z0-9_]*\Z"
+)
+
+# One term of a three-term row over four variables, put in place of one of
+# the row's terms: each breaks one rule, except the legal int subclasses.
+# A repeat copies another term's index, with its sign or the opposite one.
+THREE_TERM_DEFECTS = {
+    "bool_index": lambda row, pos: (1, True),
+    "float_index": lambda row, pos: (-1, 1.0),
+    "str_index": lambda row, pos: (1, "1"),
+    "negative_index": lambda row, pos: (1, -1),
+    "index_out_of_range": lambda row, pos: (-1, 4),
+    "float_coefficient": lambda row, pos: (1.0, 3),
+    "bool_coefficient": lambda row, pos: (True, 3),
+    "fraction_coefficient": lambda row, pos: (Fraction(1, 2), 3),
+    "repeat_same_sign": lambda row, pos: row[pos - 1],
+    "repeat_opposite_sign": lambda row, pos: (-row[pos - 1][0], row[pos - 1][1]),
+    "weight_index_and_coefficient": lambda row, pos: (Weight(-1), Weight(3)),  # legal
+}
+THREE_TERM_ROW = ((1, 0), (-1, 1), (1, 2))
+BAD_RHS = (1.5, True, None, "0", Fraction(1, 1), Weight(1))  # the last one legal
+
+
 # Defects the validator documents, each injected into a valid program.
 DEFECT_KINDS = (
     "bad_index", "bad_name", "repeated_name", "empty_row", "unknown_op",
@@ -961,6 +996,66 @@ class TestValidation:
         assert kinds_seen == set(DEFECT_KINDS)
         assert min(outcomes.values()) >= 100
 
+    def test_three_term_rows_match_reference_validator(self):
+        # A three-term row passes one combined test or goes to the per-term
+        # loop.  Either way validation must reject exactly what the
+        # rule-by-rule reference rejects, with the same first message.  Each
+        # defect goes into each position of the row, alone and next to a
+        # second defect, in a row of its own and between two rows that pass.
+        variables = tuple(bip.VarId(i, f"v{i}") for i in range(4))
+        passing = (((1, 3), (1, 0), (-1, 1)), "<=", 1)
+        # (terms, rhs, legal); legal is None where a second defect may undo
+        # the first, as a term put over a repeated one does.
+        cases = []
+        for kinds in itertools.chain(
+            ((kind,) for kind in THREE_TERM_DEFECTS),
+            itertools.product(THREE_TERM_DEFECTS, repeat=2),
+        ):
+            for positions in itertools.permutations(range(3), len(kinds)):
+                row = list(THREE_TERM_ROW)
+                for kind, pos in zip(kinds, positions):
+                    row[pos] = THREE_TERM_DEFECTS[kind](row, pos)
+                legal = kinds[0].startswith("weight") if len(kinds) == 1 else None
+                cases.append((tuple(row), 1, legal))
+        cases += [(THREE_TERM_ROW, rhs, type(rhs) is Weight) for rhs in BAD_RHS]
+        rejected = 0
+        for terms, rhs, legal in cases:
+            for rows in ([(terms, "<=", rhs)], [passing, (terms, ">=", rhs), passing]):
+                parts = Parts(variables, tuple(rows), ((1, variables[0]),))
+                expected = validation_outcome(reference_validate_program, parts)
+                assert legal is None or (expected is None) == legal, rows
+                assert validation_outcome(bip.validate_program, parts) == expected, rows
+                rejected += expected is not None
+        assert rejected > 0.9 * 2 * len(cases)
+
+    def test_name_check_matches_regular_expression(self):
+        # Names pass an ASCII-identifier test and a keyword lookup; that must
+        # admit exactly the names LP_NAME_RE matches, and report a rejected
+        # one as the rule-by-rule reference does.
+        tricky = [
+            "end", "End", "eNd", "BINARIES", "Bin", "binary", "sT", "MiniMise",
+            "minimiZe", "ends", "st_", "_st", "if", "None", "_", "_1", "a1",
+            "", "1x", "9", "a b", " a", "a\n", "\nEnd", "x\t",
+            "\u017ft", "\ufb05", "\u212a", "\u00e9", "caf\u00e9", "\u0130", "x\u0660",
+            "\u017f", "\uff21", "a-b", "a.b", "a:b",
+        ]
+        keywords = ["end", "bin", "binary", "binaries", "st", "minimize", "minimise"]
+        alphabet = string.ascii_letters + string.digits + "_ -\n:\u017f\ufb05\u212a\u00e9\u0130"
+        rng = random.Random(31)
+        drawn = ["".join(rng.choices(alphabet, k=rng.randint(0, 6))) for _ in range(4000)]
+        drawn += [
+            "".join(rng.choice((c.lower(), c.upper())) for c in rng.choice(keywords))
+            for _ in range(500)
+        ]
+        admitted = 0
+        for name in tricky + drawn:
+            parts = Parts(**program_parts(**only_vars(bip.VarId(0, name))))
+            outcome = validation_outcome(bip.validate_program, parts)
+            assert (outcome is None) == bool(LP_NAME_RE.match(name)), name
+            assert outcome == validation_outcome(reference_validate_program, parts), name
+            admitted += outcome is None
+        assert 500 < admitted < 4000
+
     def test_equal_but_distinct_var_accepted(self):
         # In the objective, where terms hold a VarId; row terms hold indices.
         twin = bip.VarId(0, "x")
@@ -1073,6 +1168,25 @@ class TestLpFormat:
     def test_equality_emitted_verbatim(self):
         p, _ = tiny([(1, 0)], [([(1, 0), (-2, 1)], "=", 0)], 2)
         assert "x1 - 2 x2 = 0" in bip.export_lp(p)
+
+    def test_int_subclass_rhs_written_as_decimal(self):
+        # Validation admits an int subclass as a right-hand side; the text
+        # must hold its decimal value, not what the subclass formats itself
+        # as, or parse_lp finds no comparison.  One row takes its tail from
+        # the kernel's table, one is past the table, one is not three terms.
+        mb = bip.ModelBuilder()
+        a, b, c = (mb.new_var(nm).index for nm in "abc")
+        mb.add([(1, a), (1, b), (-1, c)], "<=", Spelled(1))
+        mb.add([(1, a), (-1, b), (1, c)], ">=", Spelled(-40))
+        mb.add([(2, a), (1, b)], "=", Spelled(1))
+        p = mb.build()
+        text = bip.export_lp(p)
+        assert text.splitlines()[4:7] == [
+            " c0: a + b - c <= 1",
+            " c1: a - b + c >= -40",
+            " c2: 2 a + b = 1",
+        ]
+        assert bip.parse_lp(text).constraints == p.constraints
 
     def test_golden_file(self):
         mb = bip.ModelBuilder()
