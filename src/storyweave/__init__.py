@@ -62,7 +62,7 @@ from .formulations import (
     decode,
     solve_exact,
 )
-from .pipeline import PipelineConfig, orient_slice_paths, run_pipeline
+from .pipeline import PipelineConfig, layout, orient_slice_paths, run_pipeline
 from .render import (
     GeometricStoryline,
     assign_coordinates,
@@ -115,6 +115,7 @@ __all__ = [
     "gap_crossings",
     "gap_percent",
     "layer_budget",
+    "layout",
     "min_coloring",
     "min_path_order",
     "order_fixed_layers",

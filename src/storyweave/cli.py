@@ -32,28 +32,13 @@ import time
 from pathlib import Path
 
 from . import bip, coloring, files, formulations, pipeline, render
-from .core import InstanceError, LayoutReport, StorylineInstance
+from .core import DEFAULT_TIMEOUT, InstanceError, LayoutReport, StorylineInstance
 
 log = logging.getLogger(__name__)
 
-ALGORITHMS = ("ps", "pp", *formulations.EXACT_KINDS)
-DEFAULT_TIMEOUT = 3600.0
 # STORYWEAVE_LOG values; any other falls back to WARNING.  The logging
 # module has other upper-case names, such as BASIC_FORMAT, that are not levels.
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
-
-
-def _solve_one(inst, algorithm: str, timeout: float, cap: int | None):
-    """Run one algorithm; returns (storyline or None, LayoutReport)."""
-    if algorithm in ("ps", "pp"):
-        cfg = pipeline.PipelineConfig(
-            heuristic="rand" if algorithm == "ps" else "pattern",
-            cap=cap,
-            timeout=timeout,
-        )
-        return pipeline.run_pipeline(inst, cfg)
-    kind = formulations.EXACT_KINDS[algorithm]
-    return formulations.solve_exact(inst, kind, timeout=timeout, cap=cap)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -88,7 +73,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     if not args.output:
         raise ValueError("-o/--output is required unless --export-lp is given")
-    story, report = _solve_one(inst, args.algorithm, args.timeout, args.cap)
+    story, report = pipeline.layout(inst, args.algorithm, args.timeout, args.cap)
     if story is None:
         print(f"no feasible storyline found (status {report.status})", file=sys.stderr)
         return 1
@@ -116,7 +101,7 @@ def _bench_cell(
     try:
         inst = files.load_instance(instance_path)
         started = time.monotonic()
-        story, report = _solve_one(inst, algorithm, timeout, cap)
+        story, report = pipeline.layout(inst, algorithm, timeout, cap)
         if story is None:
             raise RuntimeError(f"no feasible storyline (status {report.status})")
         return files.BenchRow.from_report(dataset, inst, report)
@@ -135,7 +120,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not isinstance(manifest, dict):
         raise ValueError("bench manifest must be a JSON object")
     paths = manifest.get("instances")
-    algorithms = manifest.get("algorithms", list(ALGORITHMS))
+    algorithms = manifest.get("algorithms", list(pipeline.ALGORITHMS))
     timeout = manifest.get("timeout", DEFAULT_TIMEOUT)
     cap = manifest.get("cap")
     jobs = manifest.get("jobs", 0)
@@ -154,7 +139,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"manifest key {key!r} must be {expected}, not {manifest.get(key)!r}"
             )
     for alg in algorithms:
-        if alg not in ALGORITHMS:
+        if alg not in pipeline.ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r} in manifest")
     instances = [str((manifest_path.parent / p).resolve()) for p in paths]
     jobs = args.jobs or jobs or min(4, os.cpu_count() or 1)
@@ -192,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute a storyline with one algorithm")
     p.add_argument("instance")
-    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    p.add_argument("--algorithm", required=True, choices=pipeline.ALGORITHMS)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--cap", type=int, default=None,
                    help="color class size cap (ps/pp/ilp1ml/ilp2ml only)")

@@ -43,6 +43,7 @@ InteractionId = int
 ActivityMode = Literal["span", "minimal"]
 
 DEFAULT_SEARCH_GUARD = 10_000_000
+DEFAULT_TIMEOUT = 3600.0
 EXHAUSTIVE_GUARD = 30_000_000
 
 # What no output can carry: a lone surrogate (no UTF-8 form) or a character
@@ -395,6 +396,22 @@ def count_crossings(s: CombinatorialStoryline) -> CrossingCount:
     # The storyline is immutable, so its total can be kept for ``s.crossings``.
     vars(s)["crossings"] = count.total
     return count
+
+
+def _finish(
+    algorithm: str, story: CombinatorialStoryline | None, t0: float, status: str,
+    gap: float | None, starts: Mapping[str, float] | None = None,
+) -> tuple[CombinatorialStoryline | None, LayoutReport]:
+    """Every solve's tail: recount ``story`` with the oracle, time the run from
+    ``t0`` to the recount's end, report; ``starts`` maps each stage to its start."""
+    crossings = layers = stages = None
+    if story is not None:
+        crossings, layers = count_crossings(story).total, len(story.layers)
+    end = time.monotonic()
+    if starts is not None:
+        bounds = [*starts.values(), end]
+        stages = {name: b - a for name, a, b in zip(starts, bounds, bounds[1:])}
+    return story, LayoutReport(algorithm, crossings, layers, end - t0, status, gap, stages)
 
 
 # ---------------------------------------------------------------------------

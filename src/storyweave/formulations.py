@@ -63,7 +63,8 @@ Solver assignments are decoded back into storylines: decoding indexes the
 assignment by variable index and reads the ordering and activity
 variables in catalog order, slot by slot.  Empty slots are dropped and the
 reported crossing number is always recomputed with the counting oracle
-rather than read off the objective.
+rather than read off the objective, in the tail :func:`solve_exact`
+shares with the heuristic pipeline, which also builds the report.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from typing import Mapping
 
 from . import bip, coloring
 from .core import (
+    DEFAULT_TIMEOUT,
     CharId,
     CombinatorialStoryline,
     InteractionId,
@@ -83,7 +85,7 @@ from .core import (
     LayoutReport,
     StorylineInstance,
     TimeId,
-    count_crossings,
+    _finish,
     validate_storyline,
 )
 
@@ -475,7 +477,7 @@ def decode(
 def solve_exact(
     inst: StorylineInstance,
     kind: ModelKind,
-    timeout: float = 3600.0,
+    timeout: float = DEFAULT_TIMEOUT,
     cap: int | None = None,
 ) -> tuple[CombinatorialStoryline | None, LayoutReport]:
     """Build, solve and decode one of the exact models.
@@ -507,14 +509,10 @@ def solve_exact(
     first = next(iter(cat.order.values()), None)
     fixed = () if first is None else ((first.index, 0),)
     result = bip.solve(program, timeout=timeout - (time.monotonic() - t0), fixed=fixed)
-    story = crossings = layers = gap = None
-    if result.assignment is not None:
-        story = decode(inst, cat, result)
-        crossings = count_crossings(story).total
-        layers = len(story.layers)
+    story = None if result.assignment is None else decode(inst, cat, result)
+    gap = None
     if result.status == bip.FEASIBLE_TIMEOUT:
         # A timed-out incumbent's objective is positive: open bounds are >= 0.
         upper, lower = result.objective_value, result.best_lower_bound
         gap = 100.0 if story is None else bip.gap_percent(upper, lower)
-    runtime = time.monotonic() - t0
-    return story, LayoutReport(kind.name, crossings, layers, runtime, result.status, gap)
+    return _finish(kind.name, story, t0, result.status, gap)

@@ -10,7 +10,8 @@ now fixed layers with :func:`core.order_fixed_layers`, one run of the
 min-plus engine that the exhaustive optimum also runs, over every layer's
 candidate orders when they are few enough.  The two variants
 differ only in the stage (ii) edge weights: partition similarity ("rand")
-or unavoidable-pattern counts ("pattern").
+or unavoidable-pattern counts ("pattern").  :func:`layout` runs any of the
+six ``ALGORITHMS``; the pipeline and the exact solve end in one tail.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import logging
 import time
 from dataclasses import dataclass
 
-from . import coloring, ordering
+from . import coloring, formulations, ordering
 from .core import (
+    DEFAULT_TIMEOUT,
     CharId,
     CombinatorialStoryline,
     InteractionId,
@@ -29,18 +31,20 @@ from .core import (
     LayoutReport,
     StorylineInstance,
     TimeId,
-    count_crossings,
+    _finish,
     order_fixed_layers,
 )
 
 log = logging.getLogger(__name__)
+_PIPELINE_ALGORITHMS = {"rand": "ps", "pattern": "pp"}
+ALGORITHMS = (*_PIPELINE_ALGORITHMS.values(), *formulations.EXACT_KINDS)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     heuristic: str = "rand"  # "rand" or "pattern"
     cap: int | None = None
-    timeout: float = 3600.0
+    timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self) -> None:
         if self.heuristic not in ordering.HEURISTICS:
@@ -50,7 +54,7 @@ class PipelineConfig:
 
     @property
     def algorithm(self) -> str:
-        return "ps" if self.heuristic == "rand" else "pp"
+        return _PIPELINE_ALGORITHMS[self.heuristic]
 
 
 def orient_slice_paths(
@@ -132,11 +136,22 @@ def run_pipeline(
     story = CombinatorialStoryline(
         tuple(Layer(t, ids, order, act) for (t, ids, _g, act), order in zip(fixed, orders))
     )
-    crossings = count_crossings(story).total
-    runtime = time.monotonic() - t0
-    stages = {"coloring": t_color - t0, "ordering": t_order - t_color}
-    stages["crossing"] = runtime - (t_order - t0)
     status, gap = ("optimal", None) if proven else ("feasible-timeout", 100.0)
-    return story, LayoutReport(
-        cfg.algorithm, crossings, len(story.layers), runtime, status, gap, stages
-    )
+    starts = {"coloring": t0, "ordering": t_color, "crossing": t_order}
+    return _finish(cfg.algorithm, story, t0, status, gap, starts)
+
+
+def layout(
+    inst: StorylineInstance,
+    algorithm: str,
+    timeout: float = DEFAULT_TIMEOUT,
+    cap: int | None = None,
+) -> tuple[CombinatorialStoryline | None, LayoutReport]:
+    """Run one of ``ALGORITHMS`` by name; an unknown name raises ValueError."""
+    for heuristic, name in _PIPELINE_ALGORITHMS.items():
+        if algorithm == name:
+            return run_pipeline(inst, PipelineConfig(heuristic, cap, timeout))
+    if algorithm not in formulations.EXACT_KINDS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    kind = formulations.EXACT_KINDS[algorithm]
+    return formulations.solve_exact(inst, kind, timeout=timeout, cap=cap)

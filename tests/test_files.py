@@ -142,7 +142,6 @@ class TestCountedOnce:
             return recount(story)
 
         monkeypatch.setattr(sw.core, "count_crossings", counting)
-        monkeypatch.setattr(sw.formulations, "count_crossings", counting)
         inst = make_instance([("ab", "t0"), ("ab", "t1"), ("abc", "t2")])
         story, report = sw.solve_exact(inst, sw.ILP2)
         assert counted == [story] and story.crossings == report.crossings

@@ -555,7 +555,7 @@ class TestDecodeAndReport:
         assert report.status == bip.FEASIBLE_TIMEOUT
         assert story is None or sw.validate_storyline(inst, story) == []
 
-    @pytest.mark.parametrize("algorithm", ["ps", "ilp1"])
+    @pytest.mark.parametrize("algorithm", pipeline.ALGORITHMS)
     def test_runtime_covers_recount(self, monkeypatch, algorithm):
         recount = sw.count_crossings
 
@@ -563,13 +563,10 @@ class TestDecodeAndReport:
             time.sleep(0.2)
             return recount(story)
 
-        module = pipeline if algorithm == "ps" else formulations
-        monkeypatch.setattr(module, "count_crossings", slow_recount)
+        # Every algorithm recounts in the one shared tail, in core.
+        monkeypatch.setattr(sw.core, "count_crossings", slow_recount)
         inst = make_instance(PATTERN_PAIR)
-        if algorithm == "ps":
-            _, report = sw.run_pipeline(inst, sw.PipelineConfig())
-        else:
-            _, report = sw.solve_exact(inst, sw.ILP1)
+        _, report = sw.layout(inst, algorithm)
         assert report.runtime >= 0.2
 
 

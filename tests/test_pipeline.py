@@ -5,6 +5,7 @@ import time
 import pytest
 
 import storyweave as sw
+from storyweave import files, formulations, pipeline
 from helpers import cit_rung, dense_instance, matching_instance, oracle_corpus, random_instance
 from test_core import PATTERN_PAIR, make_instance
 
@@ -177,6 +178,53 @@ class TestRunPipeline:
         for timeout in (0, -5, float("nan")):
             with pytest.raises(ValueError, match="timeout must be positive"):
                 sw.PipelineConfig(timeout=timeout)
+
+
+class TestLayout:
+    """``layout`` by name against the direct calls it stands for."""
+
+    @staticmethod
+    def direct(inst, algorithm):
+        if algorithm == "ps":
+            return sw.run_pipeline(inst, sw.PipelineConfig(heuristic="rand"))
+        if algorithm == "pp":
+            return sw.run_pipeline(inst, sw.PipelineConfig(heuristic="pattern"))
+        return sw.solve_exact(inst, formulations.EXACT_KINDS[algorithm])
+
+    @pytest.mark.parametrize("algorithm", pipeline.ALGORITHMS)
+    def test_same_storyline_and_report_as_direct_call(self, algorithm):
+        rng = random.Random(32)
+        corpus = [random_instance(rng, 5, 4, 3) for _ in range(4)]
+        corpus += [dense_instance(rng) for _ in range(4)]
+        corpus.append(cit_rung(5, 6, 2, 1))
+        for inst in corpus:
+            story, report = sw.layout(inst, algorithm)
+            expected_story, expected = self.direct(inst, algorithm)
+            assert story is not None and expected_story is not None
+            assert files.storyline_text(inst, story) == files.storyline_text(
+                inst, expected_story
+            )
+            assert report.algorithm == expected.algorithm == algorithm
+            assert report.crossings == expected.crossings
+            assert report.layers == expected.layers
+            assert report.status == expected.status
+            assert report.gap_percent == expected.gap_percent
+            if expected.stage_seconds is None:
+                assert report.stage_seconds is None
+            else:
+                assert list(report.stage_seconds) == list(expected.stage_seconds)
+
+    @pytest.mark.parametrize("algorithm", ["quantum", "ILP1", ""])
+    def test_unknown_algorithm_rejected(self, algorithm):
+        inst = make_instance([("ab", "t0")])
+        with pytest.raises(ValueError, match=f"unknown algorithm {algorithm!r}"):
+            sw.layout(inst, algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["ilp1", "ilp2"])
+    def test_cap_rejected_for_uncolored_budgets(self, algorithm):
+        inst = make_instance(PATTERN_PAIR)
+        with pytest.raises(ValueError, match="cap only applies to minimized layer budgets"):
+            sw.layout(inst, algorithm, cap=2)
 
 
 def hub_instance(k):
