@@ -6,7 +6,7 @@ Subcommands::
     storyweave solve <instance> --algorithm ps|pp|ilp1|ilp1ml|ilp2|ilp2ml
                      [--timeout S] [--cap K] [--export-lp F] [-o OUT]
     storyweave render <storyline> <instance> -o <svg>
-    storyweave bench <manifest> -o <csv> [--jobs N]
+    storyweave bench <manifest> -o <csv>
 
 Set ``STORYWEAVE_LOG`` (debug/info/warning/error/critical) to control
 verbosity; any other value means warning.
@@ -112,8 +112,6 @@ def _bench_cell(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.jobs < 0:
-        raise ValueError(f"--jobs must be a non-negative integer, not {args.jobs}")
     manifest_path = Path(args.manifest)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -142,7 +140,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if alg not in pipeline.ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r} in manifest")
     instances = [str((manifest_path.parent / p).resolve()) for p in paths]
-    jobs = args.jobs or jobs or min(4, os.cpu_count() or 1)
+    jobs = jobs or min(4, os.cpu_count() or 1)
 
     cells = [(path, alg) for path in instances for alg in algorithms]
     rows: list[files.BenchRow] = []
@@ -195,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run an instance/algorithm grid into a CSV")
     p.add_argument("manifest")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--jobs", type=int, default=0, help="worker processes")
     p.set_defaults(func=cmd_bench)
     return parser
 

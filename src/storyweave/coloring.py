@@ -66,41 +66,31 @@ def greedy_clique(g: ConflictGraph) -> tuple[InteractionId, ...]:
     return best
 
 
+def check_cap(cap: object) -> None:
+    """Reject a color class cap that is neither None nor an int of at least 1
+    (a bool is not an int here)."""
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ValueError(f"cap must be None or an integer of at least 1, not {cap!r}")
+
+
 def min_coloring(g: ConflictGraph, cap: int | None = None) -> Coloring:
     """Exact minimum proper coloring, optionally capping every class at ``cap``.
 
-    Palettes of k = ceil(n / cap) (1 without a cap) or, beyond 2 nodes, the
-    size of :func:`greedy_clique` if larger, k+1, ... colors are tried in
-    turn; no smaller palette can color a clique.  For each, a fresh
-    depth-first search visits the nodes in ``g.nodes`` order and gives each
-    the smallest color that no earlier neighbour holds and whose class is
-    below the cap.  A node may open at most one new color, which prunes
-    color permutations without changing the first coloring found.
+    Palettes of k = the size of :func:`greedy_clique` or, with a cap,
+    ceil(n / cap) if larger, k+1, ... colors are tried in turn; no smaller
+    palette can color a clique.  For each, a fresh depth-first search visits
+    the nodes in ``g.nodes`` order and gives each the smallest color that no
+    earlier neighbour holds and whose class is below the cap.  A node may
+    open at most one new color, which prunes color permutations without
+    changing the first coloring found.
 
     Search color c is reported as k-1-c.  The result is thus the
     lexicographically first coloring over the reversed palette, which is
     what a 0/1 program over assign[v, c], branched value-0-first in node
     order, returns; the classes, hence the pipeline's layers and their
     order, stay those of the 0/1 formulation this search replaced.
-
-    A graph of at most two nodes gets the search's answer without the
-    search: two nodes share a color unless they are adjacent or ``cap`` is
-    1, and then the first one takes color 1.
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be at least 1")
-    nodes = g.nodes
-    if len(nodes) < 2:
-        return Coloring(dict.fromkeys(nodes, 0), len(nodes))
-    if len(nodes) == 2:
-        if g.edges or cap == 1:
-            return Coloring({nodes[0]: 1, nodes[1]: 0}, 2)
-        return Coloring(dict.fromkeys(nodes, 0), 1)
-    return _palette_search(g, cap)
-
-
-def _palette_search(g: ConflictGraph, cap: int | None) -> Coloring:
-    """The search of :func:`min_coloring`, for any number of nodes."""
+    check_cap(cap)
     nodes = g.nodes
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
@@ -109,9 +99,7 @@ def _palette_search(g: ConflictGraph, cap: int | None) -> Coloring:
         i, j = sorted((index[a], index[b]))
         earlier[j].append(i)
     limit = cap or n
-    k = -(-n // cap) if cap else min(n, 1)
-    if n > 2:
-        k = max(k, len(greedy_clique(g)))
+    k = max(len(greedy_clique(g)), -(-n // cap) if cap else 0)
     while True:
         color = [-1] * n
         size = [0] * k
@@ -148,6 +136,7 @@ def layer_budget(
     conflict graph; otherwise it is simply the interaction count, one
     potential layer per interaction, and a ``cap`` is rejected.
     """
+    check_cap(cap)
     if cap is not None and not minimize:
         raise ValueError("cap only applies to minimized layer budgets")
     budgets: dict[TimeId, int] = {}

@@ -36,6 +36,8 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Literal
 
+from . import bip
+
 CharId = int
 TimeId = int
 InteractionId = int
@@ -399,18 +401,33 @@ def count_crossings(s: CombinatorialStoryline) -> CrossingCount:
 
 
 def _finish(
-    algorithm: str, story: CombinatorialStoryline | None, t0: float, status: str,
-    gap: float | None, starts: Mapping[str, float] | None = None,
+    algorithm: str, story: CombinatorialStoryline | None, t0: float,
+    bound: int | None, starts: Mapping[str, float] | None = None,
 ) -> tuple[CombinatorialStoryline | None, LayoutReport]:
     """Every solve's tail: recount ``story`` with the oracle, time the run from
-    ``t0`` to the recount's end, report; ``starts`` maps each stage to its start."""
-    crossings = layers = stages = None
+    ``t0`` to the recount's end, judge and report; ``starts`` maps each stage
+    to its start.
+
+    ``bound`` is the least crossing count the producer proved, or None when it
+    proved that there is no storyline.  Status and gap come from the oracle
+    count C and ``bound`` alone: no storyline is ``infeasible`` without a
+    bound and ``feasible-timeout`` with a 100 % gap with one; a storyline is
+    ``optimal`` when ``bound >= C``, and ``feasible-timeout`` with the gap
+    (C - bound) / C in percent otherwise.
+    """
+    crossings = layers = stages = gap = None
     if story is not None:
         crossings, layers = count_crossings(story).total, len(story.layers)
     end = time.monotonic()
     if starts is not None:
-        bounds = [*starts.values(), end]
-        stages = {name: b - a for name, a, b in zip(starts, bounds, bounds[1:])}
+        marks = [*starts.values(), end]
+        stages = {name: b - a for name, a, b in zip(starts, marks, marks[1:])}
+    if crossings is None:
+        status, gap = (bip.INFEASIBLE, None) if bound is None else (bip.FEASIBLE_TIMEOUT, 100.0)
+    elif bound >= crossings:
+        status = bip.OPTIMAL
+    else:
+        status, gap = bip.FEASIBLE_TIMEOUT, bip.gap_percent(crossings, bound)
     return story, LayoutReport(algorithm, crossings, layers, end - t0, status, gap, stages)
 
 

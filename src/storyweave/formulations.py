@@ -61,10 +61,11 @@ stay as built.
 
 Solver assignments are decoded back into storylines: decoding indexes the
 assignment by variable index and reads the ordering and activity
-variables in catalog order, slot by slot.  Empty slots are dropped and the
-reported crossing number is always recomputed with the counting oracle
-rather than read off the objective, in the tail :func:`solve_exact`
-shares with the heuristic pipeline, which also builds the report.
+variables in catalog order, slot by slot.  Empty slots are dropped.  The
+objective is not reported: :func:`solve_exact` hands the storyline and the
+bound the search proved to the tail it shares with the heuristic pipeline,
+:func:`core._finish`, which recounts the crossings with the oracle and
+judges status and gap from that count and the bound.
 """
 
 from __future__ import annotations
@@ -487,12 +488,10 @@ def solve_exact(
     kinds, whose budgets do not come from coloring.  The search gets what
     remains of ``timeout`` after model building, however little that is.
     The search fixes the first ordering variable to 0, which keeps one of
-    every storyline and its mirror image (see the module docstring).
-    Crossings are recounted with the oracle.  A timed-out search reports the
-    gap between its incumbent and the bound it proved, or no storyline and a
-    100 % gap when it found no incumbent.
-    ``runtime`` covers everything up to the end of the recount.  A
-    ``timeout`` that is not positive (or is nan) raises ValueError.
+    every storyline and its mirror image (see the module docstring).  The
+    shared tail gets the lower bound the search proved, None when it proved
+    the model infeasible.  A ``timeout`` that is not positive (or is nan)
+    raises ValueError.
     """
     if not timeout > 0:
         raise ValueError("timeout must be positive")
@@ -510,9 +509,4 @@ def solve_exact(
     fixed = () if first is None else ((first.index, 0),)
     result = bip.solve(program, timeout=timeout - (time.monotonic() - t0), fixed=fixed)
     story = None if result.assignment is None else decode(inst, cat, result)
-    gap = None
-    if result.status == bip.FEASIBLE_TIMEOUT:
-        # A timed-out incumbent's objective is positive: open bounds are >= 0.
-        upper, lower = result.objective_value, result.best_lower_bound
-        gap = 100.0 if story is None else bip.gap_percent(upper, lower)
-    return _finish(kind.name, story, t0, result.status, gap)
+    return _finish(kind.name, story, t0, result.best_lower_bound)

@@ -11,7 +11,9 @@ min-plus engine that the exhaustive optimum also runs, over every layer's
 candidate orders when they are few enough.  The two variants
 differ only in the stage (ii) edge weights: partition similarity ("rand")
 or unavoidable-pattern counts ("pattern").  :func:`layout` runs any of the
-six ``ALGORITHMS``; the pipeline and the exact solve end in one tail.
+six ``ALGORITHMS``; the pipeline and the exact solve end in one tail,
+:func:`core._finish`, which judges status and gap from the oracle count and
+the bound each proved.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.heuristic not in ordering.HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
+        coloring.check_cap(self.cap)
         if not self.timeout > 0:  # also rejects nan
             raise ValueError("timeout must be positive")
 
@@ -87,10 +90,10 @@ def run_pipeline(
 
     A slice too large for the exact path, or whose exact path outlasts
     ``cfg.timeout``, takes the approximate path, which also stops at the
-    budget, and the last stage gets what remains.  Orders it cannot prove
-    optimal are reported as ``feasible-timeout`` with a 100 % gap.
-    Crossings are recounted with the oracle.  ``stage_seconds`` splits
-    ``runtime`` into ``coloring``, ``ordering`` and ``crossing``.
+    budget, and the last stage gets what remains.  The bound handed to the
+    shared tail is the crossing count of the character orders when they are
+    proven optimal for the fixed layers, and 0 otherwise.  ``stage_seconds``
+    splits ``runtime`` into ``coloring``, ``ordering`` and ``crossing``.
     """
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout
@@ -130,15 +133,14 @@ def run_pipeline(
         for (t, layers), flip in zip(slices, flips)
         for ids, groups in (layers[::-1] if flip else layers)
     ]
-    orders, _cost, proven = order_fixed_layers(
+    orders, cost, proven = order_fixed_layers(
         [(groups, act) for _t, _ids, groups, act in fixed], deadline=deadline
     )
     story = CombinatorialStoryline(
         tuple(Layer(t, ids, order, act) for (t, ids, _g, act), order in zip(fixed, orders))
     )
-    status, gap = ("optimal", None) if proven else ("feasible-timeout", 100.0)
     starts = {"coloring": t0, "ordering": t_color, "crossing": t_order}
-    return _finish(cfg.algorithm, story, t0, status, gap, starts)
+    return _finish(cfg.algorithm, story, t0, cost if proven else 0, starts)
 
 
 def layout(

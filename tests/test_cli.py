@@ -279,15 +279,6 @@ class TestBench:
 
         assert stable(serial_out.read_text()) == stable(parallel_out.read_text())
 
-    def test_negative_jobs_flag_rejected(self, tmp_path, capsys):
-        p1, _ = write_instance(tmp_path, "m", [("ab", "t0")])
-        manifest = self.manifest(tmp_path, [p1], ["ps"])
-        out = tmp_path / "x.csv"
-        assert main(["bench", str(manifest), "-o", str(out), "--jobs", "-2"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: --jobs must be a non-negative integer, not -2"]
-        assert not out.exists()
-
     def test_unknown_algorithm_in_manifest(self, tmp_path, capsys):
         p1, _ = write_instance(tmp_path, "m", [("ab", "t0")])
         manifest = self.manifest(tmp_path, [p1], ["quantum"])

@@ -367,6 +367,34 @@ class TestCountCrossings:
             assert sw.count_crossings(story).total == sw.count_crossings(flipped).total
 
 
+class TestFinish:
+    """The one verdict rule of the shared tail, with C the oracle's count."""
+
+    @pytest.mark.parametrize(
+        "orders, bound, crossings, status, gap",
+        [
+            ([[0, 1], [0, 1]], 0, 0, "optimal", None),  # C = 0, bound 0
+            ([[0, 1, 2], [2, 0, 1]], 2, 2, "optimal", None),  # bound = C
+            ([[0, 1, 2], [2, 0, 1]], 1, 2, "feasible-timeout", 50.0),
+            ([[0, 1, 2], [2, 0, 1]], 0, 2, "feasible-timeout", 100.0),
+            (None, None, None, "infeasible", None),  # proven: no storyline
+            (None, 3, None, "feasible-timeout", 100.0),  # none found in time
+        ],
+    )
+    def test_status_and_gap(self, orders, bound, crossings, status, gap):
+        story = None
+        if orders is not None:
+            story = sw.CombinatorialStoryline(tuple(map(layer, orders)))
+        got, report = sw.core._finish("x", story, 0.0, bound)
+        assert got is story
+        assert (report.crossings, report.status, report.gap_percent) == (
+            crossings,
+            status,
+            gap,
+        )
+        assert report.layers == (None if story is None else len(orders))
+
+
 class TestBruteForceOptimum:
     def test_single_interaction(self):
         assert sw.brute_force_optimum(make_instance([("ab", "t0")])) == 0

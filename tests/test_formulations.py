@@ -544,6 +544,29 @@ class TestDecodeAndReport:
         assert report.crossings is None and report.layers is None
         assert report.gap_percent == 100.0
 
+    @pytest.mark.parametrize(
+        "bound, status, gap", [(1, "feasible-timeout", 50.0), (2, "optimal", None)]
+    )
+    def test_incumbent_judged_by_its_oracle_count(self, monkeypatch, bound, status, gap):
+        # A timed-out incumbent holding an optimal storyline, with every
+        # crossing indicator set: the >= linking rows allow z = 1 without a
+        # flip, so its objective overstates the oracle count 2.
+        solve = bip.solve
+
+        def crafted(program, timeout, fixed=()):
+            a = list(solve(program, timeout, fixed=fixed).assignment)
+            for var in program.variables:
+                if var.name.startswith("z_"):
+                    a[var.index] = 1
+            objective = sum(coef * a[var.index] for coef, var in program.objective)
+            return bip.SolveResult(bip.FEASIBLE_TIMEOUT, tuple(a), objective, bound)
+
+        monkeypatch.setattr(bip, "solve", crafted)
+        twice = PATTERN_PAIR + [(chars, "t1") for chars, _t in PATTERN_PAIR]
+        story, report = sw.solve_exact(make_instance(twice), sw.ILP1ML)
+        assert report.crossings == sw.count_crossings(story).total == 2
+        assert (report.status, report.gap_percent) == (status, gap)
+
     @pytest.mark.parametrize("kind", ["ilp1ml", "ilp2ml"])
     def test_budget_under_a_second_holds(self, kind):
         # Model building takes part of the budget; the search gets the rest,

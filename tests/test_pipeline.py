@@ -226,6 +226,16 @@ class TestLayout:
         with pytest.raises(ValueError, match="cap only applies to minimized layer budgets"):
             sw.layout(inst, algorithm, cap=2)
 
+    @pytest.mark.parametrize("interactions", [PATTERN_PAIR, []], ids=["normal", "none"])
+    @pytest.mark.parametrize("cap", [0, -1, 1.5, True])
+    @pytest.mark.parametrize("algorithm", ["ps", "pp", "ilp1ml", "ilp2ml"])
+    def test_bad_cap_rejected(self, algorithm, cap, interactions):
+        # Checked up front, not where a graph gets colored: an instance
+        # without interactions colors none.
+        inst = make_instance(interactions, timestamps=["t0"])
+        with pytest.raises(ValueError, match="cap must be None or an integer of at least 1"):
+            sw.layout(inst, algorithm, cap=cap)
+
 
 def hub_instance(k):
     """A hub meeting ``k`` others at t1, one per layer, between two slices
